@@ -80,12 +80,6 @@ from .routing import (
     make_router,
     route,
 )
-from .kernels import (
-    KernelBackend,
-    available_backends,
-    default_backend_name,
-    get_backend,
-)
 from .token_swap import (
     TokenSwapRouter,
     approximate_token_swapping,
@@ -171,11 +165,6 @@ __all__ = [
     "CompleteRouter",
     "TreeRouter",
     "BestOfRouter",
-    # kernel backends
-    "KernelBackend",
-    "get_backend",
-    "available_backends",
-    "default_backend_name",
     "TokenSwapRouter",
     "approximate_token_swapping",
     "partial_token_swapping",

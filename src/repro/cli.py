@@ -71,7 +71,6 @@ from typing import Sequence
 from .bench import check_claims, run_sweep, series_table
 from .errors import ReproError
 from .graphs import GridGraph
-from .kernels import available_backends, default_backend_name
 from .noise import NoiseModel
 from .perm import WORKLOADS, make_workload
 from .routing import available_routers, describe_routers, make_router
@@ -101,14 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         choices=available_routers(),
         help="repeatable; default: local, naive, ats",
-    )
-    p_route.add_argument(
-        "--backend",
-        choices=available_backends(),
-        default=None,
-        help="kernel backend for the routing math (default: "
-        "REPRO_KERNEL_BACKEND or auto-detection; identical schedules "
-        "either way)",
     )
     p_route.add_argument(
         "--show", action="store_true", help="render the best schedule as ASCII"
@@ -157,13 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_batch.add_argument("--cache-size", type=int, default=4096)
     p_batch.add_argument(
         "--cache-dir", help="persistent schedule-cache directory"
-    )
-    p_batch.add_argument(
-        "--backend",
-        choices=available_backends(),
-        default=None,
-        help="default kernel backend for computed routes (per-request "
-        "'backend' options override; never splits the cache)",
     )
     p_batch.add_argument(
         "--warm",
@@ -258,13 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--cache-size", type=int, default=4096)
     p_serve.add_argument(
         "--cache-dir", help="persistent schedule-cache directory"
-    )
-    p_serve.add_argument(
-        "--backend",
-        choices=available_backends(),
-        default=None,
-        help="default kernel backend for computed routes (per-request "
-        "'backend' options override; never splits the cache)",
     )
     p_serve.add_argument(
         "--shards",
@@ -584,7 +561,7 @@ def _cmd_route(args: argparse.Namespace) -> int:
         f"(seed {args.seed})"
     )
     for name in router_names:
-        router = make_router(name, backend=args.backend)
+        router = make_router(name)
         t0 = time.perf_counter()
         sched = router.route(grid, perm)
         dt = time.perf_counter() - t0
@@ -613,7 +590,6 @@ def _cmd_route_json(args, grid, perm, router_names, noise) -> int:
     svc = RoutingService(
         cache_size=len(router_names) + 1,
         max_workers=1,
-        kernel_backend=args.backend,
         verify=True,
     )
     results = []
@@ -833,7 +809,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         cache_size=args.cache_size,
         cache_dir=args.cache_dir,
         max_workers=args.workers,
-        kernel_backend=args.backend,
         verify=args.verify,
         cluster_peers=tuple(args.cluster or ()),
         cluster_replication=args.replication,
@@ -1003,7 +978,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         cache_shards=args.shards,
         cache_admission=admission,
         max_workers=args.workers,
-        kernel_backend=args.backend,
         verify=args.verify,
         cluster_peers=tuple(args.peer or ()),
         cluster_node_id=node_id,
@@ -1368,15 +1342,9 @@ def _cmd_info(_: argparse.Namespace) -> int:
     print("routers:  " + ", ".join(available_routers()))
     for info in describe_routers():
         families = ", ".join(info.families) or "-"
-        kernels = "yes" if info.kernel_backends else "no"
-        print(f"  {info.name:10s} graphs: {families:28s} kernels: {kernels}")
+        print(f"  {info.name:10s} graphs: {families}")
         if info.summary:
             print(f"             {info.summary}")
-    print(
-        "backends:  "
-        + ", ".join(available_backends())
-        + f" (default: {default_backend_name()})"
-    )
     print("workloads: " + ", ".join(sorted(WORKLOADS)))
     return 0
 

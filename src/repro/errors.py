@@ -12,7 +12,6 @@ __all__ = [
     "GraphError",
     "PermutationError",
     "MatchingError",
-    "KernelError",
     "RoutingError",
     "ScheduleError",
     "CircuitError",
@@ -42,17 +41,6 @@ class PermutationError(ReproError):
 
 class MatchingError(ReproError):
     """A matching-layer failure, e.g. no perfect matching where one is required."""
-
-
-class KernelError(ReproError):
-    """A kernel backend could not be resolved or failed an invariant.
-
-    Raised by :func:`repro.kernels.get_backend` for unknown backend names
-    and for explicitly requested backends whose dependency (numpy) is not
-    importable. Ambient resolution — the ``REPRO_KERNEL_BACKEND``
-    environment variable or the automatic default — never raises for a
-    missing numpy; it falls back to the pure-Python reference backend.
-    """
 
 
 class RoutingError(ReproError):

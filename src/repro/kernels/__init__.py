@@ -1,35 +1,20 @@
-"""Pluggable kernel backends for the routing core.
+"""The routing core's hot-primitive kernels.
 
 The hot primitives of the paper's algorithms — frontier/distance scoring,
 Hopcroft–Karp matching, odd–even transposition, token displacement and
-swap-schedule assembly — live behind the :class:`KernelBackend` protocol
-with two built-in implementations:
+swap-schedule assembly — sit behind the :class:`KernelBackend` contract
+(see :mod:`repro.kernels.base`). The product ships one implementation,
+the vectorized numpy kernels, installed as :data:`ACTIVE`.
 
-* ``python`` — the pure-Python reference kernels (always available),
-* ``numpy`` — vectorized kernels, the default whenever numpy imports.
-
-Select a backend explicitly (``make_router("local", backend="numpy")``),
-through the ``REPRO_KERNEL_BACKEND`` environment variable, or let
-:func:`get_backend` resolve the ambient default. All backends are
-result-identical by contract; only speed differs. See
-:mod:`repro.kernels.base` for the resolution rules and the equivalence
-contract.
+Routers look the instance up as ``kernels.ACTIVE`` each time they run
+instead of binding it at import: the test suite swaps in a pure-python
+oracle there and pins every router's schedules byte-identical to it.
 """
 
-from .base import (
-    ENV_VAR,
-    KernelBackend,
-    available_backends,
-    default_backend_name,
-    get_backend,
-    register_backend,
-)
+from ._numpy import NumpyKernelBackend
+from .base import KernelBackend
 
-__all__ = [
-    "ENV_VAR",
-    "KernelBackend",
-    "available_backends",
-    "default_backend_name",
-    "get_backend",
-    "register_backend",
-]
+__all__ = ["ACTIVE", "KernelBackend", "NumpyKernelBackend"]
+
+#: The kernel implementation every router dispatches its hot primitives to.
+ACTIVE: KernelBackend = NumpyKernelBackend()

@@ -1,4 +1,4 @@
-"""The numpy-accelerated kernel backend.
+"""The numpy kernels: the product implementation of the kernel contract.
 
 Vectorization strategy per kernel:
 
@@ -13,7 +13,7 @@ Vectorization strategy per kernel:
   roots' writes, so the committed matching is byte-identical to running
   the reference DFS root by root. Deferred roots re-run against the
   updated state; small phases and collapsed batches fall back to the
-  exact sequential DFS (also selectable via ``REPRO_HK_BATCH=0``).
+  exact sequential DFS.
 * **Matching peel** — the best-token-per-column-pair reduction becomes a
   single ``lexsort`` by ``(pair, cost, token)``; the reference dict's
   insertion order (first occurrence of a pair in ascending token order)
@@ -59,7 +59,6 @@ phase the DFS stack always holds one vertex per depth and
 
 from __future__ import annotations
 
-import os
 from typing import Any, Iterable, Sequence
 
 import numpy as np
@@ -97,21 +96,8 @@ _MIN_LOCKSTEP = 3
 #: stop wasting speculative work that cannot commit.
 _INIT_WINDOW = 128
 
-#: Environment switch: ``0``/``false`` disables the batched augmentation
-#: (sequential reference-order DFS, the pre-batching behaviour). The
-#: results are identical either way; this is a rollback/benchmark lever.
-_BATCH_ENV = "REPRO_HK_BATCH"
-
-
-def _batch_enabled() -> bool:
-    """Whether the frontier-batched augmentation pass is enabled."""
-    flag = os.environ.get(_BATCH_ENV, "1").strip().lower()
-    return flag not in {"0", "false", "off", "no"}
-
-
 def _bfs_layers(
     n_left: int,
-    indptr: np.ndarray,
     indices: np.ndarray,
     src: np.ndarray,
     match_l: np.ndarray,
@@ -123,8 +109,8 @@ def _bfs_layers(
     level 0, and a matched left vertex gets level ``d + 1`` when first
     reached from level ``d`` through its partner. ``found`` is True iff
     any explored edge ends at a free right vertex. ``src`` is the
-    per-edge source vertex (``indptr`` expanded once per call, shared
-    across phases). Distances are int64 with ``n_left + 1`` as the
+    per-edge source vertex (the CSR ``indptr`` expanded once per call,
+    shared across phases). Distances are int64 with ``n_left + 1`` as the
     unreached sentinel (comparisons behave exactly like the reference's
     ``inf`` labels because finite labels never exceed ``n_left - 1``).
     """
@@ -146,47 +132,6 @@ def _bfs_layers(
         dist[cand] = d
         fmask = np.zeros(n_left, dtype=bool)
         fmask[cand] = True
-    return dist, found
-
-
-def _bfs_layers_pr7(
-    n_left: int,
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    match_l: np.ndarray,
-    match_r: np.ndarray,
-) -> tuple[np.ndarray, bool]:
-    """The PR-7 BFS layering, preserved verbatim for ``REPRO_HK_BATCH=0``.
-
-    The rollback path must reproduce the pre-batching backend exactly —
-    including its performance profile — so it keeps the original
-    frontier-gather formulation rather than sharing :func:`_bfs_layers`.
-    Results are identical; only the constant factors differ.
-    """
-    unreached = n_left + 1
-    dist = np.full(n_left, unreached, dtype=np.int64)
-    frontier = np.flatnonzero(match_l == -1)
-    dist[frontier] = 0
-    found = False
-    d = 0
-    while frontier.size:
-        starts = indptr[frontier]
-        counts = indptr[frontier + 1] - starts
-        total = int(counts.sum())
-        if total == 0:
-            break
-        ends = np.cumsum(counts)
-        flat = np.arange(total) + np.repeat(starts - (ends - counts), counts)
-        ws = match_r[indices[flat]]
-        if not found and bool((ws == -1).any()):
-            found = True
-        cand = ws[ws >= 0]
-        cand = cand[dist[cand] == unreached]
-        if cand.size == 0:
-            break
-        d += 1
-        dist[cand] = d
-        frontier = np.unique(cand)
     return dist, found
 
 
@@ -599,9 +544,7 @@ def _hk_csr_batched(
         while -1 in ml:
             ml_arr = np.asarray(ml, dtype=np.int64)
             mr_arr = np.asarray(mr, dtype=np.int64)
-            dist, found = _bfs_layers(
-                n_left, indptr, indices, src, ml_arr, mr_arr
-            )
+            dist, found = _bfs_layers(n_left, indices, src, ml_arr, mr_arr)
             if not found:
                 break
             active = [u for u in range(n_left) if ml[u] == -1]
@@ -681,27 +624,7 @@ def _hk_csr(
         from ..matching.hopcroft_karp import hopcroft_karp
 
         return hopcroft_karp(n_left, n_right, adj)
-    if _batch_enabled():
-        return _hk_csr_batched(n_left, n_right, adj, indptr, indices)
-    unreached = n_left + 1
-    match_l = [-1] * n_left
-    match_r = [-1] * n_right
-    size = 0
-    with stage("matching"):
-        while True:
-            dist_arr, found = _bfs_layers_pr7(
-                n_left,
-                indptr,
-                indices,
-                np.asarray(match_l, dtype=np.int64),
-                np.asarray(match_r, dtype=np.int64),
-            )
-            if not found:
-                break
-            size += _augment_roots(
-                range(n_left), adj, dist_arr.tolist(), match_l, match_r, unreached
-            )
-    return match_l, match_r, size
+    return _hk_csr_batched(n_left, n_right, adj, indptr, indices)
 
 
 def _split_adj(indptr: np.ndarray, indices: np.ndarray) -> list[list[int]]:
@@ -716,9 +639,7 @@ def _split_adj(indptr: np.ndarray, indices: np.ndarray) -> list[list[int]]:
 
 
 class NumpyKernelBackend(KernelBackend):
-    """Vectorized kernels; result-identical to the ``python`` backend."""
-
-    name = "numpy"
+    """Vectorized kernels; result-identical to the pure-python oracle."""
 
     # ------------------------------------------------------------------
     # frontier / distance scoring

@@ -1,71 +1,40 @@
-"""The kernel-backend protocol and its registry.
+"""The kernel contract.
 
 A :class:`KernelBackend` bundles the *hot primitives* of the routing core
 — frontier/distance scoring, bipartite matching, odd–even transposition,
 token displacement accounting and swap-schedule assembly — behind one
-interface so the same routers can run on interchangeable implementations:
+interface. The product implementation is the vectorized numpy kernels
+(:mod:`repro.kernels._numpy`: batched BFS layering, frontier-batched
+Hopcroft–Karp augmentation that advances every augmenting path one level
+per array pass, array reductions, fancy-indexed schedule assembly).
 
-* ``python`` — the reference kernels, pure Python (plus the pre-existing
-  reference modules they delegate to). Always available; this is the
-  semantic ground truth the equivalence test suite pins the others to.
-* ``numpy`` — vectorized kernels (batched BFS layering, frontier-batched
-  Hopcroft–Karp augmentation that advances every augmenting path one
-  level per array pass, array reductions, fancy-indexed schedule
-  assembly). Selected by default when numpy is importable. The batched
-  augmentation engages adaptively (dense, many-root phases) and can be
-  disabled wholesale with ``REPRO_HK_BATCH=0``, which restores the
-  sequential per-root DFS exactly.
-
-**Equivalence contract.** Every backend must produce *identical* outputs
-for identical inputs — not merely valid ones. Routers interleave kernel
-calls with shared orchestration, so any divergence (a different matching,
-a different tie-break) would change the emitted schedule. The hypothesis
-suite in ``tests/test_kernels_equiv.py`` enforces byte-identical
-schedules across backends for every router with a vectorized path.
-
-Resolution order for :func:`get_backend`:
-
-1. an explicit argument (a backend instance or name — unknown names and
-   an explicitly requested ``numpy`` without numpy installed raise
-   :class:`~repro.errors.KernelError`);
-2. the ``REPRO_KERNEL_BACKEND`` environment variable (``numpy`` without
-   numpy installed falls back to ``python``);
-3. ``numpy`` when importable, else ``python``.
+**Equivalence contract.** The kernels must produce *identical* outputs
+to the pure-python reference oracle kept in the test suite
+(``tests/kernel_oracle.py``) — not merely valid ones. Routers interleave
+kernel calls with shared orchestration, so any divergence (a different
+matching, a different tie-break) would change the emitted schedule.
+``tests/test_kernels_equiv.py`` enforces byte-identical schedules for
+every router with a vectorized path, and per-primitive agreement.
 """
 
 from __future__ import annotations
 
-import os
 from abc import ABC, abstractmethod
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
-from ..errors import KernelError
-
-__all__ = [
-    "ENV_VAR",
-    "KernelBackend",
-    "available_backends",
-    "default_backend_name",
-    "get_backend",
-    "register_backend",
-]
-
-#: Environment variable naming the ambient default backend.
-ENV_VAR = "REPRO_KERNEL_BACKEND"
+__all__ = ["KernelBackend"]
 
 
 class KernelBackend(ABC):
-    """Hot routing primitives behind a swappable implementation.
+    """Hot routing primitives behind one interface.
 
     Array-typed parameters are numpy arrays (the shared orchestration in
-    ``repro.routing`` / ``repro.matching`` is array-based); pure-Python
-    backends convert at the boundary. Return values may be lists or
-    arrays — callers normalize with ``np.asarray`` where needed — but
-    their *values* must be backend-independent (see module docstring).
+    ``repro.routing`` / ``repro.matching`` is array-based); a pure-Python
+    implementation converts at the boundary. Return values may be lists
+    or arrays — callers normalize with ``np.asarray`` where needed — but
+    their *values* are fixed by the equivalence contract (see the module
+    docstring).
     """
-
-    #: Registry name, also surfaced in ``Schedule`` metadata and metrics.
-    name: str = "?"
 
     # ------------------------------------------------------------------
     # frontier / distance scoring
@@ -101,8 +70,8 @@ class KernelBackend(ABC):
         Must be augmenting-order-equivalent to the reference
         implementation in :mod:`repro.matching.hopcroft_karp`: the BFS
         distance labels are canonical, and the DFS must consume ``adj``
-        in the given order, so the returned matching is identical across
-        backends for identical adjacency.
+        in the given order, so the returned matching is identical to the
+        reference's for identical adjacency.
         """
 
     @abstractmethod
@@ -184,7 +153,7 @@ class KernelBackend(ABC):
         ``Schedule._from_canonical``: either nested tuples — per layer,
         ``(min, max)`` swaps sorted ascending — or an equivalent
         :class:`~repro.routing.schedule.FlatLayers` array bundle (the
-        numpy backend's choice; the Schedule materializes tuples
+        numpy kernels' choice; the Schedule materializes tuples
         lazily). Either way the resulting schedule must equal what
         ``Schedule(n, layers)`` (plus ``.compact()`` when requested)
         would produce.
@@ -205,116 +174,3 @@ class KernelBackend(ABC):
         Equivalent to
         ``Schedule.from_serial_swaps(n, swaps).compact().layers``.
         """
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"{type(self).__name__}(name={self.name!r})"
-
-
-# ----------------------------------------------------------------------
-# registry
-# ----------------------------------------------------------------------
-_FACTORIES: dict[str, Callable[[], KernelBackend]] = {}
-_CACHE: dict[str, KernelBackend] = {}
-
-
-def register_backend(name: str, factory: Callable[[], KernelBackend]) -> None:
-    """Register a backend factory under ``name``.
-
-    The factory is called lazily on first resolution and may raise
-    :class:`~repro.errors.KernelError` when its dependencies are absent
-    (that is how the ``numpy`` entry reports an uninstalled numpy).
-    """
-    if name in _FACTORIES:
-        raise KernelError(f"kernel backend {name!r} already registered")
-    _FACTORIES[name] = factory
-
-
-def _load(name: str) -> KernelBackend:
-    try:
-        return _CACHE[name]
-    except KeyError:
-        pass
-    try:
-        factory = _FACTORIES[name]
-    except KeyError:
-        raise KernelError(
-            f"unknown kernel backend {name!r}; registered: {sorted(_FACTORIES)}"
-        ) from None
-    backend = factory()
-    _CACHE[name] = backend
-    return backend
-
-
-def _python_factory() -> KernelBackend:
-    from ._python import PythonKernelBackend
-
-    return PythonKernelBackend()
-
-
-def _numpy_factory() -> KernelBackend:
-    try:
-        from ._numpy import NumpyKernelBackend
-    except ImportError as exc:
-        raise KernelError(f"numpy kernel backend unavailable: {exc}") from exc
-    return NumpyKernelBackend()
-
-
-register_backend("python", _python_factory)
-register_backend("numpy", _numpy_factory)
-
-
-# ----------------------------------------------------------------------
-# resolution
-# ----------------------------------------------------------------------
-def get_backend(spec: "KernelBackend | str | None" = None) -> KernelBackend:
-    """Resolve a backend instance (see module docstring for the order).
-
-    Parameters
-    ----------
-    spec:
-        A :class:`KernelBackend` (returned as-is), a registered name, or
-        ``None`` for the ambient default (``REPRO_KERNEL_BACKEND``, then
-        numpy-if-importable, then python).
-
-    Raises
-    ------
-    KernelError
-        For an unknown name, or an *explicitly* requested ``numpy``
-        backend when numpy is not importable. Ambient resolution falls
-        back to ``python`` instead of raising.
-    """
-    if isinstance(spec, KernelBackend):
-        return spec
-    if spec is not None:
-        return _load(str(spec))
-    env = os.environ.get(ENV_VAR, "").strip()
-    if env:
-        try:
-            return _load(env)
-        except KernelError:
-            if env == "numpy":
-                # Documented fallback: env-configured numpy without numpy
-                # installed degrades to the reference backend.
-                return _load("python")
-            raise
-    try:
-        return _load("numpy")
-    except KernelError:
-        return _load("python")
-
-
-def default_backend_name() -> str:
-    """Name of the backend ambient resolution currently selects."""
-    return get_backend().name
-
-
-def available_backends() -> list[str]:
-    """Names of registered backends that resolve successfully, sorted."""
-    out = []
-    for name in sorted(_FACTORIES):
-        try:
-            _load(name)
-        except KernelError:
-            continue
-        out.append(name)
-    return out

@@ -24,8 +24,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .. import kernels
 from ..errors import MatchingError
-from ..kernels import KernelBackend, get_backend
 from .hopcroft_karp import hopcroft_karp
 
 __all__ = ["bottleneck_assignment", "max_cardinality_bottleneck_matching"]
@@ -34,7 +34,6 @@ __all__ = ["bottleneck_assignment", "max_cardinality_bottleneck_matching"]
 def bottleneck_assignment(
     weights: np.ndarray,
     refine: bool = True,
-    backend: KernelBackend | str | None = None,
 ) -> tuple[np.ndarray, float]:
     """Perfect matching of a complete balanced bipartite graph minimizing
     the maximum edge weight.
@@ -53,9 +52,6 @@ def bottleneck_assignment(
         other assignment would otherwise be unconstrained — refinement
         keeps the well-localized majority near their preferred rows. The
         effect is measured by the ``mcbbm`` ablation benchmark.
-    backend:
-        Kernel backend (instance, name, or ``None`` for the ambient
-        default) executing the per-threshold feasibility probes.
 
     Returns
     -------
@@ -75,7 +71,7 @@ def bottleneck_assignment(
         raise MatchingError(f"weights must be square, got shape {w.shape}")
     k = w.shape[0]
     values = np.unique(w)
-    kb = get_backend(backend)
+    kb = kernels.ACTIVE
 
     def feasible(threshold: float) -> list[int] | None:
         return kb.bottleneck_feasible(w, float(threshold))

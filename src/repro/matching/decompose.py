@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import MatchingError
-from ..kernels import KernelBackend, get_backend
 from .multigraph import ColumnMultigraph
 
 __all__ = ["Decomposition", "naive_decomposition", "windowed_decomposition"]
@@ -53,13 +52,8 @@ class Decomposition:
         return len(self.matchings)
 
 
-def naive_decomposition(
-    mg: ColumnMultigraph, backend: KernelBackend | str | None = None
-) -> Decomposition:
+def naive_decomposition(mg: ColumnMultigraph) -> Decomposition:
     """Peel ``m`` perfect matchings with arbitrary (first-id) instantiation.
-
-    ``backend`` selects the kernel backend executing the peels (instance,
-    name, or ``None`` for the ambient default).
 
     Raises
     ------
@@ -68,11 +62,10 @@ def naive_decomposition(
         cannot happen for a genuine permutation input (the multigraph is
         ``m``-regular); the error guards corrupted state.
     """
-    kb = get_backend(backend)
     m = mg.m
     out: list[np.ndarray] = []
     for _ in range(m):
-        pm = mg.peel_perfect_matching(0, m - 1, pick="first", backend=kb)
+        pm = mg.peel_perfect_matching(0, m - 1, pick="first")
         if pm is None:
             raise MatchingError(
                 "regular multigraph failed to yield a perfect matching; "
@@ -89,7 +82,6 @@ def naive_decomposition(
 def windowed_decomposition(
     mg: ColumnMultigraph,
     growth: str = "nested",
-    backend: KernelBackend | str | None = None,
 ) -> Decomposition:
     """The paper's doubling-window matching search (Algorithm 2, lines 3–18).
 
@@ -120,9 +112,6 @@ def windowed_decomposition(
           regularity of later windows, forcing some matchings global.
           Kept for the faithfulness ablation
           (``benchmarks/bench_ablation_strategies.py``).
-    backend:
-        Kernel backend executing the peels (instance, name, or ``None``
-        for the ambient default).
 
     Raises
     ------
@@ -133,7 +122,6 @@ def windowed_decomposition(
     """
     if growth not in ("nested", "paper"):
         raise MatchingError(f"unknown window growth {growth!r}")
-    kb = get_backend(backend)
     m = mg.m
     out: list[np.ndarray] = []
     widths: list[int] = []
@@ -144,7 +132,7 @@ def windowed_decomposition(
         while r < m:
             hi = min(r + w, m - 1)
             while len(out) < m:
-                pm = mg.peel_perfect_matching(r, hi, pick="center", backend=kb)
+                pm = mg.peel_perfect_matching(r, hi, pick="center")
                 if pm is None:
                     break
                 out.append(pm)

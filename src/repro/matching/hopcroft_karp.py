@@ -19,7 +19,7 @@ Distance labels are plain ints with ``n_left + 1`` as the
 unreached/dead sentinel: a finite BFS level never exceeds
 ``n_left - 1``, so every comparison behaves exactly as it did with the
 old ``float('inf')`` labels while staying on the fast int path (and the
-vectorized backend shares the same convention, keeping the two
+numpy kernels share the same convention, keeping the two
 implementations diff-friendly).
 """
 

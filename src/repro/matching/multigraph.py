@@ -27,8 +27,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .. import kernels
 from ..errors import MatchingError
-from ..kernels import KernelBackend, get_backend
 from ..perm.permutation import Permutation
 
 __all__ = ["ColumnMultigraph"]
@@ -112,7 +112,6 @@ class ColumnMultigraph:
         row_lo: int = 0,
         row_hi: int | None = None,
         pick: str = "center",
-        backend: KernelBackend | str | None = None,
     ) -> np.ndarray | None:
         """Extract one perfect matching from the window ``[row_lo, row_hi]``.
 
@@ -135,10 +134,6 @@ class ColumnMultigraph:
               the locality-aware router),
             * ``"first"``  — smallest token id (the "arbitrary" choice of
               the naive ACG decomposition).
-        backend:
-            Kernel backend (instance, name, or ``None`` for the ambient
-            default) executing the representative-selection + matching
-            step.
 
         Returns
         -------
@@ -163,7 +158,7 @@ class ColumnMultigraph:
 
         # Best representative token per (source column, destination column),
         # by (cost, token id); support-graph matching and instantiation are
-        # delegated to the kernel backend.
+        # delegated to the kernels.
         center = 0.5 * (row_lo + row_hi)
         if pick == "center":
             cost = np.abs(self.src_row[tokens] - center) + np.abs(
@@ -173,7 +168,7 @@ class ColumnMultigraph:
             cost = tokens.astype(float)
         sc = self.src_col[tokens]
         dc = self.dst_col[tokens]
-        picked = get_backend(backend).peel_matching(tokens, sc, dc, cost, n)
+        picked = kernels.ACTIVE.peel_matching(tokens, sc, dc, cost, n)
         if picked is None:
             return None
 

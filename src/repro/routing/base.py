@@ -10,14 +10,10 @@ algorithm can be used in any transpiler that uses the above framework").
 The registry maps short names (``"local"``, ``"naive"``, ``"ats"``,
 ``"hybrid"``, ...) to router factories so benchmarks and the transpiler can
 select routers from configuration strings; :func:`describe_routers` exposes
-the structured metadata behind those names (supported graph families,
-kernel-backend support).
+the structured metadata behind those names (supported graph families).
 
-Routers dispatch their hot primitives through a pluggable
-:class:`~repro.kernels.KernelBackend` (see :mod:`repro.kernels`): pass
-``backend=`` to :func:`make_router`/:func:`route`, set the
-``REPRO_KERNEL_BACKEND`` environment variable, or let the ambient default
-pick numpy when available.
+Routers dispatch their hot primitives to the kernels in
+:mod:`repro.kernels`.
 """
 
 from __future__ import annotations
@@ -29,7 +25,6 @@ from typing import TYPE_CHECKING, Callable
 
 from ..errors import RoutingError
 from ..graphs.base import Graph
-from ..kernels import KernelBackend, get_backend
 from ..perm.permutation import Permutation
 
 # Re-exported so service-layer code can install a per-request profiler
@@ -62,34 +57,6 @@ class Router(ABC):
 
     #: Short human-readable identifier (used in benchmark tables).
     name: str = "router"
-
-    #: Kernel-backend pin; ``None`` means "resolve the ambient default at
-    #: call time" so an unpinned router follows ``REPRO_KERNEL_BACKEND``.
-    _backend: KernelBackend | None = None
-
-    @property
-    def backend(self) -> KernelBackend:
-        """The kernel backend this router dispatches hot primitives to.
-
-        Unpinned routers resolve the ambient default on every access
-        (cheap: a dict lookup), so they track environment changes; use
-        :meth:`set_backend` (or ``make_router(..., backend=...)``) to pin.
-        """
-        return get_backend(self._backend)
-
-    @backend.setter
-    def backend(self, spec: KernelBackend | str | None) -> None:
-        self.set_backend(spec)
-
-    def set_backend(self, spec: KernelBackend | str | None) -> None:
-        """Pin the kernel backend (name or instance); ``None`` unpins.
-
-        Raises
-        ------
-        KernelError
-            On an unknown backend name, or ``"numpy"`` without numpy.
-        """
-        self._backend = None if spec is None else get_backend(spec)
 
     @abstractmethod
     def route(self, graph: Graph, perm: Permutation) -> Schedule:
@@ -167,23 +134,17 @@ class RouterInfo:
         Graph families the router supports (``"grid"``,
         ``"cartesian_product"``, ``"tree"``, ``"cycle"``, ``"complete"``,
         ``"any_connected"``).
-    kernel_backends:
-        Whether the router's hot path dispatches through the pluggable
-        kernel backend (i.e. ``backend=`` changes what executes, and the
-        produced schedule carries backend provenance metadata).
     """
 
     name: str
     summary: str
     families: tuple[str, ...]
-    kernel_backends: bool
 
 
 @dataclass(frozen=True)
 class _Registration:
     factory: Callable[..., Router]
     families: tuple[str, ...]
-    kernel_backends: bool
 
 
 _REGISTRY: dict[str, _Registration] = {}
@@ -193,22 +154,16 @@ def register_router(
     name: str,
     *,
     families: tuple[str, ...] = (),
-    kernel_backends: bool = False,
 ) -> Callable[[Callable[..., Router]], Callable[..., Router]]:
     """Class/factory decorator adding a router under ``name``.
 
-    ``families`` and ``kernel_backends`` feed :func:`describe_routers`
-    (see :class:`RouterInfo`).
+    ``families`` feeds :func:`describe_routers` (see :class:`RouterInfo`).
     """
 
     def deco(factory: Callable[..., Router]) -> Callable[..., Router]:
         if name in _REGISTRY:
             raise RoutingError(f"router {name!r} already registered")
-        _REGISTRY[name] = _Registration(
-            factory=factory,
-            families=tuple(families),
-            kernel_backends=kernel_backends,
-        )
+        _REGISTRY[name] = _Registration(factory=factory, families=tuple(families))
         return factory
 
     return deco
@@ -217,21 +172,13 @@ def register_router(
 _BAD_KWARG = re.compile(r"unexpected keyword argument '([^']+)'")
 
 
-def make_router(
-    name: str,
-    backend: KernelBackend | str | None = None,
-    **kwargs,
-) -> Router:
+def make_router(name: str, **kwargs) -> Router:
     """Instantiate a registered router by name.
 
     Parameters
     ----------
     name:
         Registry name (see :func:`available_routers`).
-    backend:
-        Optional kernel backend (name or instance) to pin the router to;
-        by default the router follows the ambient default
-        (``REPRO_KERNEL_BACKEND``, then numpy-if-importable).
     **kwargs:
         Forwarded to the router factory.
 
@@ -241,8 +188,6 @@ def make_router(
         On an unknown name, or when the factory rejects an argument (the
         raw ``TypeError`` is wrapped, naming the router and the bad
         argument).
-    KernelError
-        On an unknown backend name, or ``backend="numpy"`` without numpy.
     """
     try:
         registration = _REGISTRY[name]
@@ -251,16 +196,13 @@ def make_router(
             f"unknown router {name!r}; available: {sorted(_REGISTRY)}"
         ) from None
     try:
-        router = registration.factory(**kwargs)
+        return registration.factory(**kwargs)
     except TypeError as exc:
         match = _BAD_KWARG.search(str(exc))
         detail = (
             f"unknown argument {match.group(1)!r}" if match else str(exc)
         )
         raise RoutingError(f"router {name!r}: {detail}") from exc
-    if backend is not None:
-        router.set_backend(backend)
-    return router
 
 
 def available_routers() -> list[str]:
@@ -272,8 +214,7 @@ def describe_routers() -> list[RouterInfo]:
     """Structured metadata for every registered router, sorted by name.
 
     The structured companion to :func:`available_routers` — use it to
-    discover which graph families a router accepts and whether it
-    honours the kernel-backend selection.
+    discover which graph families a router accepts.
     """
     out: list[RouterInfo] = []
     for name in sorted(_REGISTRY):
@@ -285,7 +226,6 @@ def describe_routers() -> list[RouterInfo]:
                 name=name,
                 summary=summary,
                 families=registration.families,
-                kernel_backends=registration.kernel_backends,
             )
         )
     return out
@@ -297,7 +237,6 @@ def route(
     method: str = "local",
     *,
     profiler: StageProfiler | None = None,
-    backend: KernelBackend | str | None = None,
     **kwargs,
 ) -> Schedule:
     """One-shot convenience: route ``perm`` on ``graph`` with router ``method``.
@@ -309,10 +248,8 @@ def route(
         call. Relying solely on the ambient
         :func:`~repro.profiling.profile` context manager is deprecated in
         favour of this explicit kwarg; the ambient form keeps working.
-    backend:
-        Optional kernel backend (see :func:`make_router`).
     """
-    router = make_router(method, backend=backend, **kwargs)
+    router = make_router(method, **kwargs)
     if profiler is not None:
         with profile(profiler):
             return router.route(graph, perm)

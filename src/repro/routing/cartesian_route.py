@@ -27,12 +27,12 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
+from .. import kernels
 from ..errors import RoutingError
 from ..graphs.base import Graph
 from ..graphs.cartesian import CartesianProduct
 from ..graphs.families import path_graph
 from ..graphs.grid import GridGraph
-from ..kernels import get_backend
 from ..matching.bottleneck import bottleneck_assignment
 from ..matching.decompose import naive_decomposition, windowed_decomposition
 from ..matching.multigraph import ColumnMultigraph
@@ -196,9 +196,7 @@ def _merge_rounds(
     return layers
 
 
-@register_router(
-    "cartesian", families=("grid", "cartesian_product"), kernel_backends=True
-)
+@register_router("cartesian", families=("grid", "cartesian_product"))
 class CartesianRouter(Router):
     """Locality-aware (or naive) 3-phase routing on ``G1 □ G2``.
 
@@ -250,19 +248,19 @@ class CartesianRouter(Router):
         m, n = g1.n_vertices, g2.n_vertices
         N = m * n
 
-        kb = self.backend
+        kb = kernels.ACTIVE
         mg = ColumnMultigraph((m, n), perm)
         if self.locality:
-            dec = windowed_decomposition(mg, growth=self.window_growth, backend=kb)
+            dec = windowed_decomposition(mg, growth=self.window_growth)
             d1 = g1.distance_matrix()
             if (d1 < 0).any():
                 raise RoutingError("factor G1 must be connected")
             weights = np.asarray(
                 kb.factor_delta_weights(d1, dec.rows_used), dtype=float
             )
-            assignment, _ = bottleneck_assignment(weights, backend=kb)
+            assignment, _ = bottleneck_assignment(weights)
         else:
-            dec = naive_decomposition(mg, backend=kb)
+            dec = naive_decomposition(mg)
             assignment = np.arange(m)
         sig = sigmas_from_decomposition(dec, assignment, (m, n))
 
@@ -319,7 +317,7 @@ class CartesianRouter(Router):
         # form assemble_layers expects loses nothing.
         swap_layers = [tuple(zip(*layer)) for layer in layers]
         canon = kb.assemble_layers(N, swap_layers, compact=self.compact)
-        return Schedule._from_canonical(N, canon, {"backend": kb.name})
+        return Schedule._from_canonical(N, canon)
 
     def route(self, graph: Graph, perm: Permutation) -> Schedule:
         self._check_sizes(graph, perm)

@@ -41,7 +41,6 @@ that into a miss.
 from __future__ import annotations
 
 import json
-import os
 import struct
 
 import numpy as np
@@ -54,7 +53,6 @@ __all__ = [
     "MAGIC",
     "encode_schedule",
     "decode_schedule",
-    "negotiated_version",
 ]
 
 #: Binary format version (bumped on any layout change; the version byte
@@ -64,31 +62,6 @@ CODEC_VERSION = 1
 
 #: Frame magic: ``b"reproSC"`` + the one-byte format version.
 MAGIC = b"reproSC" + bytes([CODEC_VERSION])
-
-#: Environment rollback lever: ``REPRO_CODEC=0`` makes this process
-#: speak the pre-codec wire dialect (no binary advertisement, JSON
-#: payloads, binary ``cache_put`` frames refused) without a downgrade.
-_CODEC_ENV = "REPRO_CODEC"
-
-
-def negotiated_version() -> int:
-    """The codec version this process advertises, serves and accepts.
-
-    Defaults to :data:`CODEC_VERSION`. ``REPRO_CODEC`` clamps it — ``0``
-    forces the JSON-only wire dialect, which makes a daemon
-    indistinguishable from a pre-codec build to its peers (the
-    operational rollback lever when a ring is mid-upgrade and a binary
-    incompatibility is suspected). Values above :data:`CODEC_VERSION`
-    or garbage are ignored.
-    """
-    raw = os.environ.get(_CODEC_ENV, "").strip()
-    if raw:
-        try:
-            return min(max(int(raw), 0), CODEC_VERSION)
-        except ValueError:
-            pass
-    return CODEC_VERSION
-
 
 _HEADER = struct.Struct("<8sqqqq")  # magic, n_vertices, n_layers, n_swaps, meta_len
 _I64 = np.dtype("<i8")
@@ -119,7 +92,7 @@ def encode_schedule(schedule: Schedule) -> bytes:
 
     Round-trips exactly through :func:`decode_schedule`, including the
     provenance metadata. Encoding from a flat-represented schedule (the
-    kernel backends' native output) is three buffer copies and no
+    numpy kernels' native output) is three buffer copies and no
     per-swap Python work.
     """
     flat = _flat_of(schedule)
@@ -149,7 +122,8 @@ def decode_schedule(data: bytes | bytearray | memoryview) -> Schedule:
     ------
     ScheduleError
         On truncated input, a bad magic/version, inconsistent header
-        fields, or payload arrays violating any schedule invariant.
+        fields, undecodable metadata, or payload arrays violating any
+        schedule invariant — and on nothing else, whatever the bytes.
     """
     mv = memoryview(data)
     if mv.nbytes < _HEADER.size:
@@ -184,7 +158,9 @@ def decode_schedule(data: bytes | bytearray | memoryview) -> Schedule:
     if meta_len:
         try:
             metadata = json.loads(bytes(mv[off : off + meta_len]).decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:
+            # ValueError covers bad UTF-8, bad JSON and over-long integer
+            # literals; RecursionError deeply nested arrays or objects.
             raise ScheduleError(f"corrupt schedule metadata: {exc}") from exc
         if not isinstance(metadata, dict):
             raise ScheduleError("schedule metadata must be a JSON object")
@@ -203,8 +179,11 @@ def _validate_flat(
     per-layer vertex-disjointness, and the canonical sort order the
     trusted ``_from_canonical`` path assumes.
     """
-    if counts.size and int(counts.min()) < 0:
-        raise ScheduleError("corrupt schedule frame: negative layer count")
+    # Bound every count by the swap count before summing: unbounded int64
+    # counts can wrap the sum around to ``lo.size``. Bounded, the sum is
+    # at most n_layers * n_swaps, which fits int64 for any frame < 64 GB.
+    if counts.size and (int(counts.min()) < 0 or int(counts.max()) > lo.size):
+        raise ScheduleError("corrupt schedule frame: layer count out of range")
     if int(counts.sum()) != lo.size:
         raise ScheduleError(
             "corrupt schedule frame: layer counts do not sum to the swap count"

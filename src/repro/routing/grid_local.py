@@ -33,10 +33,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .. import kernels
 from ..errors import RoutingError
 from ..graphs.base import Graph
 from ..graphs.grid import GridGraph
-from ..kernels import KernelBackend, get_backend
 from ..matching.bottleneck import bottleneck_assignment
 from ..matching.decompose import windowed_decomposition
 from ..matching.multigraph import ColumnMultigraph
@@ -52,11 +52,7 @@ from .schedule import Schedule
 __all__ = ["LocalGridRouter", "LocalRouteInfo", "delta_weights"]
 
 
-def delta_weights(
-    rows_used: list[np.ndarray],
-    n_rows: int,
-    backend: KernelBackend | str | None = None,
-) -> np.ndarray:
+def delta_weights(rows_used: list[np.ndarray], n_rows: int) -> np.ndarray:
     """The ``Delta(M, r)`` weight matrix of Algorithm 2.
 
     Parameters
@@ -67,17 +63,13 @@ def delta_weights(
         :meth:`repro.matching.multigraph.ColumnMultigraph.matching_rows`).
     n_rows:
         Number of grid rows ``m``.
-    backend:
-        Kernel backend (instance, name, or ``None`` for the ambient
-        default) computing the matrix.
 
     Returns
     -------
     ``(len(rows_used), n_rows)`` float array;
     ``W[k, r] = sum |rows_k - r|``.
     """
-    kb = get_backend(backend)
-    return np.asarray(kb.delta_weights(rows_used, n_rows), dtype=float)
+    return np.asarray(kernels.ACTIVE.delta_weights(rows_used, n_rows), dtype=float)
 
 
 @dataclass
@@ -111,7 +103,7 @@ class LocalRouteInfo:
     used_naive_fallback: bool = False
 
 
-@register_router("local", families=("grid",), kernel_backends=True)
+@register_router("local", families=("grid",))
 class LocalGridRouter(Router):
     """The paper's locality-aware router (Algorithms 1 + 2).
 
@@ -177,11 +169,10 @@ class LocalGridRouter(Router):
 
         Returns (schedule, window widths, MCBBM bottleneck).
         """
-        kb = self.backend
         m, _ = grid.shape
         mg = ColumnMultigraph(grid.shape, perm)
         with stage("decomposition"):
-            dec = windowed_decomposition(mg, growth=self.window_growth, backend=kb)
+            dec = windowed_decomposition(mg, growth=self.window_growth)
         with stage("bottleneck_assignment"):
             if self.assignment == "order":
                 assignment = np.arange(m)
@@ -192,9 +183,9 @@ class LocalGridRouter(Router):
                     )
                 )
             else:
-                weights = delta_weights(dec.rows_used, m, backend=kb)
+                weights = delta_weights(dec.rows_used, m)
                 assignment, bottleneck = bottleneck_assignment(
-                    weights, refine=self.refine_assignment, backend=kb
+                    weights, refine=self.refine_assignment
                 )
         with stage("swap_scheduling"):
             sig = sigmas_from_decomposition(dec, assignment, grid.shape)
@@ -205,7 +196,6 @@ class LocalGridRouter(Router):
                 optimize_parity=self.optimize_parity,
                 compact=self.compact,
                 validate=self.validate,
-                backend=kb,
             )
         return sched, dec.window_widths, bottleneck
 
@@ -252,7 +242,6 @@ class LocalGridRouter(Router):
                 compact=self.compact,
                 validate=self.validate,
             )
-            naive.set_backend(self._backend)
             naive_sched = naive.route(grid, perm)
             if naive_sched.depth < sched.depth:
                 sched = naive_sched

@@ -32,10 +32,10 @@ from typing import Callable
 
 import numpy as np
 
+from .. import kernels
 from ..errors import RoutingError
 from ..graphs.base import Graph
 from ..graphs.grid import GridGraph
-from ..kernels import KernelBackend, get_backend
 from ..matching.decompose import Decomposition, naive_decomposition
 from ..matching.multigraph import ColumnMultigraph
 from ..perm.permutation import Permutation
@@ -102,7 +102,6 @@ def grid_route_with_sigmas(
     optimize_parity: bool = True,
     compact: bool = True,
     validate: bool = False,
-    backend: KernelBackend | str | None = None,
 ) -> Schedule:
     """The ``GridRoute`` subroutine: 3-phase routing given the ``sigma_j``.
 
@@ -123,17 +122,13 @@ def grid_route_with_sigmas(
     validate:
         Additionally re-simulate and check the realized permutation
         (silent O(size) cost; routers expose it for tests).
-    backend:
-        Kernel backend (instance, name, or ``None`` for the ambient
-        default) executing the OET and schedule-assembly primitives. The
-        backend name is recorded in the schedule's metadata.
 
     Raises
     ------
     RoutingError
         On malformed ``sigmas`` or (with ``validate``) a semantic failure.
     """
-    kb = get_backend(backend)
+    kb = kernels.ACTIVE
     m, n = grid.shape
     N = m * n
     if perm.size != N:
@@ -200,7 +195,7 @@ def grid_route_with_sigmas(
         raise RoutingError("grid routing realized the wrong permutation")
 
     layers = kb.assemble_layers(N, swap_layers, compact=compact)
-    return Schedule._from_canonical(N, layers, {"backend": kb.name})
+    return Schedule._from_canonical(N, layers)
 
 
 def route_both_orientations(
@@ -233,7 +228,7 @@ def route_both_orientations(
     return s2, "transposed"
 
 
-@register_router("naive", families=("grid",), kernel_backends=True)
+@register_router("naive", families=("grid",))
 class NaiveGridRouter(Router):
     """ACG 3-phase grid routing with arbitrary matching decomposition.
 
@@ -261,10 +256,9 @@ class NaiveGridRouter(Router):
         self.validate = validate
 
     def _route_oriented(self, grid: GridGraph, perm: Permutation) -> Schedule:
-        kb = self.backend
         mg = ColumnMultigraph(grid.shape, perm)
         with stage("decomposition"):
-            dec = naive_decomposition(mg, backend=kb)
+            dec = naive_decomposition(mg)
         with stage("swap_scheduling"):
             sig = sigmas_from_decomposition(
                 dec, np.arange(grid.shape[0]), grid.shape
@@ -276,7 +270,6 @@ class NaiveGridRouter(Router):
                 optimize_parity=self.optimize_parity,
                 compact=self.compact,
                 validate=self.validate,
-                backend=kb,
             )
 
     def route(self, graph: Graph, perm: Permutation) -> Schedule:

@@ -19,7 +19,6 @@ from typing import Sequence
 
 from ..errors import RoutingError
 from ..graphs.base import Graph
-from ..kernels import KernelBackend
 from ..perm.permutation import Permutation
 from .base import Router, register_router
 from .schedule import Schedule
@@ -47,12 +46,6 @@ class BestOfRouter(Router):
         self.routers = list(routers)
         self.name = name
 
-    def set_backend(self, spec: KernelBackend | str | None) -> None:
-        """Pin the backend on this router and every raced child."""
-        super().set_backend(spec)
-        for router in self.routers:
-            router.set_backend(spec)
-
     def route(self, graph: Graph, perm: Permutation) -> Schedule:
         self._check_sizes(graph, perm)
         best: Schedule | None = None
@@ -64,7 +57,7 @@ class BestOfRouter(Router):
         return best
 
 
-@register_router("hybrid", families=("grid",), kernel_backends=True)
+@register_router("hybrid", families=("grid",))
 def make_hybrid_router(include_ats: bool = False, validate: bool = False) -> BestOfRouter:
     """The paper's free fallback: best of locality-aware and naive grid
     routing (optionally also ATS — no longer free, but the depth floor)."""

@@ -37,12 +37,12 @@ __all__ = ["Schedule"]
 
 
 class FlatLayers:
-    """Canonical layers as flat arrays (internal, kernel-backend payload).
+    """Canonical layers as flat arrays (internal, numpy-kernel payload).
 
     ``lo``/``hi`` hold the canonical ``(min, max)`` endpoints of every swap,
     concatenated across layers and sorted by ``(layer, lo, hi)``;
     ``counts[t]`` is the number of swaps in layer ``t``. Producers (the
-    numpy kernel backend, :meth:`Schedule.relabel`) guarantee the same
+    numpy kernels, :meth:`Schedule.relabel`) guarantee the same
     invariants the public :class:`Schedule` constructor enforces; the
     nested-tuple view is materialized lazily on first structural access,
     so schedules that are only compared by depth/size (e.g. the losing
@@ -70,9 +70,9 @@ class Schedule:
         be vertex-disjoint within themselves (edge membership in a graph
         is checked separately by :meth:`check_against`/:meth:`verify`).
     metadata:
-        Optional provenance annotations (e.g. which kernel backend
-        computed the schedule). Excluded from equality and hashing;
-        preserved by the transformation methods.
+        Optional provenance annotations (JSON-ready entries). Excluded
+        from equality and hashing; preserved by the transformation
+        methods.
 
     Raises
     ------
@@ -132,7 +132,7 @@ class Schedule:
     ) -> "Schedule":
         """Trusted constructor: ``layers`` must already be canonical.
 
-        Callers (kernel backends, :meth:`relabel`) guarantee the payload —
+        Callers (the kernels, :meth:`relabel`) guarantee the payload —
         nested tuples or a :class:`FlatLayers` array bundle — is validated,
         ``(min, max)``-canonical and sorted by ``(layer, lo, hi)``: the
         invariants the public constructor would otherwise re-establish.
@@ -186,10 +186,8 @@ class Schedule:
 
     @property
     def metadata(self) -> dict[str, Any]:
-        """Provenance annotations (e.g. ``{"backend": "numpy"}``).
+        """Provenance annotations (JSON-ready entries set by the caller).
 
-        Routers stamp the kernel backend that computed the schedule here
-        so operators can see which implementation served a request.
         Excluded from :meth:`__eq__`/:meth:`__hash__` — two schedules
         with identical layers are equal regardless of provenance.
         """

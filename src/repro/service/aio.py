@@ -81,8 +81,7 @@ __all__ = ["AsyncRoutingService"]
 def _decoded_worker_schedule(body: Any, n_vertices: int) -> Schedule:
     """Decode a pool worker's binary schedule frame, checking the size.
 
-    Workers return :func:`~repro.routing.codec.encode_schedule` frames
-    (metadata, including the kernel backend, rides inside the frame);
+    Workers return :func:`~repro.routing.codec.encode_schedule` frames;
     the vertex-count check keeps a mis-keyed frame from being cached
     under the wrong request.
     """
@@ -513,7 +512,6 @@ class AsyncRoutingService:
             req.perm.targets.tolist(),
             req.router,
             dict(req.options),
-            self.service.executor.kernel_backend,
         )
         t0 = time.perf_counter()
         try:
@@ -524,15 +522,11 @@ class AsyncRoutingService:
                     timeout,
                     salvage=self._route_salvager(req, key),
                 )
-                _digest, status, body, seconds, stages, backend = raw
+                _digest, status, body, seconds, stages = raw
                 csp.set("status", status)
-                if backend:
-                    csp.set("backend", backend)
                 if status == "ok":
                     record_stage_spans(stages)
-                    record_stage_telemetry(
-                        self.telemetry, req.router, backend, stages
-                    )
+                    record_stage_telemetry(self.telemetry, req.router, stages)
         except asyncio.TimeoutError:
             self.telemetry.incr("aio_timeouts")
             elapsed = time.perf_counter() - t0
@@ -562,7 +556,6 @@ class AsyncRoutingService:
             schedule=schedule,
             seconds=seconds,
             source="computed",
-            backend=backend,
         )
 
     @staticmethod
@@ -625,7 +618,7 @@ class AsyncRoutingService:
 
         def _salvage(future: Any) -> None:
             try:
-                _digest, status, body, seconds, _stages, _backend = future.result()
+                _digest, status, body, seconds, _stages = future.result()
                 if status != "ok":
                     return
                 schedule = _decoded_worker_schedule(body, req.graph.n_vertices)
@@ -731,9 +724,7 @@ class AsyncRoutingService:
                     csp.set("status", status)
                     if status == "ok":
                         record_stage_spans(stages)
-                        record_stage_telemetry(
-                            self.telemetry, req.router, None, stages
-                        )
+                        record_stage_telemetry(self.telemetry, req.router, stages)
             except asyncio.TimeoutError:
                 self.telemetry.incr("aio_timeouts")
                 elapsed = time.perf_counter() - t0

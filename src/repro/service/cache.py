@@ -10,10 +10,7 @@ Two tiers:
   persistent on-disk tier. Disk entries are binary
   :mod:`repro.routing.codec` frames (``<digest>.rsc``), one file per
   digest, so a warm cache survives process restarts and can be shipped
-  between machines. Caches written before the binary format
-  (``<digest>.json`` holding a :mod:`repro.routing.serialize` document)
-  are still read — a binary miss falls back to the JSON file, and the
-  next ``put`` of that digest rewrites it in the new format.
+  between machines. Files in any other format are never read.
 
 Concurrency notes: all state is guarded by one ``RLock`` per cache.
 Disk writes go through a temp-file + ``os.replace`` so a crashed writer
@@ -26,14 +23,13 @@ from __future__ import annotations
 import os
 import threading
 from collections import OrderedDict
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Iterator
 
 from ..errors import ScheduleError
 from ..routing.codec import decode_schedule, encode_schedule
 from ..routing.schedule import Schedule
-from ..routing.serialize import schedule_from_json
 
 __all__ = ["CacheStats", "LRUCache", "ScheduleCache"]
 
@@ -168,9 +164,7 @@ class ScheduleCache(LRUCache):
     disk_dir:
         Directory for the persistent tier (created on demand). ``None``
         disables persistence. Each entry is ``<digest>.rsc`` holding a
-        binary :func:`~repro.routing.codec.encode_schedule` frame;
-        legacy ``<digest>.json`` documents from pre-binary caches are
-        read as a fallback.
+        binary :func:`~repro.routing.codec.encode_schedule` frame.
     """
 
     def __init__(
@@ -186,11 +180,6 @@ class ScheduleCache(LRUCache):
         assert self.disk_dir is not None
         return self.disk_dir / f"{digest}.rsc"
 
-    def _disk_path_json(self, digest: str) -> Path:
-        """The pre-binary-format location (read-fallback only)."""
-        assert self.disk_dir is not None
-        return self.disk_dir / f"{digest}.json"
-
     def _disk_load(self, digest: str) -> Schedule | None:
         if self.disk_dir is None:
             return None
@@ -198,27 +187,11 @@ class ScheduleCache(LRUCache):
         try:
             data = path.read_bytes()
         except OSError:
-            return self._disk_load_json(digest)
+            return None
         try:
             return decode_schedule(data)
         except ScheduleError:
-            self._drop_corrupt(path)
-            return None
-
-    def _disk_load_json(self, digest: str) -> Schedule | None:
-        """Read-fallback for entries written before the binary format."""
-        path = self._disk_path_json(digest)
-        try:
-            data = path.read_bytes()
-        except OSError:
-            return None
-        try:
-            return schedule_from_json(data.decode("utf-8"))
-        except (UnicodeDecodeError, ScheduleError):
-            self._drop_corrupt(path)
-            return None
-
-    def _drop_corrupt(self, path: Path) -> None:
+            pass
         # Corrupt entry: drop it so it is recomputed, not re-served.
         # Concurrent readers can race to this unlink; a file that is
         # already gone was evicted (and counted) by the winner, so
@@ -227,11 +200,12 @@ class ScheduleCache(LRUCache):
         try:
             path.unlink()
         except FileNotFoundError:
-            return
+            return None
         except OSError:
             pass
         with self._lock:
             self.stats.disk_errors += 1
+        return None
 
     def _disk_store(self, digest: str, schedule: Schedule) -> None:
         if self.disk_dir is None:
@@ -286,12 +260,11 @@ class ScheduleCache(LRUCache):
         """
         dropped = super().discard(digest)
         if self.disk_dir is not None:
-            for path in (self._disk_path(digest), self._disk_path_json(digest)):
-                try:
-                    path.unlink()
-                    dropped = True
-                except OSError:
-                    pass
+            try:
+                self._disk_path(digest).unlink()
+                dropped = True
+            except OSError:
+                pass
         return dropped
 
     def as_dict(self) -> dict[str, Any]:

@@ -30,11 +30,9 @@ Four pieces provide that agreement:
   :class:`~repro.service.handler.RequestHandler` exposes on **both**
   transports: the NDJSON daemon framing (address = UNIX-socket path)
   and the HTTP facade (address = ``http://host:port``). Schedules ship
-  as base64-wrapped binary :mod:`repro.routing.codec` frames when the
-  peer advertises the capability (learned from the ``codec`` field its
-  responses echo), falling back to the :mod:`repro.routing.serialize`
-  JSON documents for pre-codec daemons — so mixed-version rings keep
-  interoperating during a rolling upgrade.
+  as base64-wrapped binary :mod:`repro.routing.codec` frames, and every
+  cache request carries the constant ``"codec": 1`` that older daemons
+  wait for before they send binary.
 * :class:`ClusterScheduleCache` — the ``ScheduleCache`` drop-in that
   the service layer actually holds. ``get`` probes the local tier
   first, then the key's remote owners in ring order; ``put`` writes
@@ -78,9 +76,8 @@ from ..errors import (
     ReproError,
     StaleEpochError,
 )
-from ..routing.codec import decode_schedule, encode_schedule, negotiated_version
+from ..routing.codec import CODEC_VERSION, decode_schedule, encode_schedule
 from ..routing.schedule import Schedule
-from ..routing.serialize import schedule_from_json, schedule_to_json
 from .cache import CacheStats, ScheduleCache
 from .logging import get_logger
 from .sharding import ShardedScheduleCache
@@ -779,12 +776,6 @@ class RemoteShardClient:
         self._lock = threading.Lock()
         self._is_http = address.startswith(("http://", "https://"))
         self._daemon: Any = None
-        # The peer's schedule-codec capability: ``None`` until the first
-        # cache response teaches us (every response echoes ``codec``),
-        # ``0`` for a pre-codec daemon (JSON documents only), ``>= 1``
-        # for binary frames. Unknown peers are sent JSON — correct
-        # against any version — and upgrade after one round trip.
-        self._peer_codec: int | None = None
         if not self._is_http:
             from .daemon import DaemonClient  # local import: avoids a cycle
 
@@ -872,21 +863,12 @@ class RemoteShardClient:
         except ReproError:
             return False
 
-    def _learn_codec(self, resp: Mapping[str, Any]) -> None:
-        """Record the peer's codec capability from a response echo."""
-        codec = resp.get("codec")
-        if isinstance(codec, int) and codec >= 0:
-            self._peer_codec = min(codec, negotiated_version())
-        elif self._peer_codec is None:
-            self._peer_codec = 0  # pre-codec daemons never echo the field
-
     def cache_get(self, digest: str) -> Schedule | None:
         """Fetch ``digest`` from the shard's **local** cache tier.
 
-        The request advertises our codec version; a codec-aware peer
-        answers with a binary ``schedule_b64`` frame, a pre-codec peer
-        ignores the advert and answers the JSON document — both decode
-        here.
+        The peer answers a hit with a binary ``schedule_b64`` frame. A
+        daemon too old to send one fails the probe, and the caller
+        computes locally.
 
         Returns
         -------
@@ -900,16 +882,14 @@ class RemoteShardClient:
             On transport failure or a refused/malformed response.
         """
         resp = self._checked(
-            {"op": "cache_get", "digest": digest, "codec": negotiated_version()}
+            {"op": "cache_get", "digest": digest, "codec": CODEC_VERSION}
         )
-        self._learn_codec(resp)
         if not resp.get("found"):
             return None
-        frame_b64 = resp.get("schedule_b64")
         try:
-            if frame_b64 is not None:
-                return decode_schedule(base64.b64decode(frame_b64, validate=True))
-            return schedule_from_json(json.dumps(resp["schedule"]))
+            return decode_schedule(
+                base64.b64decode(resp["schedule_b64"], validate=True)
+            )
         except (KeyError, TypeError, binascii.Error, ReproError) as exc:
             raise ClusterShardError(
                 f"shard {self.address} returned a malformed schedule "
@@ -919,15 +899,7 @@ class RemoteShardClient:
     def cache_put(
         self, digest: str, schedule: Schedule, cost: float | None = None
     ) -> bool:
-        """Replicate a schedule onto the shard.
-
-        Ships the binary frame once the peer's codec capability is
-        known (learned from any previous cache response), JSON
-        otherwise. If a binary put is refused as ``bad_request`` — the
-        peer was downgraded to a pre-codec build between requests — the
-        client downgrades the capability and resends the entry as JSON
-        once, so a rolling rollback costs one extra round trip instead
-        of an error.
+        """Replicate a schedule onto the shard as a binary frame.
 
         Returns ``True`` when the shard accepted the entry (its local
         admission policy may still reject it silently).
@@ -937,30 +909,16 @@ class RemoteShardClient:
         ClusterShardError
             On transport failure or a refused response.
         """
+        frame = encode_schedule(schedule)
         doc: dict[str, Any] = {
             "op": "cache_put",
             "digest": digest,
-            "codec": negotiated_version(),
+            "codec": CODEC_VERSION,
+            "schedule_b64": base64.b64encode(frame).decode("ascii"),
         }
         if cost is not None:
             doc["cost"] = float(cost)
-        if min(self._peer_codec or 0, negotiated_version()) >= 1:
-            frame = encode_schedule(schedule)
-            doc["schedule_b64"] = base64.b64encode(frame).decode("ascii")
-            try:
-                resp = self._checked(doc)
-            except ClusterShardError as exc:
-                if "bad_request" not in str(exc):
-                    raise
-                self._peer_codec = 0
-                del doc["schedule_b64"]
-                doc["schedule"] = json.loads(schedule_to_json(schedule))
-                resp = self._checked(doc)
-        else:
-            doc["schedule"] = json.loads(schedule_to_json(schedule))
-            resp = self._checked(doc)
-        self._learn_codec(resp)
-        return bool(resp.get("stored"))
+        return bool(self._checked(doc).get("stored"))
 
     def cache_stats(self) -> dict[str, Any]:
         """The shard's local cache-stats document.

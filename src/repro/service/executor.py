@@ -106,9 +106,6 @@ class RouteResult:
     #: Per-stage compute profile ``{stage: {"seconds", "count"}}`` for
     #: computed results (empty for cache/dedup hits and errors).
     stages: dict[str, dict[str, float]] = field(default_factory=dict)
-    #: Kernel backend that computed the schedule (``None`` for cache and
-    #: dedup hits, errors, and routers that predate backend reporting).
-    backend: str | None = None
 
     @property
     def ok(self) -> bool:
@@ -142,45 +139,34 @@ def _warm_worker() -> None:
 
 
 def _route_in_worker(
-    payload: tuple[str, dict, list[int], str, dict, Any],
-) -> tuple[str, str, Any, float, dict, str | None]:
+    payload: tuple[str, dict, list[int], str, dict],
+) -> tuple[str, str, Any, float, dict]:
     """Pool worker: rebuild the instance, route it, return a codec frame.
 
     Module-level so it pickles by reference. Never raises: failures are
-    returned as ``(digest, "error", message, seconds, stages, backend)``
-    tuples, which is what keeps one bad instance from killing the whole
-    batch. Successes carry the schedule as a binary
+    returned as ``(digest, "error", message, seconds, stages)`` tuples,
+    which is what keeps one bad instance from killing the whole batch.
+    Successes carry the schedule as a binary
     :func:`~repro.routing.codec.encode_schedule` frame (``bytes``
     pickle as one opaque buffer; nested layer lists used to pickle swap
-    by swap). The two trailing elements carry the per-stage routing
-    profile and the kernel-backend name the schedule records — workers
-    cannot share the parent's trace context, so both are collected here
-    and shipped back with the result.
-
-    The payload's last element is the executor's default kernel-backend
-    spec; a ``backend`` key inside ``options`` (per-request override)
-    wins over it.
+    by swap). The trailing element carries the per-stage routing
+    profile — workers cannot share the parent's trace context, so it is
+    collected here and shipped back with the result.
     """
-    digest, spec, targets, router_name, options, default_backend = payload
+    digest, spec, targets, router_name, options = payload
     t0 = time.perf_counter()
     profiler = StageProfiler()
     try:
         graph = graph_from_spec(spec)
         perm = Permutation(targets)
-        opts = dict(options)
-        backend_spec = opts.pop("backend", default_backend)
-        router = make_router(router_name, backend=backend_spec, **opts)
+        router = make_router(router_name, **options)
         with profile(profiler):
             schedule = router.route(graph, perm)
         frame = encode_schedule(schedule)
-        backend = schedule.metadata.get("backend")
-        return (
-            digest, "ok", frame, time.perf_counter() - t0,
-            profiler.as_dict(), backend,
-        )
+        return digest, "ok", frame, time.perf_counter() - t0, profiler.as_dict()
     except Exception as exc:  # noqa: BLE001 - error isolation is the contract
         msg = f"{type(exc).__name__}: {exc}"
-        return (digest, "error", msg, time.perf_counter() - t0, {}, None)
+        return digest, "error", msg, time.perf_counter() - t0, {}
 
 
 class BatchExecutor:
@@ -201,12 +187,6 @@ class BatchExecutor:
         When true, every computed schedule is re-verified against its
         request before being cached or returned (defense in depth; the
         routers already guarantee this).
-    kernel_backend:
-        Default kernel-backend spec (name, see :mod:`repro.kernels`)
-        applied to computed routes. ``None`` uses the ambient default
-        (``REPRO_KERNEL_BACKEND`` or auto-detection); a per-request
-        ``backend`` option overrides it. Backend choice never affects
-        cache keys — all backends produce identical schedules.
     """
 
     def __init__(
@@ -215,7 +195,6 @@ class BatchExecutor:
         max_workers: int | None = 1,
         telemetry: Telemetry | None = None,
         verify: bool = False,
-        kernel_backend: str | None = None,
     ) -> None:
         if max_workers is not None and max_workers < 0:
             raise ValueError(f"max_workers must be >= 0, got {max_workers}")
@@ -223,7 +202,6 @@ class BatchExecutor:
         self.max_workers = max_workers
         self.telemetry = telemetry or Telemetry()
         self.verify = verify
-        self.kernel_backend = kernel_backend
         self._pool: ProcessPoolExecutor | None = None
         self._threads: ThreadPoolExecutor | None = None
         self._pool_lock = threading.Lock()
@@ -457,16 +435,13 @@ class BatchExecutor:
         t0 = time.perf_counter()
         profiler = StageProfiler()
         try:
-            opts = dict(req.options)
-            backend_spec = opts.pop("backend", self.kernel_backend)
-            router = make_router(req.router, backend=backend_spec, **opts)
+            router = make_router(req.router, **req.options)
             with profile(profiler):
                 schedule = router.route(req.graph, req.perm)
             return RouteResult(
                 index=index, key=key, router=req.router, schedule=schedule,
                 seconds=time.perf_counter() - t0, source="computed",
                 stages=profiler.as_dict(),
-                backend=schedule.metadata.get("backend"),
             )
         except Exception as exc:  # noqa: BLE001 - error isolation is the contract
             return RouteResult(
@@ -503,7 +478,6 @@ class BatchExecutor:
                 req.perm.targets.tolist(),
                 req.router,
                 dict(req.options),
-                self.kernel_backend,
             ))
         order = sorted(range(len(misses)), key=lambda p: -costs[p])
         skewed = bool(costs) and max(costs) > _SKEW_RATIO * min(costs)
@@ -517,7 +491,7 @@ class BatchExecutor:
             raw[p] = raw_sorted[slot]
 
         out: list[RouteResult] = []
-        for i, (_digest, status, body, seconds, stages, backend) in zip(misses, raw):
+        for i, (_digest, status, body, seconds, stages) in zip(misses, raw):
             req = requests[i]
             if status == "ok":
                 try:
@@ -530,7 +504,7 @@ class BatchExecutor:
                     out.append(RouteResult(
                         index=i, key=keys[i], router=req.router,
                         schedule=schedule, seconds=seconds, source="computed",
-                        stages=stages, backend=backend,
+                        stages=stages,
                     ))
                     continue
                 except Exception as exc:  # noqa: BLE001
@@ -552,25 +526,22 @@ class BatchExecutor:
             tel.incr(f"source_{r.source}")
             if r.source == "computed":
                 tel.observe("route", r.seconds)
-                record_stage_telemetry(tel, r.router, r.backend, r.stages)
+                record_stage_telemetry(tel, r.router, r.stages)
 
 
 def record_stage_telemetry(
     telemetry: Telemetry,
     router: str,
-    backend: str | None,
     stages: Mapping[str, Mapping[str, float]],
 ) -> None:
     """Roll a per-stage compute profile into stage histograms.
 
-    Histogram names follow ``stage.{router}.{backend}.{stage}`` (the
-    backend segment is ``-`` when unknown, e.g. for transpile requests
-    that never surface a schedule), which the Prometheus endpoint
-    renders as ``repro_stage_seconds{router=...,backend=...,stage=...}``
-    — the same decomposition traces show, aggregated.
+    Histogram names follow ``stage.{router}.{stage}``, which the
+    Prometheus endpoint renders as
+    ``repro_stage_seconds{router=...,stage=...}`` — the same
+    decomposition traces show, aggregated.
     """
     for stage_name, info in stages.items():
         telemetry.observe(
-            f"stage.{router}.{backend or '-'}.{stage_name}",
-            float(info.get("seconds", 0.0)),
+            f"stage.{router}.{stage_name}", float(info.get("seconds", 0.0))
         )

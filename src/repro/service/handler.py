@@ -45,13 +45,10 @@ protocol** (``cache_get`` / ``cache_put`` / ``cache_stats``) that
 :mod:`repro.service.cluster` peers speak. These ops always address the
 *local* cache tier — a daemon answering a peer never fans the probe
 back out to the cluster, which is what makes the ring recursion-free.
-Schedules cross this protocol in one of two encodings, negotiated per
-request: the legacy ``schedule`` JSON document, or — when the caller
-advertises ``"codec": 1`` — a base64-wrapped binary
-:mod:`repro.routing.codec` frame under ``schedule_b64``. Responses echo
-``"codec": 1`` so clients learn the capability and upgrade their next
-``cache_put``; daemons predating the codec ignore the advert and keep
-speaking JSON, which is what lets mixed-version rings interoperate.
+Schedules cross this protocol as base64-wrapped binary
+:mod:`repro.routing.codec` frames under ``schedule_b64``. Requests and
+responses carry the constant ``"codec": 1``, because older daemons that
+also speak JSON send binary only to peers that echo it.
 Runtime reconfiguration rides the same surface: ``topology_get`` /
 ``topology_update`` read and mutate the daemon's epoch-versioned
 :class:`~repro.service.cluster.ClusterTopology` (join / leave /
@@ -69,7 +66,6 @@ import asyncio
 import base64
 import binascii
 import functools
-import json
 from typing import Any, Mapping, Sequence
 
 from .. import __version__
@@ -77,8 +73,7 @@ from ..errors import ReproError, ScheduleError, StaleEpochError
 from ..graphs.grid import GridGraph
 from ..perm.generators import make_workload
 from ..perm.permutation import Permutation
-from ..routing.codec import decode_schedule, encode_schedule, negotiated_version
-from ..routing.serialize import schedule_from_json, schedule_to_json
+from ..routing.codec import CODEC_VERSION, decode_schedule, encode_schedule
 from .aio import AsyncRoutingService
 from .executor import RouteRequest
 from .service import (
@@ -432,25 +427,12 @@ class RequestHandler:
             raise ReproError("'digest' string required")
         return digest
 
-    @staticmethod
-    def _codec_from_doc(doc: Mapping[str, Any]) -> int:
-        """The caller's advertised codec version (0 = JSON only)."""
-        codec = doc.get("codec", 0)
-        try:
-            return int(codec)
-        except (TypeError, ValueError):
-            return 0
-
     async def cache_get_doc(self, doc: Mapping[str, Any]) -> dict[str, Any]:
-        """Serve one ``cache_get``: local-tier probe, schedule as JSON.
+        """Serve one ``cache_get``: local-tier probe.
 
-        The response carries ``found`` plus, on a hit, the schedule: a
+        The response carries ``found`` plus, on a hit, the schedule as a
         base64 binary :func:`~repro.routing.codec.encode_schedule`
-        frame under ``schedule_b64`` when the request advertised
-        ``"codec": 1``, otherwise the legacy
-        :func:`~repro.routing.serialize.schedule_to_json` document
-        under ``schedule``. The response always echoes ``"codec"`` so
-        callers learn the capability for their next ``cache_put``.
+        frame under ``schedule_b64``. It always echoes ``"codec": 1``.
         Raises :class:`ReproError` on a malformed request
         (``bad_request`` via :meth:`dispatch`).
         """
@@ -461,55 +443,37 @@ class RequestHandler:
             "ok": True,
             "op": "cache_get",
             "digest": digest,
-            "codec": negotiated_version(),
+            "codec": CODEC_VERSION,
             "found": schedule is not None,
         }
         if schedule is not None:
-            if min(self._codec_from_doc(doc), negotiated_version()) >= 1:
-                frame = encode_schedule(schedule)
-                resp["schedule_b64"] = base64.b64encode(frame).decode("ascii")
-            else:
-                resp["schedule"] = json.loads(schedule_to_json(schedule))
+            frame = encode_schedule(schedule)
+            resp["schedule_b64"] = base64.b64encode(frame).decode("ascii")
         return resp
 
     async def cache_put_doc(self, doc: Mapping[str, Any]) -> dict[str, Any]:
         """Serve one ``cache_put``: validate and store into the local tier.
 
-        The schedule arrives either as ``schedule_b64`` (a base64
-        binary :func:`~repro.routing.codec.encode_schedule` frame,
-        re-validated swap by swap during decode) or as the legacy
-        ``schedule`` JSON document (re-validated by the
-        :class:`~repro.routing.schedule.Schedule` constructor) — either
-        way a peer can never plant a corrupt entry. ``cost`` optionally
-        carries the original compute seconds for the admission policy.
-        The response echoes ``"codec"`` so callers learn the
-        capability. Raises :class:`ReproError` on malformed requests.
+        The schedule arrives as ``schedule_b64``, a base64 binary
+        :func:`~repro.routing.codec.encode_schedule` frame that decoding
+        re-validates in full, so a peer can never plant a corrupt entry.
+        ``cost`` optionally carries the original compute seconds for the
+        admission policy. The response echoes ``"codec": 1``. Raises
+        :class:`ReproError` on malformed requests, a JSON ``schedule``
+        document included.
         """
         digest = self._digest_from_doc(doc)
         frame_b64 = doc.get("schedule_b64")
-        if frame_b64 is not None:
-            if negotiated_version() < 1:
-                # REPRO_CODEC=0 emulates a pre-codec daemon on the wire:
-                # refusing the frame triggers the sender's JSON resend.
-                raise ReproError("binary frames disabled; pass 'schedule'")
-            if not isinstance(frame_b64, str):
-                raise ReproError("'schedule_b64' must be a base64 string")
-            try:
-                frame = base64.b64decode(frame_b64, validate=True)
-            except binascii.Error as exc:
-                raise ReproError(f"bad 'schedule_b64': {exc}") from None
-            try:
-                schedule = decode_schedule(frame)
-            except ScheduleError as exc:
-                raise ReproError(f"bad 'schedule_b64': {exc}") from None
-        else:
-            payload = doc.get("schedule")
-            if not isinstance(payload, Mapping):
-                raise ReproError(
-                    "'schedule' must be a schedule JSON document "
-                    "(or pass 'schedule_b64')"
-                )
-            schedule = schedule_from_json(json.dumps(payload))
+        if not isinstance(frame_b64, str):
+            raise ReproError("'schedule_b64' (a base64 schedule frame) required")
+        try:
+            frame = base64.b64decode(frame_b64, validate=True)
+        except binascii.Error as exc:
+            raise ReproError(f"bad 'schedule_b64': {exc}") from None
+        try:
+            schedule = decode_schedule(frame)
+        except ScheduleError as exc:
+            raise ReproError(f"bad 'schedule_b64': {exc}") from None
         cost = doc.get("cost")
         if cost is not None:
             try:
@@ -525,7 +489,7 @@ class RequestHandler:
             "ok": True,
             "op": "cache_put",
             "digest": digest,
-            "codec": negotiated_version(),
+            "codec": CODEC_VERSION,
             "stored": True,
         }
 
@@ -797,10 +761,9 @@ def render_prometheus(stats: Mapping[str, Any]) -> str:
         else:
             lines.append(f"{metric} {value}")
 
-    # Per-stage routing-phase summaries ("stage.<router>.<backend>.<stage>"
+    # Per-stage routing-phase summaries ("stage.<router>.<stage>"
     # histograms, fed by the StageProfiler) get their own metric family
-    # with router/backend/stage labels; everything else stays under the
-    # op label.
+    # with router/stage labels; everything else stays under the op label.
     latency = telemetry.get("latency") or {}
     stage_names = sorted(n for n in latency if str(n).startswith("stage."))
     lines.append("# HELP repro_latency_seconds Operation latency summaries.")
@@ -832,22 +795,12 @@ def render_prometheus(stats: Mapping[str, Any]) -> str:
         lines.append("# TYPE repro_stage_seconds summary")
         for name in stage_names:
             hist = latency[name]
-            # "stage.<router>.<backend>.<stage>"; a stage name may itself
-            # contain dots, so split at most three times from the left.
-            # A three-part key ("stage.<router>.<stage>", the pre-backend
-            # format) renders with an empty backend label.
-            parts = str(name).split(".", 3)
+            # "stage.<router>.<stage>"; a stage name may itself contain
+            # dots, so split at most twice from the left.
+            parts = str(name).split(".", 2)
             router = parts[1] if len(parts) > 1 else ""
-            if len(parts) > 3:
-                backend, stage = parts[2], parts[3]
-            else:
-                backend, stage = "", parts[2] if len(parts) > 2 else ""
-            if backend == "-":
-                backend = ""
-            label = (
-                f'backend="{_prom_label(backend)}",'
-                f'router="{_prom_label(router)}",stage="{_prom_label(stage)}"'
-            )
+            stage = parts[2] if len(parts) > 2 else ""
+            label = f'router="{_prom_label(router)}",stage="{_prom_label(stage)}"'
             for key, quantile in _QUANTILES:
                 if key in hist:
                     lines.append(

@@ -112,11 +112,6 @@ def text_fingerprint(text: str) -> str:
 def canonical_options(options: Mapping[str, Any] | None) -> str:
     """Options rendered as canonical JSON (sorted keys, no whitespace).
 
-    The ``backend`` option (kernel-backend selection, see
-    :mod:`repro.kernels`) is excluded from the encoding: every backend
-    is contractually required to produce the identical schedule, so the
-    choice must not split the cache.
-
     Raises
     ------
     TypeError
@@ -125,10 +120,7 @@ def canonical_options(options: Mapping[str, Any] | None) -> str:
     """
     if not options:
         return "{}"
-    opts = {k: v for k, v in options.items() if k != "backend"}
-    if not opts:
-        return "{}"
-    return json.dumps(opts, sort_keys=True, separators=(",", ":"))
+    return json.dumps(dict(options), sort_keys=True, separators=(",", ":"))
 
 
 @dataclass(frozen=True)

@@ -198,7 +198,6 @@ def route_result_to_dict(
     doc: dict[str, Any] = {
         "key": result.key.digest,
         "router": result.router,
-        "backend": result.backend,
         "source": result.source,
         "ok": result.ok,
         "depth": result.depth,
@@ -300,12 +299,6 @@ class RoutingService:
         ``os.cpu_count()`` or an explicit count for a fixed pool.
     default_router:
         Router used when a request does not name one.
-    kernel_backend:
-        Default kernel backend (``"numpy"``/``"python"``, see
-        :mod:`repro.kernels`) for computed routes. ``None`` uses the
-        ambient default (``REPRO_KERNEL_BACKEND`` or auto-detection);
-        per-request ``backend`` options override it. Never splits the
-        cache — all backends produce identical schedules.
     verify:
         Re-verify every computed schedule against its request.
 
@@ -327,7 +320,6 @@ class RoutingService:
         cache_dir: str | os.PathLike | None = None,
         max_workers: int | None = 1,
         default_router: str = "local",
-        kernel_backend: str | None = None,
         verify: bool = False,
         cache_shards: int = 1,
         cache_admission: "AdmissionPolicy | None" = None,
@@ -341,7 +333,6 @@ class RoutingService:
         trace_slow: float = 0.0,
     ) -> None:
         self.default_router = default_router
-        self.kernel_backend = kernel_backend
         self.telemetry = Telemetry()
         #: Ring buffer of finished request traces (``None`` when tracing
         #: is disabled). The handler records one trace per traced op;
@@ -393,7 +384,6 @@ class RoutingService:
             max_workers=max_workers,
             telemetry=self.telemetry,
             verify=verify,
-            kernel_backend=kernel_backend,
         )
 
     # ------------------------------------------------------------------
@@ -540,7 +530,7 @@ class RoutingService:
             for i, (digest, status, body, seconds, stages) in zip(misses, raw):
                 req = requests[i]
                 if status == "ok":
-                    record_stage_telemetry(self.telemetry, req.router, None, stages)
+                    record_stage_telemetry(self.telemetry, req.router, stages)
                     self.transpile_cache.put(digest, body)
                     outcomes[i] = TranspileOutcome(
                         index=i, digest=digest, router=req.router,
@@ -619,12 +609,6 @@ class RoutingService:
         ``cluster`` section (ring membership, per-node health, remote
         hit/miss/repair counters).
         """
-        from ..kernels import get_backend
-
-        try:
-            effective_backend = get_backend(self.kernel_backend).name
-        except ReproError:  # pragma: no cover - misconfigured default
-            effective_backend = self.kernel_backend
         return {
             "schedule_cache": self.cache.as_dict(),
             "transpile_cache": self.transpile_cache.as_dict(),
@@ -632,5 +616,4 @@ class RoutingService:
             "traces": self.traces.stats() if self.traces is not None else None,
             "max_workers": self.executor.max_workers,
             "default_router": self.default_router,
-            "kernel_backend": effective_backend,
         }

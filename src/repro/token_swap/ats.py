@@ -41,9 +41,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from .. import kernels
 from ..errors import RoutingError
 from ..graphs.base import Graph
-from ..kernels import KernelBackend, get_backend
 from ..perm.permutation import Permutation
 
 __all__ = ["approximate_token_swapping"]
@@ -156,7 +156,6 @@ def approximate_token_swapping(
     perm: Permutation,
     trials: int = 1,
     seed: int | None = None,
-    backend: KernelBackend | str | None = None,
 ) -> list[tuple[int, int]]:
     """Serial swap sequence realizing ``perm`` on ``graph`` (4-approx ATS).
 
@@ -172,9 +171,6 @@ def approximate_token_swapping(
         ``trials=1`` is fully deterministic.
     seed:
         Seed for the randomized tie-breaking when ``trials > 1``.
-    backend:
-        Kernel backend (instance, name, or ``None`` for the ambient
-        default) computing the displacement budget.
 
     Returns
     -------
@@ -201,7 +197,7 @@ def approximate_token_swapping(
         return []
     dist = dist_mat.tolist()
     nbrs = [list(graph.neighbors(v)) for v in range(n)]
-    total_disp = get_backend(backend).total_displacement(dist_mat, dest)
+    total_disp = kernels.ACTIVE.total_displacement(dist_mat, dest)
     swap_cap = 4 * total_disp + 4 * n + 16
 
     best: list[tuple[int, int]] | None = None

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from .. import kernels
 from ..errors import RoutingError
 from ..graphs.base import Graph
-from ..kernels import KernelBackend, get_backend
 from ..perm.permutation import Permutation
 from ..routing.base import Router, register_router
 from ..routing.schedule import Schedule
@@ -26,22 +26,13 @@ from .ats import approximate_token_swapping
 __all__ = ["parallelize_swaps", "TokenSwapRouter"]
 
 
-def parallelize_swaps(
-    n_vertices: int,
-    swaps: Sequence[tuple[int, int]],
-    backend: KernelBackend | str | None = None,
-) -> Schedule:
-    """ASAP-parallelize a serial swap list into a matching schedule.
-
-    ``backend`` selects the kernel backend doing the re-timing (instance,
-    name, or ``None`` for the ambient default).
-    """
-    kb = get_backend(backend)
-    layers = kb.compact_serial_swaps(n_vertices, swaps)
-    return Schedule._from_canonical(n_vertices, layers, {"backend": kb.name})
+def parallelize_swaps(n_vertices: int, swaps: Sequence[tuple[int, int]]) -> Schedule:
+    """ASAP-parallelize a serial swap list into a matching schedule."""
+    layers = kernels.ACTIVE.compact_serial_swaps(n_vertices, swaps)
+    return Schedule._from_canonical(n_vertices, layers)
 
 
-@register_router("ats", families=("any_connected",), kernel_backends=True)
+@register_router("ats", families=("any_connected",))
 class TokenSwapRouter(Router):
     """Routing-via-matchings adapter around approximate token swapping.
 
@@ -77,15 +68,13 @@ class TokenSwapRouter(Router):
 
     def route(self, graph: Graph, perm: Permutation) -> Schedule:
         self._check_sizes(graph, perm)
-        kb = self.backend
         swaps = approximate_token_swapping(
-            graph, perm, trials=self.trials, seed=self.seed, backend=kb
+            graph, perm, trials=self.trials, seed=self.seed
         )
         if self.compact:
-            sched = parallelize_swaps(graph.n_vertices, swaps, backend=kb)
+            sched = parallelize_swaps(graph.n_vertices, swaps)
         else:
             sched = Schedule.from_serial_swaps(graph.n_vertices, swaps)
-            sched = sched.with_metadata(backend=kb.name)
         if self.validate:
             sched.verify(graph, perm)
         return sched

@@ -1,25 +1,30 @@
-"""The pure-Python reference kernel backend.
+"""The pure-python kernel oracle and the context manager that installs it.
 
-Semantics ground truth: these kernels either delegate to the original
-reference modules (Hopcroft–Karp, :class:`~repro.routing.schedule.Schedule`
-construction) or are direct loop transcriptions of the pre-backend code
-paths. The ``numpy`` backend is pinned to this one by the equivalence
-test suite, so any behavioral change here is a semantic change for every
-backend.
+Semantic ground truth for :mod:`repro.kernels`: these kernels either
+delegate to the original reference modules (Hopcroft–Karp,
+:class:`~repro.routing.schedule.Schedule` construction) or are direct
+loop transcriptions of the routers' original code paths. The numpy
+kernels are pinned to this oracle by ``test_kernels_equiv.py`` and by
+``benchmarks/bench_core.py``, so a behavioural change here is a semantic
+change of the contract.
 
 Array arguments are converted to plain lists at the boundary; all inner
-loops are numpy-free. This is also the fallback that serves when numpy
-is not importable (see :func:`repro.kernels.get_backend`).
+loops are numpy-free. :func:`oracle_kernels` swaps the oracle in for the
+product instance (``repro.kernels.ACTIVE``) for the duration of a block,
+in this process only.
 """
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+import contextlib
+from typing import Any, Iterator, Sequence
 
-from ..errors import KernelError
-from .base import KernelBackend
+import repro.kernels
+from repro.kernels import KernelBackend
+from repro.matching.hopcroft_karp import hopcroft_karp
+from repro.routing.schedule import Schedule
 
-__all__ = ["PythonKernelBackend"]
+__all__ = ["PythonKernelBackend", "oracle_kernels"]
 
 
 def _as_int_list(seq: Any) -> list[int]:
@@ -65,14 +70,12 @@ def _oet_rounds(dest_rows: list[list[int]], start_parity: int) -> list[list[tupl
             if is_sorted(D):
                 return rounds
     if not is_sorted(D):  # pragma: no cover - defensive
-        raise KernelError("odd-even transposition failed to converge")
+        raise RuntimeError("odd-even transposition failed to converge")
     return rounds
 
 
 class PythonKernelBackend(KernelBackend):
-    """Reference kernels in pure Python (always available)."""
-
-    name = "python"
+    """Reference kernels in pure Python."""
 
     # ------------------------------------------------------------------
     # frontier / distance scoring
@@ -106,8 +109,6 @@ class PythonKernelBackend(KernelBackend):
         self, n_left: int, n_right: int, adj: Sequence[Sequence[int]]
     ) -> tuple[list[int], list[int], int]:
         # The reference implementation *is* the pure-Python one.
-        from ..matching.hopcroft_karp import hopcroft_karp
-
         return hopcroft_karp(n_left, n_right, adj)
 
     def bottleneck_feasible(self, weights: Any, threshold: float) -> list[int] | None:
@@ -195,8 +196,6 @@ class PythonKernelBackend(KernelBackend):
     ) -> tuple[tuple[tuple[int, int], ...], ...]:
         # Validation and canonicalization are exactly the reference
         # Schedule constructor; compaction the reference ASAP pass.
-        from ..routing.schedule import Schedule
-
         sched = Schedule(
             n_vertices,
             (zip(_as_int_list(u), _as_int_list(v)) for u, v in swap_layers),
@@ -208,6 +207,23 @@ class PythonKernelBackend(KernelBackend):
     def compact_serial_swaps(
         self, n_vertices: int, swaps: Sequence[tuple[int, int]]
     ) -> tuple[tuple[tuple[int, int], ...], ...]:
-        from ..routing.schedule import Schedule
-
         return Schedule.from_serial_swaps(n_vertices, swaps).compact().layers
+
+
+@contextlib.contextmanager
+def oracle_kernels(
+    oracle: PythonKernelBackend | None = None,
+) -> Iterator[PythonKernelBackend]:
+    """Route through the oracle inside the block, then restore the product.
+
+    Installs ``oracle`` (a fresh :class:`PythonKernelBackend` by
+    default). Only this process is affected: a service's pool workers
+    keep the numpy kernels.
+    """
+    oracle = oracle or PythonKernelBackend()
+    saved = repro.kernels.ACTIVE
+    repro.kernels.ACTIVE = oracle
+    try:
+        yield oracle
+    finally:
+        repro.kernels.ACTIVE = saved

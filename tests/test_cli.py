@@ -14,6 +14,17 @@ class TestInfo:
         out = capsys.readouterr().out
         assert "local" in out and "ats" in out
         assert "block_local" in out
+        assert "backend" not in out
+
+
+@pytest.mark.parametrize("command", ["route", "batch", "serve"])
+def test_help_offers_no_backend_flag(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert "--rows" in out or "--workers" in out
+    assert "--backend" not in out
 
 
 class TestRoute:

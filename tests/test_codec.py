@@ -1,33 +1,43 @@
-"""Tests for the binary schedule codec and its cache-tier integration.
+"""Tests for the binary schedule codec, its cache tier and its wire use.
 
-Covers the satellite contract for the zero-copy codec: hypothesis
-round-trips (``decode(encode(s)) == s`` byte-identically, from both
-kernel backends' schedule representations), JSON-fallback reads of
-pre-binary disk-cache files, and truncated/corrupt frames surfacing as
-cache misses — never exceptions.
+Covers hypothesis round-trips (``decode(encode(s)) == s``
+byte-identically, from both the flat-array and the nested-tuple
+schedule representations), a fuzzer proving that :func:`decode_schedule`
+raises nothing but :class:`ScheduleError` on any bytes, corrupt frames
+surfacing as cache misses or ``bad_request`` — never crashes — and the
+``cache_get``/``cache_put`` wire fields that older daemons rely on.
 """
 
 from __future__ import annotations
 
+import asyncio
+import base64
+import json
 import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from kernel_oracle import oracle_kernels
 
-from repro import GridGraph, available_backends, make_router, random_permutation
-from repro.errors import ScheduleError
+from repro import GridGraph, make_router, random_permutation
+from repro.errors import ClusterShardError, ScheduleError
 from repro.routing.codec import (
     CODEC_VERSION,
     MAGIC,
     decode_schedule,
     encode_schedule,
-    negotiated_version,
 )
 from repro.routing.schedule import Schedule
 from repro.routing.serialize import schedule_to_json
+from repro.service import (
+    AsyncRoutingService,
+    ClusterScheduleCache,
+    RemoteShardClient,
+)
 from repro.service.cache import ScheduleCache
+from repro.service.handler import RequestHandler
 
 
 # ----------------------------------------------------------------------
@@ -87,20 +97,16 @@ class TestRoundTrip:
         frame = encode_schedule(s)
         assert encode_schedule(decode_schedule(frame)) == frame
 
-    @pytest.mark.skipif(
-        "numpy" not in available_backends(), reason="numpy backend not installed"
-    )
     def test_both_backends_encode_identically(self):
         grid = GridGraph(6, 6)
         perm = random_permutation(grid, seed=7)
-        flat = make_router("local", backend="numpy").route(grid, perm)
-        tup = make_router("local", backend="python").route(grid, perm)
-        # One schedule lives as FlatLayers arrays, the other as nested
-        # tuples; the wire frames (minus the backend metadata, which
-        # legitimately differs) and decoded schedules must agree exactly.
-        a = flat.with_metadata(backend="x")
-        b = tup.with_metadata(backend="x")
-        assert encode_schedule(a) == encode_schedule(b)
+        flat = make_router("local").route(grid, perm)
+        with oracle_kernels():
+            tup = make_router("local").route(grid, perm)
+        # The numpy kernels' schedule lives as FlatLayers arrays, the
+        # oracle's as nested tuples; frames and decodes agree exactly.
+        assert flat._flat is not None and tup._flat is None
+        assert encode_schedule(flat) == encode_schedule(tup)
         assert decode_schedule(encode_schedule(flat)) == tup
         assert decode_schedule(encode_schedule(flat)).layers == tup.layers
 
@@ -118,8 +124,21 @@ class TestRoundTrip:
 # ----------------------------------------------------------------------
 def _frame() -> bytes:
     return encode_schedule(
-        Schedule(6, [[(0, 1), (2, 3)], [(1, 2)]], metadata={"backend": "numpy"})
+        Schedule(6, [[(0, 1), (2, 3)], [(1, 2)]], metadata={"router": "local"})
     )
+
+
+def _raw_frame(
+    n: int, counts: list[int], lo: list[int], hi: list[int], meta: bytes = b""
+) -> bytes:
+    """A frame assembled field by field, consistent sizes, any values."""
+    header = struct.pack("<8sqqqq", MAGIC, n, len(counts), len(lo), len(meta))
+    body = [np.array(a, dtype="<i8").tobytes() for a in (counts, lo, hi)]
+    return header + b"".join(body) + meta
+
+
+#: Four layer counts whose int64 sum wraps around to the one swap.
+WRAPPING_COUNTS = [2**62, 2**62, 2**62, 2**62 + 1]
 
 
 class TestCorruptFrames:
@@ -164,21 +183,205 @@ class TestCorruptFrames:
         with pytest.raises(ScheduleError):
             decode_schedule(header + counts + lo + hi)
 
+    def test_wrapping_layer_counts_rejected(self):
+        # The int64 sum of these counts wraps to 1 == n_swaps, so only a
+        # bound on each count, checked before summing, rejects them.
+        frame = _raw_frame(4, WRAPPING_COUNTS, [0], [1])
+        assert len(frame) == 88
+        with pytest.raises(ScheduleError, match="layer count"):
+            decode_schedule(frame)
+
+    @pytest.mark.parametrize(
+        "meta", [b"[" * 100_000, b"{" * 100_000, b'{"a":' + b"1" * 5000 + b"}"]
+    )
+    def test_undecodable_metadata_is_schedule_error(self, meta):
+        # Deep nesting raises RecursionError inside json, an over-long
+        # integer literal a plain ValueError: both are corrupt metadata.
+        with pytest.raises(ScheduleError, match="metadata"):
+            decode_schedule(_raw_frame(4, [1], [0], [1], meta))
+
 
 # ----------------------------------------------------------------------
-# wire-dialect negotiation
+# fuzzing: decode_schedule is the only way a schedule enters a daemon
 # ----------------------------------------------------------------------
-class TestNegotiation:
-    def test_env_rollback_lever(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CODEC", raising=False)
-        assert negotiated_version() == CODEC_VERSION
-        monkeypatch.setenv("REPRO_CODEC", "0")
-        assert negotiated_version() == 0
-        # Out-of-range and garbage values are ignored, not errors.
-        monkeypatch.setenv("REPRO_CODEC", "99")
-        assert negotiated_version() == CODEC_VERSION
-        monkeypatch.setenv("REPRO_CODEC", "junk")
-        assert negotiated_version() == CODEC_VERSION
+_INT64 = st.integers(-(2**63), 2**63 - 1)
+
+#: Metadata sections: short arbitrary bytes, plus the shapes that break
+#: ``json.loads`` outside ``JSONDecodeError`` (deep nesting, long ints).
+_METADATA = st.binary(max_size=40) | st.builds(
+    lambda unit, k: unit * k,
+    st.sampled_from([b"[", b'{"a":', b"7"]),
+    st.integers(0, 6000),
+)
+
+
+@st.composite
+def _arbitrary_fields(draw):
+    """Header and payload fields drawn from the whole int64 range."""
+    k = draw(st.integers(0, 5))
+    s = draw(st.integers(0, 5))
+    counts = draw(st.lists(_INT64 | st.integers(0, s), min_size=k, max_size=k))
+    lo = draw(st.lists(_INT64 | st.integers(0, 9), min_size=s, max_size=s))
+    hi = draw(st.lists(_INT64 | st.integers(0, 9), min_size=s, max_size=s))
+    n = draw(_INT64 | st.integers(1, 10))
+    frame = _raw_frame(n, counts, lo, hi, draw(_METADATA))
+    if draw(st.booleans()):  # overwrite one int64 header field
+        at = 8 * draw(st.integers(1, 4))
+        frame = frame[:at] + struct.pack("<q", draw(_INT64)) + frame[at + 8 :]
+    return frame
+
+
+@st.composite
+def _wrapping_counts(draw):
+    """Non-negative layer counts whose int64 sum wraps to ``n_swaps``."""
+    s = draw(st.integers(0, 4))
+    k = draw(st.integers(3, 6))
+    counts = [2**64 // k] * k
+    counts[0] += 2**64 + s - sum(counts)
+    shift = draw(st.integers(0, 2**60))
+    counts[1] += shift
+    counts[2] -= shift
+    ends = draw(st.lists(st.integers(0, 7), min_size=2 * s, max_size=2 * s))
+    return _raw_frame(8, draw(st.permutations(counts)), ends[:s], ends[s:])
+
+
+@st.composite
+def _mutated_valid(draw):
+    """A valid frame truncated, bit-flipped, or given arbitrary metadata."""
+    frame = encode_schedule(draw(schedules()))
+    how = draw(st.sampled_from(["truncate", "flip", "metadata"]))
+    if how == "truncate":
+        return frame[: draw(st.integers(0, len(frame)))]
+    if how == "flip":
+        out = bytearray(frame)
+        for _ in range(draw(st.integers(1, 4))):
+            i = draw(st.integers(0, len(out) - 1))
+            out[i] ^= draw(st.integers(1, 255))
+        return bytes(out)
+    meta_len = struct.unpack_from("<q", frame, 32)[0]
+    body = frame[40 : len(frame) - meta_len]
+    meta = draw(_METADATA)
+    return frame[:32] + struct.pack("<q", len(meta)) + body + meta
+
+
+class TestDecodeFuzz:
+    @given(frame=_arbitrary_fields() | _wrapping_counts() | _mutated_valid())
+    @settings(max_examples=400, deadline=None)
+    def test_only_schedule_error_and_valid_layers(self, frame):
+        try:
+            decoded = decode_schedule(frame)
+        except ScheduleError:
+            return
+        # Anything that decodes is a schedule the public constructor
+        # accepts as it stands: same layers, nothing re-canonicalized.
+        rebuilt = Schedule(decoded.n_vertices, decoded.layers)
+        assert rebuilt.layers == decoded.layers
+        assert isinstance(decoded.metadata, dict)
+
+
+# ----------------------------------------------------------------------
+# the cache ops on the wire
+# ----------------------------------------------------------------------
+def _b64(frame: bytes) -> str:
+    return base64.b64encode(frame).decode("ascii")
+
+
+def _dispatch_all(docs: list[dict]) -> list[dict]:
+    """Answer ``docs`` in order through a fresh in-process handler."""
+
+    async def run():
+        async with AsyncRoutingService(cache_size=16, max_workers=1) as svc:
+            handler = RequestHandler(svc)
+            return [await handler.dispatch(doc) for doc in docs]
+
+    return asyncio.run(run())
+
+
+class _OlderPeer(RemoteShardClient):
+    """A peer running a release that still spoke JSON as well as binary.
+
+    A codec-aware one serves ``schedule_b64`` only to requests carrying
+    ``"codec": 1`` and echoes ``"codec": 1``. One from before the codec
+    speaks the JSON ``schedule`` document only and never echoes.
+    """
+
+    def __init__(self, codec_aware: bool = True) -> None:
+        super().__init__("unused.sock")
+        self.codec_aware = codec_aware
+        self.store: dict[str, bytes] = {}
+        self.seen: list[dict] = []
+
+    def _request(self, doc: dict) -> dict:
+        self.seen.append(doc)
+        binary = self.codec_aware and doc.get("codec") == 1
+        resp = {"ok": True, "codec": 1} if self.codec_aware else {"ok": True}
+        if doc["op"] == "cache_put":
+            if not binary:
+                return {"ok": False, "code": "bad_request", "error": "no schedule"}
+            self.store[doc["digest"]] = base64.b64decode(doc["schedule_b64"])
+            return {**resp, "stored": True}
+        frame = self.store.get(doc["digest"])
+        resp["found"] = frame is not None
+        if frame is not None and binary:
+            resp["schedule_b64"] = _b64(frame)
+        elif frame is not None:
+            resp["schedule"] = json.loads(schedule_to_json(decode_schedule(frame)))
+        return resp
+
+
+class TestWireFields:
+    def test_handler_speaks_the_older_fields(self):
+        frame = _frame()
+        put, get = _dispatch_all([
+            {"op": "cache_put", "digest": "d1", "codec": 1,
+             "schedule_b64": _b64(frame)},
+            {"op": "cache_get", "digest": "d1", "codec": 1},
+        ])
+        assert put["ok"] and put["stored"] and put["codec"] == 1
+        assert get["found"] and get["codec"] == 1
+        assert base64.b64decode(get["schedule_b64"]) == frame
+
+    def test_client_speaks_the_older_fields(self):
+        peer = _OlderPeer()
+        s = decode_schedule(_frame())
+        assert peer.cache_put("d2", s, cost=0.5)
+        assert peer.cache_get("d2") == s
+        assert peer.cache_get("absent") is None
+        assert all(doc["codec"] == 1 for doc in peer.seen)
+
+    def test_json_only_peer_is_a_shard_error(self):
+        # A daemon from before the codec speaks JSON only: both ops
+        # fail, and the cluster cache computes the schedule locally.
+        peer = _OlderPeer(codec_aware=False)
+        peer.store["d3"] = _frame()
+        with pytest.raises(ClusterShardError, match="malformed"):
+            peer.cache_get("d3")
+        with pytest.raises(ClusterShardError, match="bad_request"):
+            peer.cache_put("d3", decode_schedule(_frame()))
+
+    def test_json_only_peer_degrades_to_local_compute(self):
+        peer = _OlderPeer(codec_aware=False)
+        peer.store["d5"] = _frame()
+        cache = ClusterScheduleCache(
+            ScheduleCache(), {"old": peer}, node_id="self", replication=2
+        )
+        try:
+            assert cache.get("d5") is None  # a miss, never an error
+            cache.put("d5", decode_schedule(_frame()))  # local tier only
+            assert cache.get("d5") == decode_schedule(_frame())
+            assert cache.cluster_stats.degraded_gets >= 1
+        finally:
+            cache.close()
+
+    def test_crafted_frame_put_is_bad_request(self):
+        put, ping = _dispatch_all([
+            {"op": "cache_put", "digest": "d4",
+             "schedule_b64": _b64(_raw_frame(4, WRAPPING_COUNTS, [0], [1]))},
+            {"op": "ping"},
+        ])
+        assert not put["ok"] and put["code"] == "bad_request"
+        assert "layer count" in put["error"]
+        assert ping["ok"]
 
 
 # ----------------------------------------------------------------------
@@ -199,17 +402,18 @@ class TestDiskTier:
         assert cold.get("d1") == s
         assert cold.stats.disk_hits == 1
 
-    def test_json_fallback_reads_pre_binary_files(self, tmp_path):
+    def test_json_files_are_not_read(self, tmp_path):
+        # Pre-binary ``<digest>.json`` entries are neither served nor
+        # touched: the digest is a miss and recomputes into ``.rsc``.
         s = _schedule(3)
-        (tmp_path / "old.json").write_text(
-            schedule_to_json(s), encoding="utf-8"
-        )
+        old = tmp_path / "old.json"
+        old.write_text(schedule_to_json(s), encoding="utf-8")
         cache = ScheduleCache(disk_dir=tmp_path)
-        assert cache.get("old") == s
-        assert cache.stats.disk_hits == 1
-        # The next put of that digest rewrites it in the new format.
+        assert cache.get("old") is None
+        assert cache.stats.disk_hits == 0 and cache.stats.disk_errors == 0
+        assert old.exists()
         cache.put("old", s)
-        assert (tmp_path / "old.rsc").exists()
+        assert ScheduleCache(disk_dir=tmp_path).get("old") == s
 
     def test_corrupt_binary_is_a_miss_and_unlinked(self, tmp_path):
         cache = ScheduleCache(disk_dir=tmp_path)
@@ -217,25 +421,10 @@ class TestDiskTier:
             ("trunc", encode_schedule(_schedule())[:30]),
             ("garbage", b"not a schedule frame at all"),
             ("tail", encode_schedule(_schedule()) + b"x"),
+            ("deep", _raw_frame(4, [1], [0], [1], b"[" * 100_000)),
         ]:
             (tmp_path / f"{name}.rsc").write_bytes(payload)
             assert cache.get(name) is None
             assert not (tmp_path / f"{name}.rsc").exists()
-        assert cache.stats.disk_errors == 3
-        assert cache.stats.misses == 3
-
-    def test_corrupt_json_fallback_is_a_miss(self, tmp_path):
-        (tmp_path / "bad.json").write_text("{", encoding="utf-8")
-        cache = ScheduleCache(disk_dir=tmp_path)
-        assert cache.get("bad") is None
-        assert not (tmp_path / "bad.json").exists()
-        assert cache.stats.disk_errors == 1
-
-    def test_discard_drops_both_formats(self, tmp_path):
-        cache = ScheduleCache(disk_dir=tmp_path)
-        s = _schedule(5)
-        cache.put("d", s)
-        (tmp_path / "d.json").write_text(schedule_to_json(s), encoding="utf-8")
-        assert cache.discard("d")
-        assert not (tmp_path / "d.rsc").exists()
-        assert not (tmp_path / "d.json").exists()
+        assert cache.stats.disk_errors == 4
+        assert cache.stats.misses == 4

@@ -1,155 +1,86 @@
-"""Kernel-backend registry, resolution, and router-API surface tests.
+"""Kernel installation and router-API surface tests.
 
-Covers the pluggable-backend API redesign: :func:`repro.get_backend`
-resolution order (explicit > ``REPRO_KERNEL_BACKEND`` > ambient),
-the documented numpy-missing fallback, backend identity in schedule
-metadata, :func:`repro.describe_routers` structured metadata, the
-explicit ``profiler=`` kwarg, and :func:`repro.make_router` argument
-validation. Backend *equivalence* lives in ``test_kernels_equiv.py``.
+Covers the one product kernel instance (``repro.kernels.ACTIVE``) and
+the oracle swap the equivalence suite stands on, :func:`make_router`
+argument validation, :func:`repro.describe_routers` structured metadata
+and the explicit ``profiler=`` kwarg. Kernel *equivalence* lives in
+``test_kernels_equiv.py``.
 """
 
 from __future__ import annotations
 
-import pytest
+from collections import Counter
 
+import pytest
+from kernel_oracle import PythonKernelBackend, oracle_kernels
+
+import repro.kernels
 from repro import (
+    CartesianProduct,
     GridGraph,
-    available_backends,
     available_routers,
-    default_backend_name,
     describe_routers,
-    get_backend,
     make_router,
     random_permutation,
     route,
 )
-from repro.errors import KernelError, RoutingError
-from repro.kernels import ENV_VAR, KernelBackend
-from repro.kernels import base as kernels_base
+from repro.errors import RoutingError
+from repro.graphs import path_graph
+from repro.kernels import KernelBackend, NumpyKernelBackend
 from repro.profiling import StageProfiler
 
-HAS_NUMPY = "numpy" in available_backends()
-needs_numpy = pytest.mark.skipif(not HAS_NUMPY, reason="numpy not installed")
+
+class _CountingOracle(PythonKernelBackend):
+    """The oracle, counting which kernels the routers call."""
+
+    def __init__(self) -> None:
+        self.calls: Counter[str] = Counter()
+
+    def __getattribute__(self, name: str):
+        if name in KernelBackend.__abstractmethods__:
+            object.__getattribute__(self, "calls")[name] += 1
+        return object.__getattribute__(self, name)
+
+
+def _route_on_oracle(router, graph, perm) -> Counter:
+    """Route ``perm`` with the counting oracle installed; its call counts."""
+    with oracle_kernels(_CountingOracle()) as oracle:
+        router.route(graph, perm).verify(graph, perm)
+    return oracle.calls
 
 
 # ----------------------------------------------------------------------
-# registry + resolution
+# the installed kernels
 # ----------------------------------------------------------------------
 class TestResolution:
+    def test_ambient_prefers_numpy(self):
+        assert type(repro.kernels.ACTIVE) is NumpyKernelBackend
+
     def test_python_always_available(self):
-        assert "python" in available_backends()
-        assert get_backend("python").name == "python"
+        with oracle_kernels() as oracle:
+            assert repro.kernels.ACTIVE is oracle
+            grid = GridGraph(3, 3)
+            perm = random_permutation(grid, seed=1)
+            route(grid, perm, method="local").verify(grid, perm)
+        assert type(repro.kernels.ACTIVE) is NumpyKernelBackend
 
     def test_instance_passthrough(self):
-        backend = get_backend("python")
-        assert get_backend(backend) is backend
-
-    def test_unknown_name(self):
-        with pytest.raises(KernelError, match="unknown kernel backend"):
-            get_backend("fortran")
-
-    def test_env_overrides_ambient(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "python")
-        assert get_backend().name == "python"
-        assert default_backend_name() == "python"
-
-    def test_env_unknown_name_raises(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "fortran")
-        with pytest.raises(KernelError, match="unknown kernel backend"):
-            get_backend()
-
-    @needs_numpy
-    def test_ambient_prefers_numpy(self, monkeypatch):
-        monkeypatch.delenv(ENV_VAR, raising=False)
-        assert get_backend().name == "numpy"
-
-    def test_register_duplicate_rejected(self):
-        with pytest.raises(KernelError, match="already registered"):
-            kernels_base.register_backend(
-                "python", lambda: get_backend("python")
-            )
+        # A router built before the swap still runs on the swapped-in
+        # instance: routers read the kernels when they run.
+        router = make_router("local")
+        grid = GridGraph(4, 4)
+        calls = _route_on_oracle(router, grid, random_permutation(grid, seed=2))
+        assert calls["peel_matching"] and calls["assemble_layers"]
 
     def test_protocol_is_abstract(self):
         with pytest.raises(TypeError):
             KernelBackend()  # type: ignore[abstract]
 
 
-# ----------------------------------------------------------------------
-# the documented numpy-missing degradation
-# ----------------------------------------------------------------------
-@pytest.fixture
-def no_numpy(monkeypatch):
-    """Simulate an uninstalled numpy at the backend-factory seam.
-
-    The real ``_numpy_factory`` turns the ``ImportError`` of a missing
-    numpy into a :class:`KernelError`; this fixture installs a factory
-    that raises the same error (numpy itself cannot be unloaded — the
-    rest of the package, ``Permutation`` included, imports it at module
-    scope) and clears the resolution cache around the test.
-    """
-
-    def _unavailable() -> KernelBackend:
-        raise KernelError(
-            "numpy kernel backend unavailable: No module named 'numpy'"
-        )
-
-    monkeypatch.delenv(ENV_VAR, raising=False)
-    monkeypatch.delitem(kernels_base._CACHE, "numpy", raising=False)
-    monkeypatch.setitem(kernels_base._FACTORIES, "numpy", _unavailable)
-    yield
-    # monkeypatch restored the real factory; drop anything cached while
-    # it was hobbled so later tests re-resolve cleanly.
-    kernels_base._CACHE.pop("numpy", None)
-
-
-class TestNoNumpyFallback:
-    def test_ambient_falls_back_to_python(self, no_numpy):
-        assert get_backend().name == "python"
-        assert default_backend_name() == "python"
-
-    def test_env_numpy_falls_back_to_python(self, no_numpy, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "numpy")
-        assert get_backend().name == "python"
-
-    def test_explicit_numpy_raises(self, no_numpy):
-        with pytest.raises(KernelError, match="numpy kernel backend"):
-            get_backend("numpy")
-
-    def test_not_listed_as_available(self, no_numpy):
-        assert available_backends() == ["python"]
-
-    def test_routing_still_works(self, no_numpy):
-        grid = GridGraph(3, 3)
-        perm = random_permutation(grid, seed=1)
-        schedule = route(grid, perm, method="local")
-        schedule.verify(grid, perm)
-        assert schedule.metadata["backend"] == "python"
-
-
-# ----------------------------------------------------------------------
-# backend identity on routed schedules
-# ----------------------------------------------------------------------
 class TestBackendMetadata:
-    @pytest.mark.parametrize("name", available_backends())
-    def test_schedule_records_backend(self, name):
-        grid = GridGraph(4, 4)
-        perm = random_permutation(grid, seed=3)
-        schedule = route(grid, perm, method="local", backend=name)
-        schedule.verify(grid, perm)
-        assert schedule.metadata["backend"] == name
-
-    def test_set_backend_pins_and_unpins(self):
-        router = make_router("local")
-        router.set_backend("python")
-        grid = GridGraph(3, 4)
-        perm = random_permutation(grid, seed=5)
-        assert router.route(grid, perm).metadata["backend"] == "python"
-        router.set_backend(None)
-        sched = router.route(grid, perm)
-        assert sched.metadata["backend"] == default_backend_name()
-
     def test_set_backend_unknown(self):
-        with pytest.raises(KernelError):
+        # Routers take no kernel selection: the argument is unknown.
+        with pytest.raises(RoutingError, match="unknown argument 'backend'"):
             make_router("local", backend="fortran")
 
 
@@ -185,10 +116,16 @@ class TestDescribeRouters:
 
     def test_grid_routers_have_kernels(self):
         by_name = {i.name: i for i in describe_routers()}
-        for name in ("local", "naive"):
+        grid = GridGraph(4, 4)
+        perm = random_permutation(grid, seed=3)
+        for name in ("local", "naive", "hybrid"):
             assert "grid" in by_name[name].families
-            assert by_name[name].kernel_backends
-        assert by_name["cartesian"].kernel_backends
+            assert _route_on_oracle(make_router(name), grid, perm), name
+        prod = CartesianProduct(path_graph(3), path_graph(4))
+        calls = _route_on_oracle(
+            make_router("cartesian"), prod, random_permutation(prod, seed=3)
+        )
+        assert calls["factor_delta_weights"] and calls["assemble_layers"]
 
     def test_summaries_nonempty(self):
         for info in describe_routers():

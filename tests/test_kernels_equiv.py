@@ -1,50 +1,40 @@
-"""Backend equivalence: python and numpy kernels must agree exactly.
+"""Kernel equivalence: the numpy kernels must agree exactly with the oracle.
 
-The contract from ``repro.kernels.base``: every backend produces
-*identical* outputs for identical inputs — identical matchings,
-identical tie-breaks, identical schedules. This suite pins the numpy
-backend to the pure-python reference in two tiers:
+The contract from ``repro.kernels.base``: the product kernels produce
+*identical* outputs to the pure-python oracle (``kernel_oracle.py``)
+for identical inputs — identical matchings, identical tie-breaks,
+identical schedules. This suite pins them together in two tiers:
 
 * **router level** (hypothesis) — every router with a vectorized path
-  emits byte-identical schedules under both backends on randomized
-  instances;
+  emits byte-identical schedules on the numpy kernels and under
+  :func:`~kernel_oracle.oracle_kernels` on randomized instances;
 * **primitive level** — each :class:`KernelBackend` method compared
   directly on randomized inputs, so a divergence is attributed to the
   kernel that caused it rather than surfacing as a schedule diff three
   layers up.
 
 A third tier covers the lazy ``FlatLayers`` schedule representation the
-numpy backend returns: every ``Schedule`` transform must give the same
-answer whether the layers live as arrays or as materialized tuples.
+numpy kernels return: every ``Schedule`` transform must give the same
+answer whether the layers live as arrays or as materialized tuples. A
+fourth pins the frontier-batched Hopcroft–Karp augmentation to the
+reference on adversarial and contended instances.
 """
 
 from __future__ import annotations
-
-import contextlib
-import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from kernel_oracle import PythonKernelBackend, oracle_kernels
 
-from repro import (
-    CartesianProduct,
-    GridGraph,
-    Permutation,
-    available_backends,
-    make_router,
-    random_permutation,
-)
+from repro import CartesianProduct, GridGraph, Permutation, make_router
 from repro.graphs import cycle_graph, path_graph
-from repro.kernels import get_backend
+from repro.kernels import NumpyKernelBackend
 from repro.routing.schedule import Schedule
 
-if "numpy" not in available_backends():  # pragma: no cover
-    pytest.skip("numpy backend not installed", allow_module_level=True)
-
-PY = get_backend("python")
-NP = get_backend("numpy")
+PY = PythonKernelBackend()
+NP = NumpyKernelBackend()
 
 
 # ----------------------------------------------------------------------
@@ -74,6 +64,12 @@ def _assert_same_schedule(a: Schedule, b: Schedule) -> None:
     assert a.depth == b.depth and a.size == b.size
 
 
+def _on_oracle(router: str, graph, perm: Permutation) -> Schedule:
+    """Route with ``router`` on the oracle kernels."""
+    with oracle_kernels():
+        return make_router(router).route(graph, perm)
+
+
 # ----------------------------------------------------------------------
 # tier 1: router-level equivalence
 # ----------------------------------------------------------------------
@@ -83,8 +79,8 @@ class TestRouterEquivalence:
     @settings(max_examples=30, deadline=None)
     def test_grid_routers(self, router, case):
         grid, perm = case
-        a = make_router(router, backend="python").route(grid, perm)
-        b = make_router(router, backend="numpy").route(grid, perm)
+        a = _on_oracle(router, grid, perm)
+        b = make_router(router).route(grid, perm)
         a.verify(grid, perm)
         _assert_same_schedule(a, b)
 
@@ -92,8 +88,8 @@ class TestRouterEquivalence:
     @settings(max_examples=15, deadline=None)
     def test_cartesian_router(self, case):
         prod, perm = case
-        a = make_router("cartesian", backend="python").route(prod, perm)
-        b = make_router("cartesian", backend="numpy").route(prod, perm)
+        a = _on_oracle("cartesian", prod, perm)
+        b = make_router("cartesian").route(prod, perm)
         a.verify(prod, perm)
         _assert_same_schedule(a, b)
 
@@ -101,8 +97,8 @@ class TestRouterEquivalence:
     @settings(max_examples=15, deadline=None)
     def test_ats_router(self, case):
         grid, perm = case
-        a = make_router("ats", backend="python").route(grid, perm)
-        b = make_router("ats", backend="numpy").route(grid, perm)
+        a = _on_oracle("ats", grid, perm)
+        b = make_router("ats").route(grid, perm)
         a.verify(grid, perm)
         _assert_same_schedule(a, b)
 
@@ -112,8 +108,8 @@ class TestRouterEquivalence:
             perm = Permutation(
                 np.random.default_rng(seed).permutation(grid.n_vertices)
             )
-            a = make_router("local", backend="python").route(grid, perm)
-            b = make_router("local", backend="numpy").route(grid, perm)
+            a = _on_oracle("local", grid, perm)
+            b = make_router("local").route(grid, perm)
             _assert_same_schedule(a, b)
 
 
@@ -267,11 +263,11 @@ class TestPrimitiveEquivalence:
 # tier 3: FlatLayers vs tuple Schedule transforms
 # ----------------------------------------------------------------------
 def _flat_and_tuple(seed: int) -> tuple[Schedule, Schedule]:
-    """The same routed schedule as (numpy-flat, python-tuple) instances."""
+    """The same routed schedule as (numpy-flat, oracle-tuple) instances."""
     grid = GridGraph(5, 5)
     perm = Permutation(np.random.default_rng(seed).permutation(25))
-    flat = make_router("local", backend="numpy").route(grid, perm)
-    tup = make_router("local", backend="python").route(grid, perm)
+    flat = make_router("local").route(grid, perm)
+    tup = _on_oracle("local", grid, perm)
     return flat, tup
 
 
@@ -309,26 +305,13 @@ class TestFlatLayersTransforms:
     def test_empty_flat_schedule(self):
         grid = GridGraph(3, 3)
         ident = Permutation.identity(9)
-        flat = make_router("local", backend="numpy").route(grid, ident)
+        flat = make_router("local").route(grid, ident)
         assert flat.size == 0
         assert flat.compact().layers == ()
         assert flat.trimmed().depth == 0
 # ----------------------------------------------------------------------
 # tier 4: frontier-batched Hopcroft–Karp augmentation
 # ----------------------------------------------------------------------
-@contextlib.contextmanager
-def _hk_batch(flag: str):
-    """Run a block with ``REPRO_HK_BATCH`` pinned to ``flag``."""
-    old = os.environ.get("REPRO_HK_BATCH")
-    os.environ["REPRO_HK_BATCH"] = flag
-    try:
-        yield
-    finally:
-        if old is None:
-            del os.environ["REPRO_HK_BATCH"]
-        else:
-            os.environ["REPRO_HK_BATCH"] = old
-
 
 def _reversed_chain(n: int) -> list[list[int]]:
     """Greedy shifts every left one right; the last left is then free and
@@ -350,7 +333,7 @@ def _contended_instance(k: int, half: int = 10):
 class TestBatchedAugmentation:
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)
-    def test_random_instances_match_reference_under_both_flags(self, data):
+    def test_random_instances_match_reference(self, data):
         n_left = data.draw(st.integers(1, 40))
         n_right = data.draw(st.integers(1, 40))
         adj = [
@@ -363,19 +346,16 @@ class TestBatchedAugmentation:
             )
             for _ in range(n_left)
         ]
-        want = PY.hopcroft_karp(n_left, n_right, adj)
-        for flag in ("1", "0"):
-            with _hk_batch(flag):
-                assert NP.hopcroft_karp(n_left, n_right, adj) == want
+        assert NP.hopcroft_karp(n_left, n_right, adj) == PY.hopcroft_karp(
+            n_left, n_right, adj
+        )
 
     @pytest.mark.parametrize("n", [5, 17, 64, 97, 200, 513])
     def test_adversarial_long_augmenting_paths(self, n):
         adj = _reversed_chain(n)
         want = PY.hopcroft_karp(n, n, adj)
         assert want[2] == n  # the deep path must actually be taken
-        for flag in ("1", "0"):
-            with _hk_batch(flag):
-                assert NP.hopcroft_karp(n, n, adj) == want
+        assert NP.hopcroft_karp(n, n, adj) == want
 
     def test_lockstep_engages_and_matches_reference(self, monkeypatch):
         import repro.kernels._numpy as knp
@@ -391,22 +371,5 @@ class TestBatchedAugmentation:
         monkeypatch.setattr(knp, "_augment_pass", spy)
         want = PY.hopcroft_karp(n_left, n_right, adj)
         assert want[2] == n_left  # perfect matching via the contended paths
-        with _hk_batch("1"):
-            assert NP.hopcroft_karp(n_left, n_right, adj) == want
+        assert NP.hopcroft_karp(n_left, n_right, adj) == want
         assert calls, "lock-step batch never engaged on the contended instance"
-        calls.clear()
-        with _hk_batch("0"):
-            assert NP.hopcroft_karp(n_left, n_right, adj) == want
-        assert not calls, "REPRO_HK_BATCH=0 must bypass the batched pass"
-
-    def test_schedules_identical_under_both_flags(self):
-        grid = GridGraph(12, 12)
-        want = make_router("local", backend="python").route(
-            grid, random_permutation(grid, seed=3)
-        )
-        for flag in ("1", "0"):
-            with _hk_batch(flag):
-                got = make_router("local", backend="numpy").route(
-                    grid, random_permutation(grid, seed=3)
-                )
-            _assert_same_schedule(got, want)

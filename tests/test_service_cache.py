@@ -9,6 +9,7 @@ import pytest
 from repro.graphs import GridGraph
 from repro.perm import random_permutation
 from repro.routing import LocalGridRouter
+from repro.routing.codec import encode_schedule
 from repro.service import LRUCache, ScheduleCache
 
 
@@ -108,16 +109,19 @@ class TestScheduleCacheDisk:
 
     def test_corrupt_entry_is_a_miss_and_deleted(self, tmp_path):
         c = ScheduleCache(maxsize=4, disk_dir=tmp_path)
-        bad = tmp_path / "kx.json"
-        bad.write_text("{not json", encoding="utf-8")
+        bad = tmp_path / "kx.rsc"
+        bad.write_bytes(b"not a schedule frame")
         assert c.get("kx") is None
         assert c.stats.disk_errors == 1
         assert not bad.exists()
 
     def test_non_utf8_entry_is_a_miss_and_deleted(self, tmp_path):
+        # A well-formed frame whose metadata section is not UTF-8.
+        frame = encode_schedule(_schedule().with_metadata(note="ab"))
+        meta_len = len(b'{"note":"ab"}')
         c = ScheduleCache(maxsize=4, disk_dir=tmp_path)
-        bad = tmp_path / "kb.json"
-        bad.write_bytes(b"\xff\xfe binary garbage")
+        bad = tmp_path / "kb.rsc"
+        bad.write_bytes(frame[:-meta_len] + b"\xff" * meta_len)
         assert c.get("kb") is None
         assert c.stats.disk_errors == 1
         assert not bad.exists()
@@ -141,22 +145,22 @@ class TestDiskEvictionRace:
 
         Both must survive (the loser's unlink sees the file already
         gone) and the eviction must be counted exactly once. A barrier
-        inside the parse step guarantees both threads read the file
+        inside the decode step guarantees both threads read the file
         before either unlinks it, which is the racing interleaving.
         """
         import repro.service.cache as cache_mod
 
         c = ScheduleCache(maxsize=4, disk_dir=tmp_path)
-        (tmp_path / "kr.json").write_text("{not json", encoding="utf-8")
+        (tmp_path / "kr.rsc").write_bytes(b"not a schedule frame")
 
         barrier = threading.Barrier(2, timeout=30)
-        real_parse = cache_mod.schedule_from_json
+        real_decode = cache_mod.decode_schedule
 
-        def synchronized_parse(text):
+        def synchronized_decode(data):
             barrier.wait()
-            return real_parse(text)
+            return real_decode(data)
 
-        monkeypatch.setattr(cache_mod, "schedule_from_json", synchronized_parse)
+        monkeypatch.setattr(cache_mod, "decode_schedule", synchronized_decode)
 
         results: list = []
         errors: list = []
@@ -178,4 +182,4 @@ class TestDiskEvictionRace:
         assert results == [None, None]  # both observe a miss
         assert c.stats.disk_errors == 1  # the eviction is counted once
         assert c.stats.misses == 2
-        assert not (tmp_path / "kr.json").exists()
+        assert not (tmp_path / "kr.rsc").exists()

@@ -6,6 +6,7 @@ import asyncio
 
 import pytest
 
+from repro import GridGraph, random_permutation
 from repro.errors import ReproError
 from repro.service import (
     ERROR_CODES,
@@ -110,6 +111,20 @@ class TestDispatch:
 
         asyncio.run(run())
 
+    def test_backend_option_is_a_stable_error(self):
+        # There is no kernel selection: the option reaches the router
+        # factory as an unknown argument and fails as a routing error.
+        async def run():
+            async with AsyncRoutingService(cache_size=16, max_workers=1) as svc:
+                return await RequestHandler(svc).dispatch({
+                    "rows": 3, "cols": 3, "workload": "random", "seed": 0,
+                    "options": {"backend": "numpy"},
+                })
+
+        resp = asyncio.run(run())
+        assert not resp["ok"] and resp["code"] == "route_error"
+        assert "'backend'" in resp["error"]
+
     def test_every_emitted_code_is_documented(self):
         # The stable-code table is the public contract; any code the
         # handler can emit must appear in it.
@@ -142,6 +157,19 @@ class TestRenderPrometheus:
         assert "# TYPE repro_schedule_cache_entries gauge" in text
         assert "repro_max_workers 1" in text
 
+    def test_stage_summaries_carry_router_and_stage_labels(self):
+        from repro.service import RoutingService
+
+        with RoutingService(cache_size=16, max_workers=1) as svc:
+            grid = GridGraph(4, 4)
+            assert svc.submit(grid, random_permutation(grid, seed=4)).ok
+            stats = svc.stats()
+        assert "kernel_backend" not in stats
+        text = render_prometheus(stats)
+        assert "# TYPE repro_stage_seconds summary" in text
+        assert 'repro_stage_seconds_count{router="local",stage="matching"}' in text
+        assert "backend=" not in text
+
     def test_label_escaping_and_missing_sections(self):
         text = render_prometheus({
             "telemetry": {
@@ -166,15 +194,19 @@ class TestCacheOps:
     """The remote-shard cache protocol (cache_get/cache_put/cache_stats)."""
 
     def test_roundtrip_and_validation(self):
+        import base64
+        import json as json_mod
+
         from repro.graphs import GridGraph
         from repro.perm import random_permutation
         from repro.routing import route
+        from repro.routing.codec import decode_schedule, encode_schedule
         from repro.routing.serialize import schedule_to_json
-        import json as json_mod
 
         grid = GridGraph(3, 3)
         schedule = route(grid, random_permutation(grid, seed=0))
         digest = "ab" * 32
+        frame_b64 = base64.b64encode(encode_schedule(schedule)).decode("ascii")
         payload = json_mod.loads(schedule_to_json(schedule))
 
         async def run():
@@ -182,17 +214,19 @@ class TestCacheOps:
                 handler = RequestHandler(svc)
                 miss = await handler.dispatch({"op": "cache_get", "digest": digest})
                 assert miss["ok"] and miss["found"] is False
-                assert "schedule" not in miss
+                assert "schedule_b64" not in miss
 
                 stored = await handler.dispatch({
                     "op": "cache_put", "digest": digest,
-                    "schedule": payload, "cost": 0.5, "id": 9,
+                    "schedule_b64": frame_b64, "cost": 0.5, "id": 9,
                 })
                 assert stored["ok"] and stored["stored"] and stored["id"] == 9
 
                 hit = await handler.dispatch({"op": "cache_get", "digest": digest})
                 assert hit["ok"] and hit["found"] is True
-                assert hit["schedule"]["layers"] == payload["layers"]
+                assert hit["codec"] == 1 and "schedule" not in hit
+                got = decode_schedule(base64.b64decode(hit["schedule_b64"]))
+                assert got == schedule
 
                 stats = await handler.dispatch({"op": "cache_stats"})
                 assert stats["ok"] and stats["stats"]["entries"] == 1
@@ -202,11 +236,12 @@ class TestCacheOps:
                     {"op": "cache_get"},
                     {"op": "cache_get", "digest": 7},
                     {"op": "cache_put", "digest": digest},
-                    {"op": "cache_put", "digest": digest, "schedule": "x"},
+                    {"op": "cache_put", "digest": digest, "schedule_b64": 7},
+                    {"op": "cache_put", "digest": digest, "schedule_b64": "!!"},
+                    # The JSON schedule document is no longer accepted.
+                    {"op": "cache_put", "digest": digest, "schedule": payload},
                     {"op": "cache_put", "digest": digest,
-                     "schedule": {"format": "nope"}},
-                    {"op": "cache_put", "digest": digest,
-                     "schedule": payload, "cost": "slow"},
+                     "schedule_b64": frame_b64, "cost": "slow"},
                 ):
                     resp = await handler.dispatch(doc)
                     assert not resp["ok"] and resp["code"] == "bad_request", doc

@@ -171,16 +171,18 @@ class TestEndpoints:
 
     def test_cache_endpoints_roundtrip(self):
         """The remote-shard protocol over HTTP, incl. RemoteShardClient."""
+        import base64
+
         from repro.graphs import GridGraph
         from repro.perm import random_permutation
         from repro.routing import route
-        from repro.routing.serialize import schedule_to_json
+        from repro.routing.codec import decode_schedule, encode_schedule
         from repro.service import RemoteShardClient
 
         grid = GridGraph(3, 3)
         schedule = route(grid, random_permutation(grid, seed=2))
         digest = "ef" * 32
-        payload = json.loads(schedule_to_json(schedule))
+        frame_b64 = base64.b64encode(encode_schedule(schedule)).decode("ascii")
         server, base, thread = _start_http()
         try:
             status, body = http_request(
@@ -188,13 +190,14 @@ class TestEndpoints:
             )
             assert status == 200 and body["ok"] and body["found"] is False
             status, body = http_request(base + "/v1/cache_put", {
-                "digest": digest, "schedule": payload, "cost": 0.1,
+                "digest": digest, "schedule_b64": frame_b64, "cost": 0.1,
             })
             assert status == 200 and body["stored"]
             status, body = http_request(
                 base + "/v1/cache_get", {"digest": digest}
             )
-            assert body["found"] and body["schedule"]["layers"] == payload["layers"]
+            assert body["found"]
+            assert decode_schedule(base64.b64decode(body["schedule_b64"])) == schedule
             status, body = http_request(base + "/v1/cache_stats")
             assert status == 200 and body["stats"]["entries"] == 1
             # Validation failures map to 400.
@@ -208,6 +211,32 @@ class TestEndpoints:
             assert client.cache_get("01" * 32) is None
             assert client.cache_stats()["entries"] == 1
             client.close()
+        finally:
+            _shutdown(base, thread)
+
+    def test_crafted_cache_put_frame_is_bad_request(self):
+        """Wrapping int64 layer counts are refused; the server keeps serving."""
+        import base64
+        import struct
+
+        from repro.routing.codec import MAGIC
+
+        counts = [2**62, 2**62, 2**62, 2**62 + 1]  # int64 sum wraps to 1
+        frame = struct.pack("<8sqqqq", MAGIC, 4, 4, 1, 0) + struct.pack(
+            "<6q", *counts, 0, 1
+        )
+        assert len(frame) == 88
+        server, base, thread = _start_http()
+        try:
+            status, body = http_request(base + "/v1/cache_put", {
+                "digest": "ab" * 32,
+                "schedule_b64": base64.b64encode(frame).decode("ascii"),
+            })
+            assert status == 400 and body["code"] == "bad_request"
+            status, body = http_request(
+                base + "/v1/route", {"rows": 3, "cols": 3, "workload": "random"}
+            )
+            assert status == 200 and body["ok"]
         finally:
             _shutdown(base, thread)
 

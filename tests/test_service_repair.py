@@ -123,12 +123,8 @@ class TestDiscard:
         cache.put(DIGESTS[1], schedule)
         path = tmp_path / f"{DIGESTS[1]}.rsc"
         assert path.exists()
-        # A legacy JSON copy must go too, or a get would resurrect it.
-        legacy = tmp_path / f"{DIGESTS[1]}.json"
-        legacy.write_text(path.read_bytes().hex())
         assert cache.discard(DIGESTS[1]) is True
         assert not path.exists()
-        assert not legacy.exists()
         # Without the disk unlink the next get would resurrect it.
         assert cache.get(DIGESTS[1]) is None
 

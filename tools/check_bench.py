@@ -1,17 +1,13 @@
 #!/usr/bin/env python3
 """Benchmark regression gate: BENCH_*.json vs the committed baselines.
 
-The benchmark scripts measure *ratios* (numpy-vs-python speedup, batched
-HK vs sequential, binary codec vs JSON) with both arms interleaved on
-the same machine, so the ratios — unlike absolute seconds — are
-comparable across machines. This tool compares a freshly produced
-``BENCH_core.json`` / ``BENCH_codec.json`` against the committed
-snapshots in ``benchmarks/baselines/`` and fails when any gated ratio
-regressed by more than ``--tolerance`` (default 25%).
-
-It also enforces the structural invariants that must never regress at
-all: the mixed-dialect ring drill in ``BENCH_codec.json`` must report
-zero errors.
+``benchmarks/bench_core.py`` measures *ratios* (the numpy kernels'
+cold-route speedup over the python oracle) with both arms on the same
+machine, so the ratios — unlike absolute seconds — are comparable
+across machines. This tool compares a freshly produced
+``BENCH_core.json`` against the committed snapshot in
+``benchmarks/baselines/`` and fails when any gated ratio regressed by
+more than ``--tolerance`` (default 25%).
 
 Refreshing a baseline is deliberate and explicit: run the benchmark
 with the same flags CI uses and copy the artifact over the file in
@@ -20,7 +16,7 @@ message.
 
 Usage::
 
-    python tools/check_bench.py BENCH_core.json BENCH_codec.json
+    python tools/check_bench.py BENCH_core.json
     python tools/check_bench.py --tolerance 0.5 BENCH_core.json
 
 Exit status 0 when every metric holds, 1 on any regression, missing
@@ -39,39 +35,18 @@ def _core_metrics(doc: dict) -> dict[str, float]:
     out: dict[str, float] = {}
     for run in doc.get("runs", []):
         out[f"cold_route/{run['router']}/{run['size']}"] = run["speedup"]
-    for run in doc.get("hk_runs", []):
-        out[f"hk_batch/{run['workload']}/{run['size']}"] = run["speedup"]
     return out
 
 
 def _core_invariants(doc: dict) -> list[str]:
-    if not doc.get("runs") and not doc.get("skipped"):
+    if not doc.get("runs"):
         return ["no cold-route runs recorded"]
-    return []
-
-
-def _codec_metrics(doc: dict) -> dict[str, float]:
-    out: dict[str, float] = {}
-    if "disk" in doc:
-        out["disk_vs_json"] = doc["disk"]["speedup"]
-    if "remote" in doc:
-        out["remote_vs_json"] = doc["remote"]["speedup"]
-    return out
-
-
-def _codec_invariants(doc: dict) -> list[str]:
-    mixed = doc.get("mixed")
-    if mixed is None:
-        return ["mixed-dialect ring drill missing from the artifact"]
-    if mixed.get("total_errors") != 0:
-        return [f"mixed-dialect ring drill errors: {mixed.get('total_errors')}"]
     return []
 
 
 #: Artifact basename -> (ratio extractor, invariant checker).
 EXTRACTORS = {
     "BENCH_core.json": (_core_metrics, _core_invariants),
-    "BENCH_codec.json": (_codec_metrics, _codec_invariants),
 }
 
 

@@ -36,9 +36,8 @@ HEADER = """\
 > regenerate. CI fails when this file drifts from the code.
 
 Two flat-exported packages are documented: `repro.service` (the batch
-routing service) and `repro.kernels` (the pluggable kernel backends —
-see the "Kernel backends" section of
-[ARCHITECTURE.md](ARCHITECTURE.md)). `from repro.service import X` /
+routing service) and `repro.kernels` (the routing kernels — see the
+"Kernels" section of [ARCHITECTURE.md](ARCHITECTURE.md)). `from repro.service import X` /
 `from repro.kernels import X` works for every symbol below. See
 [ARCHITECTURE.md](ARCHITECTURE.md) for how the pieces compose and
 [OPERATIONS.md](OPERATIONS.md) for running them.
