@@ -13,10 +13,10 @@ Two measurements back the daemon's acceptance criteria:
   invocations, served two ways: **cold** spawns a fresh ``repro
   batch`` subprocess per invocation (each pays interpreter start-up,
   the scipy import, pool spawn and a cold cache), **daemon** starts
-  one ``repro serve`` process and sends the same K chunks through
-  :class:`~repro.service.daemon.DaemonClient`. The warm pool and
-  schedule cache must make the daemon >= 2x faster end to end on the
-  default 200-request workload.
+  one ``repro serve --socket`` process and sends the same K chunks,
+  each as one ``POST /v1/route_batch`` over HTTP on the socket. The
+  warm pool and schedule cache must make the daemon >= 2x faster end
+  to end on the default 200-request workload.
 
 Run standalone (``python benchmarks/bench_async.py``) for a report and
 the 2x assertion; ``--ci`` shrinks the workload and only fails on
@@ -42,10 +42,10 @@ sys.path.insert(0, os.path.dirname(__file__))
 from _common import make_parser, report, write_json
 from repro.service import (
     AsyncRoutingService,
-    DaemonClient,
     RoutingService,
+    http_request,
     request_from_doc,
-    wait_for_socket,
+    wait_for_http,
 )
 
 #: Workload mix: grid sizes x workload families, seeds cycled so later
@@ -163,18 +163,20 @@ def bench_daemon_vs_cold(
             env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
         )
         try:
-            wait_for_socket(sock, timeout=60.0)
+            wait_for_http(sock, timeout=60.0)
             t0 = time.perf_counter()
             n_err = 0
             for path in chunk_paths:
                 with open(path, encoding="utf-8") as fh:
                     chunk_docs = [json.loads(line) for line in fh]
-                with DaemonClient(sock) as client:
-                    for resp in client.route_batch(chunk_docs):
-                        n_err += 0 if resp.get("ok") else 1
+                status, body = http_request(
+                    sock, "/v1/route_batch", {"requests": chunk_docs}
+                )
+                assert status == 200 and body["ok"], body
+                for resp in body["results"]:
+                    n_err += 0 if resp.get("ok") else 1
             daemon_seconds = time.perf_counter() - t0
-            with DaemonClient(sock) as client:
-                client.shutdown()
+            http_request(sock, "/v1/shutdown", {})
             server.wait(timeout=60)
         finally:
             if server.poll() is None:

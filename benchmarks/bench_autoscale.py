@@ -41,12 +41,8 @@ sys.path.insert(0, os.path.dirname(__file__))
 
 from _common import make_parser, report, write_json
 from bench_async import _env_with_src
-from repro.service import (
-    Autoscaler,
-    AutoscalePolicy,
-    DaemonClient,
-    wait_for_socket,
-)
+from bench_cluster import _cluster_stats, _route_batch, _shutdown
+from repro.service import Autoscaler, AutoscalePolicy, wait_for_http
 
 SIZES = (5, 6)
 WORKLOADS = ("random", "block_local")
@@ -82,11 +78,6 @@ def _spawn(sock: str, peers: list[str]) -> subprocess.Popen:
         stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL,
     )
-
-
-def _cluster_stats(sock: str) -> dict:
-    with DaemonClient(sock) as client:
-        return client.stats()["schedule_cache"]["cluster"]
 
 
 def _wait_converged(socks: list[str], expect_members: set[str],
@@ -128,8 +119,7 @@ class _LoadDriver:
             sock = self.socks[wave % len(self.socks)]
             docs = unique_docs(self.batch, seed_base=10_000 * wave)
             try:
-                with DaemonClient(sock) as client:
-                    results = client.route_batch(docs)
+                results = _route_batch(sock, docs)
             except Exception:
                 self.errors += self.batch
                 continue
@@ -158,7 +148,7 @@ def bench_autoscale(batch: int = 12) -> dict:
         load = _LoadDriver(seeds, batch)
         try:
             for sock in seeds + spares:
-                wait_for_socket(sock, timeout=60.0)
+                wait_for_http(sock, timeout=60.0)
 
             load.start()
             # Any completed request makes the worst p99 exceed 1µs, so
@@ -230,14 +220,12 @@ def bench_autoscale(batch: int = 12) -> dict:
             stats["epoch_at_three"] = _wait_converged(seeds, set(seeds))
 
             # A final workload through a seed still routes cleanly.
-            with DaemonClient(seeds[0]) as client:
-                final = client.route_batch(unique_docs(batch, seed_base=777))
+            final = _route_batch(seeds[0], unique_docs(batch, seed_base=777))
             stats["final_errors"] = sum(1 for r in final if not r.get("ok"))
             assert stats["final_errors"] == 0, "errors after scale-down"
 
             for sock in seeds + spares:
-                with DaemonClient(sock) as client:
-                    client.shutdown()
+                _shutdown(sock)
             for proc in procs:
                 proc.wait(timeout=60)
         finally:

@@ -47,12 +47,12 @@ from _common import make_parser, report, write_json
 from bench_async import _env_with_src
 from repro.cli import main as repro_main
 from repro.service import (
-    DaemonClient,
     HashRing,
     RemoteShardClient,
     RoutingService,
+    http_request,
     request_from_doc,
-    wait_for_socket,
+    wait_for_http,
 )
 
 #: Grid sizes for the cluster workload. Large enough that computing a
@@ -96,9 +96,22 @@ def _spawn_shard(sock: str, peers: list[str]) -> subprocess.Popen:
     )
 
 
+def _route_batch(sock: str, docs: list[dict]) -> list[dict]:
+    """One ``POST /v1/route_batch`` over the daemon's socket."""
+    status, body = http_request(sock, "/v1/route_batch", {"requests": docs})
+    assert status == 200 and body["ok"], body
+    return body["results"]
+
+
 def _cluster_stats(sock: str) -> dict:
-    with DaemonClient(sock) as client:
-        return client.stats()["schedule_cache"]["cluster"]
+    status, body = http_request(sock, "/stats")
+    assert status == 200, body
+    return body["stats"]["schedule_cache"]["cluster"]
+
+
+def _shutdown(sock: str) -> None:
+    status, body = http_request(sock, "/v1/shutdown", {})
+    assert status == 200 and body["ok"], body
 
 
 def _wait_for_epoch(socks: list[str], epoch: int, timeout: float = 60.0) -> None:
@@ -138,26 +151,24 @@ def bench_cluster(n_requests: int = 200) -> dict:
         ]
         try:
             for sock in socks:
-                wait_for_socket(sock, timeout=60.0)
+                wait_for_http(sock, timeout=60.0)
 
             # Pre-warm the ring through shard A only: A computes every
             # schedule and replicates each to its owning shard.
-            with DaemonClient(socks[0]) as ca:
-                t0 = time.perf_counter()
-                warm = ca.route_batch(docs)
-                stats["warm_seconds"] = time.perf_counter() - t0
-                assert all(r.get("ok") for r in warm), "warm pass failed"
+            t0 = time.perf_counter()
+            warm = _route_batch(socks[0], docs)
+            stats["warm_seconds"] = time.perf_counter() - t0
+            assert all(r.get("ok") for r in warm), "warm pass failed"
 
             stats["cold_local_seconds"] = _cold_local_seconds(docs)
 
             # Serve the same workload through shard B: nothing should be
             # recomputed, and most hits must come from remote shards.
-            with DaemonClient(socks[1]) as cb:
-                t0 = time.perf_counter()
-                served = cb.route_batch(docs)
-                stats["warm_served_seconds"] = time.perf_counter() - t0
-                assert all(r.get("ok") for r in served), "warm serve failed"
-                cluster = cb.stats()["schedule_cache"]["cluster"]
+            t0 = time.perf_counter()
+            served = _route_batch(socks[1], docs)
+            stats["warm_served_seconds"] = time.perf_counter() - t0
+            assert all(r.get("ok") for r in served), "warm serve failed"
+            cluster = _cluster_stats(socks[1])
             n_cache = sum(1 for r in served if r.get("source") == "cache")
             stats["served_from_cache"] = n_cache
             stats["remote_hits"] = cluster["remote_hits"]
@@ -181,7 +192,7 @@ def bench_cluster(n_requests: int = 200) -> dict:
                 stderr=subprocess.DEVNULL,
             )
             procs.append(proc_d)
-            wait_for_socket(sock_d, timeout=60.0)
+            wait_for_http(sock_d, timeout=60.0)
             t0 = time.perf_counter()
             assert repro_main(
                 ["topology", "join", sock_d, "--contact", socks[0]]
@@ -189,8 +200,7 @@ def bench_cluster(n_requests: int = 200) -> dict:
 
             # Zero request errors *during* the transition: the warm
             # workload through B must not notice the membership change.
-            with DaemonClient(socks[1]) as cb:
-                during = cb.route_batch(docs)
+            during = _route_batch(socks[1], docs)
             stats["transition_errors"] = sum(
                 1 for r in during if not r.get("ok")
             )
@@ -222,8 +232,7 @@ def bench_cluster(n_requests: int = 200) -> dict:
                 ["topology", "leave", sock_d, "--contact", socks[0]]
             ) == 0, "topology leave failed"
             _wait_for_epoch(socks, epoch=3)
-            with DaemonClient(sock_d) as client:
-                client.shutdown()
+            _shutdown(sock_d)
             proc_d.wait(timeout=60)
 
             # Kill shard C outright; a fresh workload through B must
@@ -232,11 +241,10 @@ def bench_cluster(n_requests: int = 200) -> dict:
             procs[2].send_signal(signal.SIGKILL)
             procs[2].wait(timeout=60)
             degraded_docs = unique_docs(n_requests, seed_base=100_000)
-            with DaemonClient(socks[1]) as cb:
-                t0 = time.perf_counter()
-                degraded = cb.route_batch(degraded_docs)
-                stats["degraded_seconds"] = time.perf_counter() - t0
-                cluster = cb.stats()["schedule_cache"]["cluster"]
+            t0 = time.perf_counter()
+            degraded = _route_batch(socks[1], degraded_docs)
+            stats["degraded_seconds"] = time.perf_counter() - t0
+            cluster = _cluster_stats(socks[1])
             stats["degraded_errors"] = sum(
                 1 for r in degraded if not r.get("ok")
             )
@@ -245,8 +253,7 @@ def bench_cluster(n_requests: int = 200) -> dict:
             assert stats["degraded_errors"] == 0, "dead shard surfaced errors"
 
             for sock in (socks[0], socks[1]):
-                with DaemonClient(sock) as client:
-                    client.shutdown()
+                _shutdown(sock)
             procs[0].wait(timeout=60)
             procs[1].wait(timeout=60)
         finally:

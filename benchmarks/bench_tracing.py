@@ -76,7 +76,7 @@ def _start_http(trace_buffer: int, peers: tuple[str, ...] = ()):
 
 
 def _shutdown(base: str, thread: threading.Thread) -> None:
-    http_request(base + "/v1/shutdown", {})
+    http_request(base, "/v1/shutdown", {})
     thread.join(timeout=JOIN_TIMEOUT)
 
 
@@ -87,7 +87,7 @@ def bench_cold_coverage(size: int = 6) -> dict:
     try:
         doc = {"rows": size, "cols": size, "workload": "random", "seed": 42}
         t0 = time.perf_counter()
-        status, body = http_request(base_b + "/v1/route", doc)
+        status, body = http_request(base_b, "/v1/route", doc)
         route_seconds = time.perf_counter() - t0
         assert status == 200 and body["ok"], body
         assert body["source"] == "computed", body
@@ -95,7 +95,7 @@ def bench_cold_coverage(size: int = 6) -> dict:
 
         t0 = time.perf_counter()
         status, got = http_request(
-            base_b + f"/v1/traces?id={trace_id}", None, method="GET"
+            base_b, f"/v1/traces?id={trace_id}", None, method="GET"
         )
         fetch_seconds = time.perf_counter() - t0
         assert status == 200 and got["ok"] and got["count"] == 1, got
@@ -145,7 +145,7 @@ def bench_warm_overhead(n_pairs: int = 60, batch: int = 25) -> dict:
         for base in (base_off, base_on):  # warm the cache on both
             for _ in range(5):
                 status, body = http_request(
-                    base + "/v1/route", dict(WARM_DOC)
+                    base, "/v1/route", dict(WARM_DOC)
                 )
                 assert status == 200 and body["ok"], body
         deltas: list[float] = []
@@ -154,11 +154,11 @@ def bench_warm_overhead(n_pairs: int = 60, batch: int = 25) -> dict:
         for _ in range(n_pairs):
             t0 = time.perf_counter()
             for _ in range(batch):
-                http_request(base_off + "/v1/route", dict(WARM_DOC))
+                http_request(base_off, "/v1/route", dict(WARM_DOC))
             off = (time.perf_counter() - t0) / batch
             t0 = time.perf_counter()
             for _ in range(batch):
-                http_request(base_on + "/v1/route", dict(WARM_DOC))
+                http_request(base_on, "/v1/route", dict(WARM_DOC))
             on = (time.perf_counter() - t0) / batch
             offs.append(off)
             ons.append(on)

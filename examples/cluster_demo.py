@@ -21,11 +21,12 @@ the other node's local tier through
    entries C now owns into its tier before it serves anything.
 
 The real multi-host version is the same object graph with
-:class:`~repro.service.RemoteShardClient` instead of the in-process
-client: start daemons with ``repro serve --socket ... --peer ...`` and
-scale them with ``repro topology join|leave`` (see docs/OPERATIONS.md,
-and benchmarks/bench_cluster.py for a measured ring with the live join
-drill).
+:class:`~repro.service.RemoteShardClient` (a keep-alive HTTP client)
+instead of the in-process client: start daemons with ``repro serve
+--socket PATH --peer ...`` or ``repro serve --http HOST:PORT --peer
+...`` and scale them with ``repro topology join|leave`` (see
+docs/OPERATIONS.md, and benchmarks/bench_cluster.py for a measured ring
+with the live join drill).
 """
 
 from __future__ import annotations

@@ -14,17 +14,15 @@ Commands
     Bulk routing through :class:`~repro.service.RoutingService`: a file
     of JSON request lines in, a JSONL stream of results out, with
     dedup, schedule caching and a process-pool worker fleet. With
-    ``--daemon SOCKET`` the requests are shipped to a running ``repro
-    serve`` daemon instead of a fresh local service, so repeated
-    invocations reuse one warm pool and cache; ``--http URL`` does the
-    same over a ``repro serve --http`` server (one ``POST
-    /v1/route_batch`` round trip).
+    ``--daemon ADDR`` (a socket path or ``http://HOST:PORT``) the
+    requests are shipped to a running ``repro serve`` daemon in one
+    ``POST /v1/route_batch`` instead of a fresh local service, so
+    repeated invocations reuse one warm pool and cache.
 ``serve``
-    Long-lived daemon speaking newline-delimited JSON over a UNIX
-    socket (``--socket``) or stdin/stdout (``--pipe``), or HTTP/JSON
-    (``--http HOST:PORT``, including Prometheus ``/metrics``); see
-    :mod:`repro.service.daemon` and :mod:`repro.service.http` for the
-    protocols. Repeatable ``--peer ADDR`` joins the daemon to a
+    Long-lived daemon speaking HTTP/JSON on a UNIX socket
+    (``--socket PATH``) or a TCP port (``--http HOST:PORT``), including
+    Prometheus ``/metrics``; see :mod:`repro.service.http` for the
+    endpoints. Repeatable ``--peer ADDR`` joins the daemon to a
     cluster cache ring (:mod:`repro.service.cluster`);
     ``--topology-file PATH`` instead watches a JSON membership file
     (reloaded on mtime change or SIGHUP); ``repro batch --cluster
@@ -171,25 +169,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_batch.add_argument(
         "--daemon",
-        metavar="SOCKET",
+        metavar="ADDR",
         help="send the requests to a running `repro serve` daemon at this "
-        "UNIX socket instead of routing locally (--workers/--cache-*/"
-        "--warm/--verify are the daemon's business and ignored here)",
-    )
-    p_batch.add_argument(
-        "--http",
-        metavar="URL",
-        help="send the requests to a running `repro serve --http` server "
-        "at this base URL (e.g. http://127.0.0.1:8347) via POST "
-        "/v1/route_batch; same ignored-flags caveat as --daemon",
+        "address (UNIX socket path or http://HOST:PORT) in one POST "
+        "/v1/route_batch, bounded by the daemon's --max-body, instead of "
+        "routing locally (--workers/--cache-*/--warm/--verify are the "
+        "daemon's business and ignored here)",
     )
     p_batch.add_argument(
         "--api-key",
         metavar="KEY",
-        help="tenant API key sent with every request when the server "
-        "enforces tenancy (--daemon: an 'api_key' field on each request "
-        "line; --http: an Authorization: Bearer header); ignored when "
-        "routing locally",
+        help="tenant API key sent as an Authorization: Bearer header when "
+        "the daemon enforces tenancy (with --daemon; ignored when routing "
+        "locally)",
     )
     p_batch.add_argument(
         "--cluster",
@@ -215,21 +207,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_serve = sub.add_parser(
-        "serve", help="long-lived routing daemon (NDJSON over a UNIX socket)"
+        "serve", help="long-lived routing daemon (HTTP/JSON)"
     )
     transport = p_serve.add_mutually_exclusive_group(required=True)
     transport.add_argument(
-        "--socket", metavar="PATH", help="UNIX socket path to listen on"
-    )
-    transport.add_argument(
-        "--pipe",
-        action="store_true",
-        help="serve the protocol over stdin/stdout instead of a socket",
+        "--socket",
+        metavar="PATH",
+        help="serve HTTP/JSON on this UNIX socket path",
     )
     transport.add_argument(
         "--http",
         metavar="HOST:PORT",
-        help="serve HTTP/JSON on this address instead of NDJSON "
+        help="serve HTTP/JSON on this TCP address "
         "(POST /v1/route[_batch], /v1/transpile_batch, GET /healthz, "
         "/stats, /metrics)",
     )
@@ -242,12 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--cache-size", type=int, default=4096)
     p_serve.add_argument(
         "--cache-dir", help="persistent schedule-cache directory"
-    )
-    p_serve.add_argument(
-        "--shards",
-        type=int,
-        default=8,
-        help="schedule-cache shard count (1 = unsharded)",
     )
     p_serve.add_argument(
         "--min-cache-seconds",
@@ -283,8 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="BYTES",
-        help="per-request body-size limit for the HTTP transport "
-        "(413 + Connection: close above it; requires --http)",
+        help="per-request body-size limit "
+        "(413 + Connection: close above it)",
     )
     p_serve.add_argument(
         "--timeout",
@@ -692,8 +675,8 @@ def _open_out(path: str):
 
 
 def _cmd_batch_daemon(args: argparse.Namespace) -> int:
-    """The ``batch --daemon SOCKET`` path: ship the requests to a daemon."""
-    from .service import DaemonClient
+    """The ``batch --daemon ADDR`` path: one POST /v1/route_batch."""
+    from .service import http_request
 
     docs = []
     for lineno, doc in _read_request_docs(args.requests):
@@ -701,14 +684,24 @@ def _cmd_batch_daemon(args: argparse.Namespace) -> int:
             raise ReproError(f"request line {lineno}: expected a JSON object")
         docs.append(doc)
     out = _open_out(args.out)
-    extra: dict = {"include_schedule": bool(args.include_schedule)}
-    if args.api_key:
-        extra["api_key"] = args.api_key
-    with DaemonClient(args.daemon) as client:
-        t0 = time.perf_counter()
-        responses = client.route_batch([{**doc, **extra} for doc in docs])
-        elapsed = time.perf_counter() - t0
-        stats = client.stats() if args.stats else None
+    headers = {"Authorization": f"Bearer {args.api_key}"} if args.api_key else None
+    t0 = time.perf_counter()
+    status, body = http_request(
+        args.daemon,
+        "/v1/route_batch",
+        {"requests": docs, "include_schedule": bool(args.include_schedule)},
+        headers=headers,
+    )
+    elapsed = time.perf_counter() - t0
+    if status != 200 or not isinstance(body, dict) or not body.get("ok"):
+        detail = body.get("error") if isinstance(body, dict) else body
+        raise ReproError(f"daemon batch failed (status {status}): {detail}")
+    responses = body["results"]
+    stats = None
+    if args.stats:
+        stats_status, stats_body = http_request(args.daemon, "/stats")
+        if stats_status == 200 and isinstance(stats_body, dict):
+            stats = stats_body.get("stats")
     try:
         for resp in responses:
             out.write(json.dumps(resp) + "\n")
@@ -727,63 +720,13 @@ def _cmd_batch_daemon(args: argparse.Namespace) -> int:
     return 0 if n_err == 0 else 3
 
 
-def _cmd_batch_http(args: argparse.Namespace) -> int:
-    """The ``batch --http URL`` path: one POST /v1/route_batch round trip."""
-    from .service import http_request
-
-    docs = []
-    for lineno, doc in _read_request_docs(args.requests):
-        if not isinstance(doc, dict):
-            raise ReproError(f"request line {lineno}: expected a JSON object")
-        docs.append(doc)
-    out = _open_out(args.out)
-    base = args.http.rstrip("/")
-    headers = {"Authorization": f"Bearer {args.api_key}"} if args.api_key else None
-    t0 = time.perf_counter()
-    status, body = http_request(
-        base + "/v1/route_batch",
-        {"requests": docs, "include_schedule": bool(args.include_schedule)},
-        headers=headers,
-    )
-    elapsed = time.perf_counter() - t0
-    if status != 200 or not isinstance(body, dict) or not body.get("ok"):
-        detail = body.get("error") if isinstance(body, dict) else body
-        raise ReproError(f"HTTP batch failed (status {status}): {detail}")
-    responses = body["results"]
-    stats = None
-    if args.stats:
-        stats_status, stats_body = http_request(base + "/stats")
-        if stats_status == 200 and isinstance(stats_body, dict):
-            stats = stats_body.get("stats")
-    try:
-        for resp in responses:
-            out.write(json.dumps(resp) + "\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
-    n_err = sum(1 for r in responses if not r.get("ok"))
-    rate = len(responses) / elapsed if elapsed > 0 else float("inf")
-    print(
-        f"batch: {len(responses)} requests in {elapsed:.3f}s "
-        f"({rate:.1f} req/s), {n_err} errors, via http {base}",
-        file=sys.stderr,
-    )
-    if stats is not None:
-        print(json.dumps(stats, indent=2), file=sys.stderr)
-    return 0 if n_err == 0 else 3
-
-
 def _cmd_batch(args: argparse.Namespace) -> int:
     from .service import RoutingService, route_result_to_dict
 
-    if args.daemon and args.http:
-        raise ReproError("--daemon and --http are mutually exclusive")
-    if args.cluster and (args.daemon or args.http):
-        raise ReproError("--cluster routes locally; it excludes --daemon/--http")
+    if args.cluster and args.daemon:
+        raise ReproError("--cluster routes locally; it excludes --daemon")
     if args.daemon:
         return _cmd_batch_daemon(args)
-    if args.http:
-        return _cmd_batch_http(args)
 
     if args.cache_size <= 0:
         raise ReproError(f"--cache-size must be positive, got {args.cache_size}")
@@ -870,8 +813,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from .service import (
         AsyncRoutingService,
         ClusterTopology,
-        CostThresholdAdmission,
-        RoutingDaemon,
+        HttpRoutingServer,
         TopologyFileWatcher,
         configure_logging,
         get_logger,
@@ -885,8 +827,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         raise ReproError(f"--trace-slow must be >= 0, got {args.trace_slow}")
     if args.workers is not None and args.workers < 0:
         raise ReproError(f"--workers must be >= 0, got {args.workers}")
-    if args.shards <= 0:
-        raise ReproError(f"--shards must be positive, got {args.shards}")
     if args.max_concurrency <= 0:
         raise ReproError(
             f"--max-concurrency must be positive, got {args.max_concurrency}"
@@ -918,35 +858,30 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         raise ReproError(
             f"--max-queue-depth must be positive, got {args.max_queue_depth}"
         )
-    if args.max_body is not None:
-        if not args.http:
-            raise ReproError(
-                "--max-body applies to the HTTP transport; use it with --http"
-            )
-        if args.max_body <= 0:
-            raise ReproError(f"--max-body must be positive, got {args.max_body}")
+    if args.max_body is not None and args.max_body <= 0:
+        raise ReproError(f"--max-body must be positive, got {args.max_body}")
+    if args.min_cache_seconds < 0:
+        raise ReproError(
+            f"--min-cache-seconds must be >= 0, got {args.min_cache_seconds}"
+        )
 
     configure_logging(args.log_level, json_output=args.log_json)
     log = get_logger("repro.service.cli")
 
-    http_addr = _parse_host_port(args.http) if args.http else None
-    admission = (
-        CostThresholdAdmission(min_seconds=args.min_cache_seconds)
-        if args.min_cache_seconds > 0
-        else None
-    )
-    node_id = args.node_id
-    if node_id is None:
-        # A shard sits on the ring under the address its peers dial;
-        # default to this daemon's own listen address. Any socket/http
-        # daemon is therefore joinable at runtime (`repro topology
-        # join`) even when started with no peers. A --pipe daemon has
-        # no dialable address and stays out of cluster mode unless
-        # given an explicit --node-id.
-        if args.socket:
-            node_id = args.socket
-        elif http_addr is not None:
-            node_id = f"http://{http_addr[0]}:{http_addr[1]}"
+    if args.http:
+        host, port = _parse_host_port(args.http)
+        address = f"http://{host}:{port}"
+        listen: dict = {"host": host, "port": port}
+    else:
+        address = args.socket
+        listen = {"socket_path": args.socket}
+    if args.max_body is not None:
+        listen["max_body_bytes"] = args.max_body
+    # A shard sits on the ring under the address its peers dial; default
+    # to this daemon's own listen address. Every daemon is therefore
+    # joinable at runtime (`repro topology join`) even when started with
+    # no peers.
+    node_id = args.node_id if args.node_id is not None else address
 
     topology = None
     watcher = None
@@ -975,8 +910,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         default_timeout=args.timeout,
         cache_size=args.cache_size,
         cache_dir=args.cache_dir,
-        cache_shards=args.shards,
-        cache_admission=admission,
+        cache_min_cost=args.min_cache_seconds,
         max_workers=args.workers,
         verify=args.verify,
         cluster_peers=tuple(args.peer or ()),
@@ -1002,16 +936,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             PeerGossipTransport,
         )
 
-        cluster_topology = svc.service.cluster_topology
-        if node_id is None or cluster_topology is None:
-            raise ReproError(
-                "--gossip-interval needs a dialable ring identity: start "
-                "with --socket/--http (or an explicit --node-id)"
-            )
         gossip_transport = PeerGossipTransport()
         gossip_node = GossipNode(
             node_id,
-            cluster_topology,
+            svc.service.cluster_topology,
             gossip_transport,
             GossipConfig(
                 interval=args.gossip_interval,
@@ -1030,13 +958,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             },
         )
     if args.sweep_interval > 0:
-        from .service import ClusterScheduleCache
-
-        if not isinstance(svc.service.cache, ClusterScheduleCache):
-            raise ReproError(
-                "--sweep-interval needs cluster mode (start with --peer, "
-                "--topology-file, or a dialable node id)"
-            )
         svc.service.cache.start_sweeper(args.sweep_interval)
         log.info(
             "anti-entropy sweeper running",
@@ -1047,33 +968,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if watcher is not None:
         watcher.start()
     try:
-        if http_addr is not None:
-            from .service import HttpRoutingServer
-
-            host, port = http_addr
-            http_kwargs: dict = {}
-            if args.max_body is not None:
-                http_kwargs["max_body_bytes"] = args.max_body
-            server = HttpRoutingServer(
-                svc, host=host, port=port, on_reload=on_reload, **http_kwargs
-            )
-            log.info(
-                "repro daemon listening",
-                extra={"address": f"http://{host}:{port}", "transport": "http"},
-            )
-            asyncio.run(server.serve())
-            log.info("repro daemon stopped", extra={"transport": "http"})
-            return 0
-        daemon = RoutingDaemon(svc, on_reload=on_reload)
-        if args.pipe:
-            asyncio.run(daemon.serve_pipe())
-        else:
-            log.info(
-                "repro daemon listening",
-                extra={"address": args.socket, "transport": "ndjson"},
-            )
-            asyncio.run(daemon.serve_unix(args.socket))
-            log.info("repro daemon stopped", extra={"transport": "ndjson"})
+        server = HttpRoutingServer(svc, on_reload=on_reload, **listen)
+        log.info("repro daemon listening", extra={"address": address})
+        asyncio.run(server.serve())
+        log.info("repro daemon stopped", extra={"address": address})
         return 0
     finally:
         if gossip_runner is not None:

@@ -19,7 +19,6 @@ __all__ = [
     "TranspileError",
     "SimulationError",
     "ServiceClosedError",
-    "DaemonDisconnectedError",
     "ClusterShardError",
     "StaleEpochError",
     "AuthenticationError",
@@ -74,16 +73,6 @@ class ServiceClosedError(ReproError):
     restarting the pool) so misuse of the lifecycle is loud and
     unambiguous. ``close()`` itself stays idempotent — only *submission*
     after close raises.
-    """
-
-
-class DaemonDisconnectedError(ReproError):
-    """The daemon connection died mid-request (server gone or half-open).
-
-    Raised by :class:`~repro.service.daemon.DaemonClient` when a send
-    or receive hits a dead socket. The client drops the connection when
-    raising this, so the next call reconnects instead of writing into
-    the same dead socket forever.
     """
 
 

@@ -2,23 +2,21 @@
 
 The modules compose bottom-up — :mod:`~repro.service.keys` (canonical
 request fingerprints), :mod:`~repro.service.cache` (tiered LRU schedule
-cache), :mod:`~repro.service.sharding` (sharded, admission-controlled
-cache), :mod:`~repro.service.telemetry` (counters and latency
-histograms), :mod:`~repro.service.executor` (dedup + cache + process
-pool) — and :mod:`~repro.service.service` ties them into the
+cache with a cost threshold for admission),
+:mod:`~repro.service.telemetry` (counters and latency histograms),
+:mod:`~repro.service.executor` (dedup + cache + process pool) — and
+:mod:`~repro.service.service` ties them into the
 :class:`RoutingService` facade that the CLI's ``batch`` subcommand and
 the benchmarks drive. On top of the facade sit the always-on front
 ends: :mod:`~repro.service.aio` (:class:`AsyncRoutingService`, bounded
-concurrency + per-request timeouts), and — sharing one
-transport-agnostic dispatch surface, :mod:`~repro.service.handler` —
-the NDJSON daemon (:mod:`~repro.service.daemon`, ``repro serve`` over
-a UNIX socket or stdin/stdout) and the HTTP/JSON facade
-(:mod:`~repro.service.http`, ``repro serve --http``, including the
-Prometheus ``/metrics`` endpoint). Both transports are thin framing
-adapters over one request-lifecycle pipeline
-(:mod:`~repro.service.pipeline`, :class:`RequestPipeline`): every
-request flows decode → authenticate → admit → enqueue → execute →
-encode, with each stage traced and timed. The multi-tenant layer
+concurrency + per-request timeouts) and the one wire protocol, HTTP/1.1
+(:mod:`~repro.service.http`, ``repro serve --http HOST:PORT`` or
+``--socket PATH``, including the Prometheus ``/metrics`` endpoint).
+The transport is a thin framing adapter over one request-lifecycle
+pipeline (:mod:`~repro.service.pipeline`, :class:`RequestPipeline`,
+with the per-op implementations in :mod:`~repro.service.handler`):
+every request flows decode → authenticate → admit → enqueue → execute
+→ encode, with each stage traced and timed. The multi-tenant layer
 (:mod:`~repro.service.tenancy`) supplies API-key authentication
 (:class:`TenantRegistry`), token-bucket rate limiting
 (:class:`TokenBucket`), per-tenant quotas and weighted-fair queueing
@@ -32,13 +30,13 @@ stretches the cache across daemons: an epoch-versioned
 or the ``repro topology`` admin CLI) owns the membership, a
 consistent-hash ring (:class:`HashRing`) assigns each fingerprint
 digest to shard owners, :class:`RemoteShardClient` speaks the
-``cache_get``/``cache_put``/``cache_stats``/``topology_*`` ops over
-either transport, and :class:`ClusterScheduleCache` ties them into a
+``cache_get``/``cache_put``/``cache_stats``/``topology_*`` endpoints
+over a keep-alive HTTP connection, and :class:`ClusterScheduleCache` ties them into a
 replicated, failure-isolated cache tier with key-space handoff to
 newly joined shards (``repro serve --peer``).
 
 The cluster manages itself from there: :mod:`~repro.service.gossip`
-runs a SWIM-style failure detector over the same two transports
+runs a SWIM-style failure detector over the same HTTP endpoints
 (:class:`GossipNode` probes one member per round, falls back to
 indirect probes via proxies, declares suspects dead after a timeout
 and lets falsely accused nodes refute with incarnation numbers;
@@ -89,7 +87,6 @@ from .cluster import (
     TopologyView,
     parse_topology_doc,
 )
-from .daemon import DaemonClient, RoutingDaemon, wait_for_socket
 from .executor import BatchExecutor, RouteRequest, RouteResult
 from .gossip import (
     GossipConfig,
@@ -121,13 +118,6 @@ from .tenancy import (
     estimate_doc_cost,
     load_tenants_file,
     parse_tenants_doc,
-)
-from .sharding import (
-    AdmissionPolicy,
-    CostThresholdAdmission,
-    ShardedScheduleCache,
-    admit_all,
-    shard_index,
 )
 from .keys import (
     RequestKey,
@@ -171,11 +161,6 @@ __all__ = [
     "CacheStats",
     "LRUCache",
     "ScheduleCache",
-    "AdmissionPolicy",
-    "CostThresholdAdmission",
-    "ShardedScheduleCache",
-    "admit_all",
-    "shard_index",
     "HashRing",
     "ClusterTopology",
     "TopologyView",
@@ -199,14 +184,11 @@ __all__ = [
     "AutoscaleDecision",
     "ClusterObservation",
     "AsyncRoutingService",
-    "RoutingDaemon",
-    "DaemonClient",
     "RequestHandler",
     "ERROR_CODES",
     "render_prometheus",
     "request_from_doc",
     "transpile_request_from_doc",
-    "wait_for_socket",
     "HttpRoutingServer",
     "http_request",
     "wait_for_http",

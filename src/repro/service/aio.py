@@ -8,7 +8,7 @@ loop. Misses are shipped to the executor's worker pool with
 via ``asyncio.wrap_future`` (process pool) or the thread fallback
 (inline executors), instead of blocking on ``pool.map`` the way the
 sync facade does. That makes it the natural engine for the daemon
-(:mod:`repro.service.daemon`), where many client connections multiplex
+(:mod:`repro.service.http`), where many client connections multiplex
 onto one warm pool.
 
 Three service-y concerns are handled here rather than left to callers:
@@ -31,7 +31,7 @@ Three service-y concerns are handled here rather than left to callers:
 * **Dedup** — identical requests inside one batch are computed once,
   exactly like the sync executor (duplicates report ``source ==
   "dedup"``) — and identical *concurrent* route requests from
-  different callers (e.g. pipelined daemon connections) are
+  different callers (e.g. concurrent daemon connections) are
   single-flight coalesced onto one computation instead of racing the
   cache.
 

@@ -7,10 +7,13 @@ Two tiers:
   transpile outcomes (which hold circuit objects).
 * :class:`ScheduleCache` — an :class:`LRUCache` of
   :class:`~repro.routing.schedule.Schedule` values with an optional
-  persistent on-disk tier. Disk entries are binary
-  :mod:`repro.routing.codec` frames (``<digest>.rsc``), one file per
-  digest, so a warm cache survives process restarts and can be shipped
-  between machines. Files in any other format are never read.
+  persistent on-disk tier and a cost threshold for admission. Disk
+  entries are binary :mod:`repro.routing.codec` frames
+  (``<disk_dir>/<digest>.rsc``), one file per digest in one flat
+  directory, so a warm cache survives process restarts and can be
+  shipped between machines. Files in any other format or location
+  (such as the ``shard-<i>/`` subdirectories of older releases) are
+  never read.
 
 Concurrency notes: all state is guarded by one ``RLock`` per cache.
 Disk writes go through a temp-file + ``os.replace`` so a crashed writer
@@ -98,9 +101,9 @@ class LRUCache:
         """Insert/refresh an entry, evicting the LRU tail if over capacity.
 
         ``cost`` (seconds spent computing the value) is an admission
-        hint: ignored here, consulted by admission-controlled caches
-        such as :class:`~repro.service.sharding.ShardedScheduleCache`.
-        Accepted everywhere so callers can pass it unconditionally.
+        hint: ignored here, compared with ``min_cost`` by
+        :class:`ScheduleCache`. Accepted everywhere so callers can pass
+        it unconditionally.
         """
         with self._lock:
             if digest in self._data:
@@ -143,8 +146,8 @@ class LRUCache:
         """Counters plus capacity and occupancy, JSON-ready.
 
         The one stats-document shape every cache flavour extends
-        (sharded caches add per-shard breakdowns, cluster caches a
-        ``cluster`` section), so the service stats, the peer
+        (schedule caches add admission and disk fields, cluster caches
+        a ``cluster`` section), so the service stats, the peer
         ``cache_stats`` op and telemetry all agree on the base fields.
         """
         return {
@@ -165,13 +168,39 @@ class ScheduleCache(LRUCache):
         Directory for the persistent tier (created on demand). ``None``
         disables persistence. Each entry is ``<digest>.rsc`` holding a
         binary :func:`~repro.routing.codec.encode_schedule` frame.
+    min_cost:
+        Admission threshold in seconds: a ``put`` whose ``cost`` hint
+        is below it is not stored (recomputing such a schedule is
+        cheaper than the space it would take) and counts in
+        :attr:`rejected_puts`. A ``put`` without a cost is always
+        admitted, so an unmeasured schedule never silently disables
+        caching. The default ``0.0`` admits everything.
+
+    >>> from repro.graphs import GridGraph
+    >>> from repro.perm import random_permutation
+    >>> from repro.routing import route
+    >>> sched = route(GridGraph(3, 3), random_permutation(GridGraph(3, 3), seed=0))
+    >>> cache = ScheduleCache(maxsize=8, min_cost=1e-3)
+    >>> cache.put("cheap", sched, cost=1e-6)
+    >>> cache.put("dear", sched, cost=5.0)
+    >>> cache.put("unmeasured", sched)
+    >>> sorted(cache.keys()), cache.rejected_puts
+    (['dear', 'unmeasured'], 1)
     """
 
     def __init__(
-        self, maxsize: int = 4096, disk_dir: str | os.PathLike | None = None
+        self,
+        maxsize: int = 4096,
+        disk_dir: str | os.PathLike | None = None,
+        min_cost: float = 0.0,
     ) -> None:
+        if min_cost < 0:
+            raise ValueError(f"min_cost must be non-negative, got {min_cost}")
         super().__init__(maxsize)
         self.disk_dir = Path(disk_dir) if disk_dir is not None else None
+        self.min_cost = float(min_cost)
+        #: Puts refused because their cost was below :attr:`min_cost`.
+        self.rejected_puts = 0
 
     # ------------------------------------------------------------------
     # disk tier
@@ -248,7 +277,11 @@ class ScheduleCache(LRUCache):
         return schedule
 
     def put(self, digest: str, schedule: Schedule, cost: float | None = None) -> None:
-        """Store in memory and (if configured) on disk."""
+        """Store in memory and (if configured) on disk, unless too cheap."""
+        if cost is not None and cost < self.min_cost:
+            with self._lock:
+                self.rejected_puts += 1
+            return
         super().put(digest, schedule, cost=cost)
         self._disk_store(digest, schedule)
 
@@ -268,8 +301,9 @@ class ScheduleCache(LRUCache):
         return dropped
 
     def as_dict(self) -> dict[str, Any]:
-        """The LRU rollup plus the disk-tier location."""
+        """The LRU rollup plus ``rejected_puts`` and the disk-tier location."""
         return {
             **super().as_dict(),
+            "rejected_puts": self.rejected_puts,
             "disk_dir": str(self.disk_dir) if self.disk_dir else None,
         }

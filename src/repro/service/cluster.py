@@ -1,8 +1,7 @@
 """Multi-host cache sharding: consistent hashing + remote-shard protocol.
 
-:class:`~repro.service.sharding.ShardedScheduleCache` partitions one
-*process's* cache; this module partitions the cache across *daemons*.
-Routing results are pure functions of the canonical request fingerprint
+This module partitions the schedule cache across *daemons*. Routing
+results are pure functions of the canonical request fingerprint
 (:mod:`repro.service.keys`), so any daemon that has computed a schedule
 can serve it to every other daemon — the way tket-style routers
 amortize repeated passes over circuit families — as long as all of them
@@ -24,15 +23,14 @@ Four pieces provide that agreement:
   the same node ids, so ownership is a pure function of the digest; on
   membership change only ~1/n of the key space moves (see the
   hypothesis tests for the exact invariants).
-* :class:`RemoteShardClient` — a thin client for the ``cache_get`` /
-  ``cache_put`` / ``cache_stats`` / ``topology_get`` /
-  ``topology_update`` operations that
-  :class:`~repro.service.handler.RequestHandler` exposes on **both**
-  transports: the NDJSON daemon framing (address = UNIX-socket path)
-  and the HTTP facade (address = ``http://host:port``). Schedules ship
-  as base64-wrapped binary :mod:`repro.routing.codec` frames, and every
-  cache request carries the constant ``"codec": 1`` that older daemons
-  wait for before they send binary.
+* :class:`RemoteShardClient` — a thin keep-alive HTTP client for the
+  ``cache_get`` / ``cache_put`` / ``cache_stats`` / ``topology_get`` /
+  ``topology_update`` endpoints that every daemon serves, on a TCP
+  port (address = ``http://host:port``) or a UNIX socket (address =
+  the socket path). Schedules ship as base64-wrapped binary
+  :mod:`repro.routing.codec` frames, and every cache request carries
+  the constant ``"codec": 1`` that older daemons wait for before they
+  send binary.
 * :class:`ClusterScheduleCache` — the ``ScheduleCache`` drop-in that
   the service layer actually holds. ``get`` probes the local tier
   first, then the key's remote owners in ring order; ``put`` writes
@@ -63,24 +61,20 @@ import base64
 import binascii
 import bisect
 import hashlib
+import http.client
 import json
 import os
 import threading
 import time
+import urllib.parse
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Mapping, Protocol, Sequence
 
-from ..errors import (
-    ClusterShardError,
-    DaemonDisconnectedError,
-    ReproError,
-    StaleEpochError,
-)
+from ..errors import ClusterShardError, ReproError, StaleEpochError
 from ..routing.codec import CODEC_VERSION, decode_schedule, encode_schedule
 from ..routing.schedule import Schedule
 from .cache import CacheStats, ScheduleCache
 from .logging import get_logger
-from .sharding import ShardedScheduleCache
 from .tracing import current_traceparent, span
 
 __all__ = [
@@ -749,23 +743,24 @@ class ShardClient(Protocol):
 
 
 class RemoteShardClient:
-    """Speak the cache ops to a remote daemon, over either transport.
+    """Speak the cache ops to a remote daemon over HTTP.
 
     Parameters
     ----------
     address:
-        ``http://`` / ``https://`` base URLs use the HTTP facade
-        (``POST /v1/cache_get`` and friends); anything else is treated
-        as a UNIX-socket path and spoken NDJSON via
-        :class:`~repro.service.daemon.DaemonClient`.
+        ``http://HOST:PORT`` for a daemon on a TCP port, anything else
+        is the path of a daemon's UNIX socket (see
+        :func:`~repro.service.http.open_connection`).
     timeout:
         Per-operation transport timeout in seconds. Short by design
         (:data:`DEFAULT_SHARD_TIMEOUT`): a cache probe slower than this
         is worse than recomputing.
 
-    The client is thread-safe (one lock around the shared connection)
-    and reconnects transparently after a failure, which is what the
-    cluster cache's retry-after-cooldown loop relies on.
+    The client keeps one keep-alive connection, guarded by a lock, so it
+    is thread-safe and a probe pays no connection set-up. After a
+    failure the connection is dropped and the next call dials afresh,
+    which is what the cluster cache's retry-after-cooldown loop relies
+    on.
     """
 
     def __init__(self, address: str, timeout: float = DEFAULT_SHARD_TIMEOUT) -> None:
@@ -774,74 +769,97 @@ class RemoteShardClient:
         self.address = address
         self.timeout = float(timeout)
         self._lock = threading.Lock()
-        self._is_http = address.startswith(("http://", "https://"))
-        self._daemon: Any = None
-        if not self._is_http:
-            from .daemon import DaemonClient  # local import: avoids a cycle
-
-            self._daemon = DaemonClient(address, timeout=self.timeout)
+        self._conn: http.client.HTTPConnection | None = None
 
     # ------------------------------------------------------------------
     # transport
     # ------------------------------------------------------------------
-    def _request(self, doc: dict[str, Any]) -> dict[str, Any]:
-        # Propagate the caller's trace context across the hop: W3C
-        # ``traceparent`` header over HTTP, a ``trace`` field in the
-        # NDJSON request doc. The receiving daemon starts its own trace
-        # under the same trace id, parented on our current span.
-        traceparent = None if "trace" in doc else current_traceparent()
-        if self._is_http:
-            from .http import http_request  # local import: avoids a cycle
+    def _exchange(
+        self, method: str, path: str, body: bytes | None, headers: dict[str, str]
+    ) -> tuple[int, bytes]:
+        """One request on the kept connection (dialled on demand).
 
-            url = self.address.rstrip("/") + "/v1/" + str(doc["op"])
-            headers = {"traceparent": traceparent} if traceparent else None
-            status, body = http_request(
-                url, doc, timeout=self.timeout, headers=headers
-            )
-            if not isinstance(body, dict):
-                raise ClusterShardError(
-                    f"shard {self.address}: non-JSON response (status {status})"
-                )
-            return body
+        The caller holds the lock. Any failure drops the connection, so
+        the next exchange dials a fresh one.
+        """
+        if self._conn is None:
+            from .http import open_connection  # local import: avoids a cycle
+
+            self._conn = open_connection(self.address, self.timeout)
+        conn = self._conn
+        try:
+            conn.request(method, path, body=body, headers=headers)
+            resp = conn.getresponse()
+            data = resp.read()
+        except BaseException:
+            self._drop()
+            raise
+        if resp.will_close:
+            self._drop()
+        return resp.status, data
+
+    def _drop(self) -> None:
+        if self._conn is not None:
+            self._conn.close()
+            self._conn = None
+
+    def _request(
+        self, method: str, path: str, doc: Mapping[str, Any] | None = None
+    ) -> dict[str, Any]:
+        """One call: ``(method, path, JSON body)`` -> the JSON response.
+
+        Propagates the caller's trace context as a W3C ``traceparent``
+        header; the receiving daemon starts its own trace under the
+        same trace id, parented on our current span.
+
+        A peer may close a keep-alive connection while it sits idle
+        between two calls. That is not a dead shard, so a call on a
+        reused connection that finds it closed is sent once more on a
+        fresh one before the breaker trips. ``topology_update`` is never
+        re-sent: its lost response may mean the update already applied,
+        and a second send would turn that success into a spurious
+        compare-and-set failure.
+        """
+        headers = {"Accept": "application/json"}
+        body = None
+        if doc is not None:
+            body = json.dumps(dict(doc)).encode("utf-8")
+            headers["Content-Type"] = "application/json"
+        traceparent = current_traceparent()
         if traceparent is not None:
-            doc = {**doc, "trace": traceparent}
+            headers["traceparent"] = traceparent
         with self._lock:
+            reused = self._conn is not None
             try:
-                return self._daemon.request(doc)
-            except DaemonDisconnectedError:
-                # A half-open socket — the peer idle-closed (or was
-                # restarted) between two requests — is not a dead shard.
-                # The client has already dropped the connection, so one
-                # fresh-connection retry distinguishes "connection aged
-                # out" from "node down" before the breaker trips. Only
-                # idempotent ops retry: a topology_update whose response
-                # was eaten may already be applied, and re-sending it
-                # would turn success into a spurious CAS failure.
-                if doc.get("op") == "topology_update":
-                    raise
                 try:
-                    return self._daemon.request(doc)
-                except ReproError:
-                    raise
-                except (OSError, ValueError) as exc:
-                    self._daemon.close()
-                    raise ClusterShardError(f"shard {self.address}: {exc}") from exc
-            except ReproError:
-                raise
-            except (OSError, ValueError) as exc:
-                # ValueError covers json.JSONDecodeError: a garbled line
-                # (wrong service on the path, version skew, truncation)
-                # must degrade like any other shard failure, and the
-                # half-parsed connection cannot be trusted for the next
-                # request either.
-                self._daemon.close()
+                    status, data = self._exchange(method, path, body, headers)
+                except ConnectionError:
+                    if not reused or path == "/v1/topology_update":
+                        raise
+                    status, data = self._exchange(method, path, body, headers)
+            except (ReproError, OSError, http.client.HTTPException) as exc:
                 raise ClusterShardError(f"shard {self.address}: {exc}") from exc
+        try:
+            resp = json.loads(data)
+        except ValueError:
+            resp = None
+        if not isinstance(resp, dict):
+            # Wrong service on the address, version skew or truncation:
+            # degrade like any other shard failure.
+            raise ClusterShardError(
+                f"shard {self.address}: non-JSON response (status {status})"
+            )
+        return resp
 
-    def _checked(self, doc: dict[str, Any]) -> dict[str, Any]:
-        resp = self._request(doc)
+    def _checked(
+        self, op: str, doc: Mapping[str, Any] | None = None, method: str = "POST"
+    ) -> dict[str, Any]:
+        """Call ``POST /v1/<op>`` (or ``method`` on an absolute path)."""
+        path = op if op.startswith("/") else f"/v1/{op}"
+        resp = self._request(method, path, doc)
         if not resp.get("ok"):
             raise ClusterShardError(
-                f"shard {self.address} refused {doc.get('op')}: "
+                f"shard {self.address} refused {op}: "
                 f"{resp.get('code')}: {resp.get('error')}"
             )
         return resp
@@ -850,16 +868,9 @@ class RemoteShardClient:
     # the ShardClient surface
     # ------------------------------------------------------------------
     def ping(self) -> bool:
-        """Whether the shard answers at all (never raises)."""
+        """Whether the shard answers ``GET /healthz`` (never raises)."""
         try:
-            if self._is_http:
-                from .http import http_request  # local import: avoids a cycle
-
-                status, body = http_request(
-                    self.address.rstrip("/") + "/healthz", timeout=self.timeout
-                )
-                return status == 200 and isinstance(body, dict) and bool(body.get("ok"))
-            return bool(self._request({"op": "ping"}).get("ok"))
+            return bool(self._request("GET", "/healthz").get("ok"))
         except ReproError:
             return False
 
@@ -881,9 +892,7 @@ class RemoteShardClient:
         ClusterShardError
             On transport failure or a refused/malformed response.
         """
-        resp = self._checked(
-            {"op": "cache_get", "digest": digest, "codec": CODEC_VERSION}
-        )
+        resp = self._checked("cache_get", {"digest": digest, "codec": CODEC_VERSION})
         if not resp.get("found"):
             return None
         try:
@@ -911,14 +920,13 @@ class RemoteShardClient:
         """
         frame = encode_schedule(schedule)
         doc: dict[str, Any] = {
-            "op": "cache_put",
             "digest": digest,
             "codec": CODEC_VERSION,
             "schedule_b64": base64.b64encode(frame).decode("ascii"),
         }
         if cost is not None:
             doc["cost"] = float(cost)
-        return bool(self._checked(doc).get("stored"))
+        return bool(self._checked("cache_put", doc).get("stored"))
 
     def cache_stats(self) -> dict[str, Any]:
         """The shard's local cache-stats document.
@@ -928,7 +936,7 @@ class RemoteShardClient:
         ClusterShardError
             On transport failure or a refused response.
         """
-        return dict(self._checked({"op": "cache_stats"}).get("stats") or {})
+        return dict(self._checked("cache_stats").get("stats") or {})
 
     def topology_get(self) -> dict[str, Any]:
         """The daemon's current topology document (epoch + members).
@@ -939,7 +947,7 @@ class RemoteShardClient:
             On transport failure, a refused response, or a daemon
             running without cluster mode.
         """
-        topo = self._checked({"op": "topology_get"}).get("topology")
+        topo = self._checked("topology_get").get("topology")
         if not isinstance(topo, Mapping):
             raise ClusterShardError(
                 f"shard {self.address} returned a malformed topology document"
@@ -960,7 +968,7 @@ class RemoteShardClient:
             ``stale_epoch`` compare-and-set race — the refusing code is
             embedded in the message).
         """
-        resp = self._checked({**dict(doc), "op": "topology_update"})
+        resp = self._checked("topology_update", doc)
         return dict(resp.get("topology") or {})
 
     def gossip(self, doc: Mapping[str, Any]) -> dict[str, Any]:
@@ -977,7 +985,7 @@ class RemoteShardClient:
             On transport failure or a refused response (including a
             daemon running without ``--gossip-interval``).
         """
-        return self._checked({**dict(doc), "op": "gossip"})
+        return self._checked("gossip", doc)
 
     def service_stats(self) -> dict[str, Any]:
         """The daemon's full ``stats`` document (caches + telemetry).
@@ -991,7 +999,7 @@ class RemoteShardClient:
         ClusterShardError
             On transport failure or a refused response.
         """
-        return dict(self._checked({"op": "stats"}).get("stats") or {})
+        return dict(self._checked("/stats", method="GET").get("stats") or {})
 
     def trace_get(
         self,
@@ -1013,21 +1021,23 @@ class RemoteShardClient:
             On transport failure or a refused response (including a
             daemon running with tracing disabled).
         """
-        doc: dict[str, Any] = {"op": "trace_get"}
+        query: dict[str, Any] = {}
         if trace_id is not None:
-            doc["trace_id"] = trace_id
+            query["id"] = trace_id
         if limit is not None:
-            doc["limit"] = int(limit)
+            query["limit"] = int(limit)
         if min_seconds is not None:
-            doc["min_seconds"] = float(min_seconds)
-        traces = self._checked(doc).get("traces")
+            query["min_seconds"] = float(min_seconds)
+        path = "/v1/traces"
+        if query:
+            path += "?" + urllib.parse.urlencode(query)
+        traces = self._checked(path, method="GET").get("traces")
         return list(traces) if isinstance(traces, list) else []
 
     def close(self) -> None:
-        """Close the underlying connection (HTTP clients are stateless)."""
-        if self._daemon is not None:
-            with self._lock:
-                self._daemon.close()
+        """Close the kept connection; the next call dials a new one."""
+        with self._lock:
+            self._drop()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"RemoteShardClient({self.address!r})"
@@ -1039,8 +1049,7 @@ class InProcessShardClient:
     Lets tests and :mod:`examples.cluster_demo` build a multi-node ring
     without sockets: each "node" is just another cache instance. Pass
     the *local tier* of the other node (a
-    :class:`~repro.service.cache.ScheduleCache` or
-    :class:`~repro.service.sharding.ShardedScheduleCache`); passing a
+    :class:`~repro.service.cache.ScheduleCache`); passing a
     :class:`ClusterScheduleCache` automatically unwraps to its local
     tier so two nodes pointing at each other can never recurse.
     """
@@ -1194,8 +1203,7 @@ class ClusterScheduleCache:
     Parameters
     ----------
     local:
-        The local cache tier (:class:`~repro.service.cache.ScheduleCache`
-        or :class:`~repro.service.sharding.ShardedScheduleCache`).
+        The local cache tier (a :class:`~repro.service.cache.ScheduleCache`).
     peers:
         Optional mapping of node id -> pre-wired :class:`ShardClient`
         (in-process rings, tests). When no ``topology`` is passed,
@@ -1245,7 +1253,7 @@ class ClusterScheduleCache:
 
     def __init__(
         self,
-        local: ScheduleCache | ShardedScheduleCache,
+        local: ScheduleCache,
         peers: Mapping[str, ShardClient] | None = None,
         node_id: str | None = None,
         replication: int = 2,
@@ -1836,7 +1844,7 @@ class ClusterScheduleCache:
     def as_dict(self) -> dict[str, Any]:
         """Local-tier stats plus the ``cluster`` section, JSON-ready.
 
-        The shape extends the sharded cache's ``as_dict``: callers (the
+        The shape extends the local tier's ``as_dict``: callers (the
         stats document, Prometheus rendering) read the usual cache
         counters at the top level and cluster telemetry under
         ``"cluster"``. Involves no network I/O — peer stats are their

@@ -51,7 +51,6 @@ from ..routing.schedule import Schedule
 from .cache import ScheduleCache
 from .cluster import ClusterScheduleCache
 from .keys import RequestKey, graph_from_spec, graph_spec, request_key
-from .sharding import ShardedScheduleCache
 from .telemetry import Telemetry
 
 __all__ = [
@@ -191,7 +190,7 @@ class BatchExecutor:
 
     def __init__(
         self,
-        cache: ScheduleCache | ShardedScheduleCache | ClusterScheduleCache | None = None,
+        cache: ScheduleCache | ClusterScheduleCache | None = None,
         max_workers: int | None = 1,
         telemetry: Telemetry | None = None,
         verify: bool = False,

@@ -37,8 +37,8 @@ adapted to this codebase's synchronous request/reply transports:
 
 Because the protocol is timer- and randomness-driven, everything above
 is written against an injectable clock, RNG and transport. Production
-wires :class:`PeerGossipTransport` (the ``gossip`` op over NDJSON or
-HTTP via :class:`~repro.service.cluster.RemoteShardClient`) and drives
+wires :class:`PeerGossipTransport` (``POST /v1/gossip`` via
+:class:`~repro.service.cluster.RemoteShardClient`) and drives
 ticks from a :class:`GossipRunner` thread (``repro serve
 --gossip-interval``). Tests instead build a :class:`SimNetwork`: a
 virtual clock, per-node seeded RNGs and per-link fault rules (drop
@@ -155,11 +155,11 @@ class GossipTransport(Protocol):
 
 
 class PeerGossipTransport:
-    """The production transport: the ``gossip`` op over either protocol.
+    """The production transport: ``POST /v1/gossip`` to each peer.
 
     Lazily keeps one :class:`~repro.service.cluster.RemoteShardClient`
     per peer address (UNIX socket path or ``http://`` base URL) and
-    reuses its connection across rounds. :meth:`forget` drops a
+    reuses its keep-alive connection across rounds. :meth:`forget` drops a
     departed peer's client — :class:`GossipNode` calls it from its
     topology subscription so dead members do not leak connections.
     """

@@ -1,18 +1,16 @@
-"""Transport-agnostic request handling shared by every service front end.
+"""The per-op request implementations behind the HTTP transport.
 
-The NDJSON daemon (:mod:`repro.service.daemon`) and the HTTP facade
-(:mod:`repro.service.http`) accept the same JSON request documents and
-must answer with the same response documents — the only thing that
-differs is the framing (one line per request vs. an HTTP message). The
+The HTTP transport (:mod:`repro.service.http`) accepts JSON request
+documents and answers with JSON response documents. The
 :class:`RequestHandler` owns the per-op *implementations* — document
 validation, the op methods driving an
 :class:`~repro.service.aio.AsyncRoutingService`, error isolation, and
-the stable machine-readable error codes both transports expose. The
+the stable machine-readable error codes the daemon exposes. The
 request *lifecycle* around those ops — decode, authenticate, admit,
 enqueue, execute, encode — lives in exactly one place, the
 :class:`~repro.service.pipeline.RequestPipeline`;
-:meth:`RequestHandler.dispatch` delegates there, so existing callers
-keep working while both transports share one path.
+:meth:`RequestHandler.dispatch` delegates there, so in-process callers
+run the same path as the transport.
 
 Error codes (the ``"code"`` field on ``"ok": false`` responses):
 
@@ -57,7 +55,7 @@ topology`` scales a live ring without restarts.
 
 This module also renders the service's :meth:`stats` document as
 Prometheus text exposition format (:func:`render_prometheus`) for the
-HTTP ``/metrics`` endpoint and the NDJSON ``metrics`` op.
+HTTP ``/metrics`` endpoint.
 """
 
 from __future__ import annotations
@@ -285,14 +283,6 @@ class RequestHandler:
             pipeline = self._pipeline = RequestPipeline(self.service, handler=self)
         return pipeline
 
-    async def dispatch_line(self, line: str | bytes) -> dict[str, Any]:
-        """One raw request line -> one response document (never raises).
-
-        Delegates to
-        :meth:`~repro.service.pipeline.RequestPipeline.process_line`.
-        """
-        return await self._get_pipeline().process_line(line)
-
     async def dispatch(self, doc: dict[str, Any]) -> dict[str, Any]:
         """Dispatch one request document by ``op`` (default ``route``).
 
@@ -300,10 +290,9 @@ class RequestHandler:
         :meth:`~repro.service.pipeline.RequestPipeline.process` — the
         full decode → authenticate → admit → enqueue → execute → encode
         lifecycle. Work ops (:data:`TRACED_OPS`) run under a root span
-        named ``handler.<op>``; a ``trace`` field carrying a W3C
-        ``traceparent`` joins the request to the caller's trace (the
-        cross-daemon hop), and the response echoes the ``trace_id`` so
-        clients can fetch the finished trace via ``trace_get``.
+        named ``handler.<op>``, and the response echoes the
+        ``trace_id`` so clients can fetch the finished trace via
+        ``trace_get``.
         """
         return await self._get_pipeline().process(doc)
 
@@ -680,7 +669,7 @@ _CACHE_COUNTER_FIELDS = (
     "disk_errors",
     "rejected_puts",
 )
-_CACHE_GAUGE_FIELDS = ("entries", "maxsize", "hit_rate", "n_shards")
+_CACHE_GAUGE_FIELDS = ("entries", "maxsize", "hit_rate")
 
 _CLUSTER_COUNTER_FIELDS = (
     "remote_hits",
@@ -826,18 +815,6 @@ def render_prometheus(stats: Mapping[str, Any]) -> str:
             if fld in cache:
                 lines.append(f"# TYPE {prefix}_{fld} gauge")
                 lines.append(f"{prefix}_{fld} {cache[fld]}")
-        # Per-shard disk errors, labeled, so one failing shard's disk
-        # tier is visible instead of drowned in the rollup sum.
-        shards = cache.get("shards")
-        if isinstance(shards, list) and shards:
-            lines.append(f"# TYPE {prefix}_shard_disk_errors_total counter")
-            for shard in shards:
-                if isinstance(shard, Mapping) and "disk_errors" in shard:
-                    lines.append(
-                        f"{prefix}_shard_disk_errors_total"
-                        f'{{shard="{shard.get("shard")}"}} '
-                        f'{shard["disk_errors"]}'
-                    )
 
     cluster = (stats.get("schedule_cache") or {}).get("cluster") or {}
     if cluster:

@@ -6,7 +6,7 @@ daemon's ad-hoc stderr prints. :func:`configure_logging` (called by
 single stream handler; with ``--log-json`` every line is one JSON
 object whose schema is stable for log shippers::
 
-    {"ts": 1717..., "level": "INFO", "logger": "repro.service.daemon",
+    {"ts": 1717..., "level": "INFO", "logger": "repro.service.cli",
      "message": "...", "trace_id": "...", "span_id": "...", ...}
 
 The ``trace_id`` / ``span_id`` correlation fields are filled from the

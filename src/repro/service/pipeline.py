@@ -1,8 +1,7 @@
 """The transport-agnostic request-lifecycle pipeline.
 
-Every request that reaches the service — over the NDJSON daemon
-(:mod:`repro.service.daemon`), the HTTP facade
-(:mod:`repro.service.http`), or a direct
+Every request that reaches the service — over the HTTP transport
+(:mod:`repro.service.http`, on a TCP port or a UNIX socket) or a direct
 :meth:`~repro.service.handler.RequestHandler.dispatch` call — runs the
 same ordered stages, implemented exactly once here:
 
@@ -11,9 +10,10 @@ same ordered stages, implemented exactly once here:
 * **decode** — bytes to a request document (the transport does the
   framing; the pipeline records the timing as a ``pipeline.decode``
   span and stage metric so decode cost is visible per trace).
-* **authenticate** — API key to :class:`~repro.service.tenancy.Tenant`
-  via the :class:`~repro.service.tenancy.TenantRegistry`. Work ops
-  only; introspection and the cluster peer protocol run as the system
+* **authenticate** — API key (the ``Authorization: Bearer`` or
+  ``X-API-Key`` header) to :class:`~repro.service.tenancy.Tenant` via
+  the :class:`~repro.service.tenancy.TenantRegistry`. Work ops only;
+  introspection and the cluster peer protocol run as the system
   tenant so health probes and peers are never locked out.
 * **admit** — load shedding and rate limiting: the global and
   per-tenant queue-depth bounds and the tenant's token bucket, all
@@ -23,9 +23,8 @@ same ordered stages, implemented exactly once here:
 * **enqueue** — the wait for a weighted-fair scheduler slot, emitted by
   :class:`~repro.service.tenancy.FairScheduler` as the
   ``pipeline.enqueue`` span while the execute stage runs the op.
-* **execute** — the op dispatch itself (previously duplicated between
-  the two transports), with the tenant bound into the execution
-  context so the async facade schedules it fairly.
+* **execute** — the op dispatch itself, with the tenant bound into the
+  execution context so the async facade schedules it fairly.
 * **encode** — outcome accounting (``tenant_requests`` labeled
   counters, the registry's per-tenant outcome counts), trace-id echo
   and error finalization.
@@ -34,9 +33,9 @@ Each stage emits a trace span named ``pipeline.<stage>`` and a latency
 histogram under the same name; the root span keeps the historical
 ``handler.<op>`` name so existing trace tooling and dashboards keep
 working. :meth:`RequestPipeline.process_http` additionally owns the
-HTTP endpoint table (URL → op document), so neither transport contains
-any op dispatch or error mapping — ``daemon.py`` and ``http.py`` are
-pure framing, which CI lint-guards.
+HTTP endpoint table (URL → op document), so the transport contains no
+op dispatch or error mapping — ``http.py`` is pure framing, which CI
+lint-guards.
 
 Stable error codes added by the pipeline on top of the handler's table:
 ``unauthorized`` (HTTP 401 — no or unknown API key while tenancy is
@@ -143,9 +142,8 @@ class RequestPipeline:
 
     Wraps an :class:`AsyncRoutingService` (and its
     :class:`~repro.service.tenancy.TenantRegistry` and
-    :class:`~repro.service.tenancy.FairScheduler`); the transports call
-    :meth:`process_line` (NDJSON) or :meth:`process_http` (HTTP) and
-    write the answer — nothing else.
+    :class:`~repro.service.tenancy.FairScheduler`); the transport calls
+    :meth:`process_http` and writes the answer — nothing else.
     """
 
     def __init__(
@@ -164,30 +162,6 @@ class RequestPipeline:
         return self.service.telemetry
 
     # ------------------------------------------------------------------
-    # NDJSON entry point
-    # ------------------------------------------------------------------
-    async def process_line(
-        self, line: str | bytes, api_key: str | None = None
-    ) -> dict[str, Any]:
-        """One raw request line -> one response document (never raises).
-
-        The JSON decode *is* the decode stage for this framing; its
-        timing is threaded into :meth:`process` so it shows up as the
-        ``pipeline.decode`` span and stage metric.
-        """
-        t0 = time.perf_counter()
-        try:
-            doc = json.loads(line)
-            if not isinstance(doc, dict):
-                raise ValueError("expected a JSON object")
-        except (ValueError, UnicodeDecodeError) as exc:
-            self.telemetry.observe("pipeline.decode", time.perf_counter() - t0)
-            return error_doc("bad_json", f"bad request: {exc}")
-        return await self.process(
-            doc, api_key=api_key, decode_seconds=time.perf_counter() - t0
-        )
-
-    # ------------------------------------------------------------------
     # the lifecycle
     # ------------------------------------------------------------------
     async def process(
@@ -195,6 +169,7 @@ class RequestPipeline:
         doc: dict[str, Any],
         *,
         api_key: str | None = None,
+        traceparent: str | None = None,
         decode_seconds: float = 0.0,
     ) -> dict[str, Any]:
         """Run one request document through every lifecycle stage.
@@ -202,20 +177,20 @@ class RequestPipeline:
         Never raises (failures come back as ``"ok": false`` documents
         with a stable ``code``), except ``asyncio.CancelledError``,
         which propagates so transports can tear connections down
-        cleanly. Work ops run under a root trace span named
-        ``handler.<op>`` with the tenant in its attributes; a ``trace``
-        field carrying a W3C ``traceparent`` joins the caller's trace.
+        cleanly. ``api_key`` and ``traceparent`` come from the request
+        headers. Work ops run under a root trace span named
+        ``handler.<op>`` with the tenant in its attributes; a W3C
+        ``traceparent`` joins the caller's trace.
         """
         op = doc.get("op", "route")
         buffer = self.handler.traces if op in TRACED_OPS else None
-        traceparent = doc.get("trace")
         tel = self.telemetry
         tenant = SYSTEM_TENANT
         outcome = "admitted"
         with start_trace(
             f"handler.{op}",
             buffer,
-            traceparent=traceparent if isinstance(traceparent, str) else None,
+            traceparent=traceparent,
             node_id=self.handler.node_id(),
             op=str(op),
         ) as root:
@@ -229,7 +204,7 @@ class RequestPipeline:
             try:
                 t0 = time.perf_counter()
                 with span("pipeline.authenticate") as asp:
-                    tenant = self._authenticate(doc, api_key, op)
+                    tenant = self._authenticate(api_key, op)
                     asp.set("tenant", tenant.name)
                 tel.observe("pipeline.authenticate", time.perf_counter() - t0)
                 root.set("tenant", tenant.name)
@@ -289,32 +264,21 @@ class RequestPipeline:
     # ------------------------------------------------------------------
     # stages
     # ------------------------------------------------------------------
-    def _authenticate(
-        self, doc: Mapping[str, Any], api_key: str | None, op: Any
-    ) -> Tenant:
-        """The authenticate stage: request -> :class:`Tenant`.
+    def _authenticate(self, api_key: str | None, op: Any) -> Tenant:
+        """The authenticate stage: API key -> :class:`Tenant`.
 
-        Work ops resolve through the registry — a ``api_key`` field in
-        the document wins over the transport-supplied key (the HTTP
-        ``Authorization`` / ``X-API-Key`` headers). Non-work ops run as
-        the system tenant.
+        Work ops resolve the key through the registry; non-work ops run
+        as the system tenant.
 
         Raises
         ------
         AuthenticationError
             When the registry is enforced and the key is missing or
             unknown (the ``unauthorized`` code).
-        ReproError
-            When ``api_key`` is present but not a string.
         """
         if op not in WORK_OPS:
             return SYSTEM_TENANT
-        key = doc.get("api_key")
-        if key is None:
-            key = api_key
-        elif not isinstance(key, str):
-            raise ReproError("'api_key' must be a string")
-        return self.tenants.authenticate(key or None)
+        return self.tenants.authenticate(api_key or None)
 
     def _admit(self, tenant: Tenant, doc: Mapping[str, Any], op: Any) -> None:
         """The admit stage: load shedding and rate limiting.
@@ -374,8 +338,8 @@ class RequestPipeline:
     async def _execute(self, op: Any, doc: dict[str, Any]) -> dict[str, Any]:
         """The execute stage: the op dispatch table (default ``route``).
 
-        This is the single dispatch surface both transports share; the
-        per-op implementations live on :class:`RequestHandler`.
+        This is the single dispatch surface; the per-op implementations
+        live on :class:`RequestHandler`.
         """
         handler = self.handler
         if op == "ping":
@@ -563,8 +527,9 @@ class RequestPipeline:
             return HttpResponse(400, err)
         assert doc is not None
         resp = await self.process(
-            self._with_trace({**doc, "op": op}, headers),
+            {**doc, "op": op},
             api_key=api_key,
+            traceparent=headers.get("traceparent") or None,
             decode_seconds=decode_seconds,
         )
         return self._doc_response(resp)
@@ -589,19 +554,6 @@ class RequestPipeline:
             if key:
                 return key
         return headers.get("x-api-key") or None
-
-    @staticmethod
-    def _with_trace(doc: dict[str, Any], headers: Mapping[str, str]) -> dict[str, Any]:
-        """Copy an inbound ``traceparent`` header into the op document.
-
-        The pipeline reads trace context uniformly from ``doc["trace"]``
-        on both transports; an explicit ``trace`` field in the body
-        wins over the header.
-        """
-        traceparent = headers.get("traceparent")
-        if traceparent and "trace" not in doc:
-            return {**doc, "trace": traceparent}
-        return doc
 
     def _method_not_allowed(self, method: str, path: str) -> HttpResponse:
         return HttpResponse(

@@ -48,7 +48,6 @@ from .executor import (
     RouteResult,
     record_stage_telemetry,
 )
-from .sharding import AdmissionPolicy, ShardedScheduleCache
 from .keys import (
     _h,
     graph_fingerprint,
@@ -241,24 +240,17 @@ class RoutingService:
     cache_dir:
         Directory for the persistent schedule-cache tier; ``None``
         keeps the cache memory-only.
-    cache_shards:
-        Number of independently-locked schedule-cache shards. The
-        default ``1`` keeps the plain tiered cache; ``> 1`` switches to
-        a :class:`~repro.service.sharding.ShardedScheduleCache`
-        partitioned by fingerprint prefix (recommended for the async
-        front end and the daemon, where many requests probe the cache
-        concurrently).
-    cache_admission:
-        Optional :data:`~repro.service.sharding.AdmissionPolicy`
-        deciding which computed schedules are worth caching (e.g.
-        :class:`~repro.service.sharding.CostThresholdAdmission` to skip
-        trivially cheap instances). Requires ``cache_shards >= 1``; the
-        policy implies the sharded cache even when ``cache_shards`` is 1.
+    cache_min_cost:
+        Admission threshold in seconds: schedules computed faster than
+        this are not cached (``repro serve --min-cache-seconds``; see
+        :class:`~repro.service.cache.ScheduleCache`). The default
+        ``0.0`` caches everything.
     cluster_peers:
         Addresses of peer daemons sharing one logical cache (UNIX
-        socket paths or ``http://host:port`` base URLs). Sugar for an
-        initial :class:`~repro.service.cluster.ClusterTopology` of the
-        peers plus ``cluster_node_id``; the cache is wrapped in a
+        socket paths or ``http://host:port`` base URLs, both speaking
+        HTTP). Sugar for an initial
+        :class:`~repro.service.cluster.ClusterTopology` of the peers
+        plus ``cluster_node_id``; the cache is wrapped in a
         :class:`~repro.service.cluster.ClusterScheduleCache` observing
         that topology.
     cluster_node_id:
@@ -321,8 +313,7 @@ class RoutingService:
         max_workers: int | None = 1,
         default_router: str = "local",
         verify: bool = False,
-        cache_shards: int = 1,
-        cache_admission: "AdmissionPolicy | None" = None,
+        cache_min_cost: float = 0.0,
         cluster_peers: Sequence[str] = (),
         cluster_node_id: str | None = None,
         cluster_replication: int = 2,
@@ -346,16 +337,9 @@ class RoutingService:
             if trace_buffer > 0
             else None
         )
-        cache: ScheduleCache | ShardedScheduleCache | ClusterScheduleCache
-        if cache_shards > 1 or cache_admission is not None:
-            cache = ShardedScheduleCache(
-                maxsize=cache_size,
-                n_shards=cache_shards,
-                disk_dir=cache_dir,
-                admission=cache_admission,
-            )
-        else:
-            cache = ScheduleCache(maxsize=cache_size, disk_dir=cache_dir)
+        cache: ScheduleCache | ClusterScheduleCache = ScheduleCache(
+            maxsize=cache_size, disk_dir=cache_dir, min_cost=cache_min_cost
+        )
         #: The epoch-versioned ring membership this service observes
         #: (``None`` when cluster mode is off). The handler's
         #: ``topology_get`` / ``topology_update`` ops and the
@@ -602,10 +586,7 @@ class RoutingService:
     def stats(self) -> dict[str, Any]:
         """Cache counters, telemetry and configuration, JSON-ready.
 
-        With a sharded schedule cache the ``schedule_cache`` section
-        additionally carries ``n_shards``, ``rejected_puts``, a
-        per-shard breakdown under ``shards`` and a
-        ``disk_errors_by_shard`` map; with a cluster cache it carries a
+        With a cluster cache the ``schedule_cache`` section carries a
         ``cluster`` section (ring membership, per-node health, remote
         hit/miss/repair counters).
         """

@@ -25,10 +25,9 @@ blind. This module owns everything tenant-shaped:
   regardless of how fast it submits. This replaces the plain
   semaphore-plus-FIFO the async facade used to run.
 
-Request cost is the same estimate the cache admission policy
-(:class:`~repro.service.sharding.CostThresholdAdmission`) keys on —
-grid size — normalized by :func:`estimate_cost` so the WFQ tags and
-token-bucket charges reflect compute weight, not request count.
+Request cost is grid size, normalized by :func:`estimate_cost` so the
+WFQ tags and token-bucket charges reflect compute weight, not request
+count.
 
 See ``docs/OPERATIONS.md`` ("Tenancy and overload") for the tenants
 file format and the operational knobs.
@@ -73,10 +72,8 @@ def estimate_cost(n_vertices: int) -> float:
 
     Grid routing does ``O(n)`` work per layer over ``O(sqrt(n))``-deep
     schedules, so cost scales ~``n**1.5``; the value is normalized so a
-    4x4 grid (16 vertices) costs ``1.0``. This is the same cost signal
-    the :class:`~repro.service.sharding.CostThresholdAdmission` cache
-    policy thresholds on, reused as the weighted-fair-queueing tag and
-    the token-bucket charge.
+    4x4 grid (16 vertices) costs ``1.0``. It is the weighted-fair-
+    queueing tag and the token-bucket charge.
     """
     n = max(1, int(n_vertices))
     return (n / _REFERENCE_VERTICES) ** 1.5

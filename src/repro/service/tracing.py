@@ -7,13 +7,13 @@ cache tiers, executor queue wait, pool compute, remote shard hops, the
 routing algorithm's own phases — wraps itself in :func:`span`. Spans
 carry monotonic timestamps, a status, and free-form key/value
 attributes; finished traces land in a bounded in-memory
-:class:`TraceBuffer` queryable over every transport (``GET /v1/traces``
-and the ``trace_get`` NDJSON op) and renderable with ``repro trace``.
+:class:`TraceBuffer` queryable over HTTP (``GET /v1/traces``) and
+renderable with ``repro trace``.
 
 Propagation is by value, not by baggage: :func:`current_traceparent`
 yields a ``00-<trace-id>-<span-id>-01`` string naming the active span,
-the remote client attaches it (HTTP header / NDJSON ``trace`` field),
-and the receiving handler starts its *own* trace whose root span is
+the remote client attaches it as the HTTP ``traceparent`` header, and
+the receiving handler starts its *own* trace whose root span is
 parented on the caller's span id. Each node therefore buffers only the
 spans it recorded; a cross-node span tree is reassembled by fetching
 the same trace id from every node and merging on parent links (what

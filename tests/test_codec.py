@@ -311,11 +311,12 @@ class _OlderPeer(RemoteShardClient):
         self.store: dict[str, bytes] = {}
         self.seen: list[dict] = []
 
-    def _request(self, doc: dict) -> dict:
+    def _request(self, method: str, path: str, doc: dict | None = None) -> dict:
+        doc = dict(doc or {})
         self.seen.append(doc)
         binary = self.codec_aware and doc.get("codec") == 1
         resp = {"ok": True, "codec": 1} if self.codec_aware else {"ok": True}
-        if doc["op"] == "cache_put":
+        if path == "/v1/cache_put":
             if not binary:
                 return {"ok": False, "code": "bad_request", "error": "no schedule"}
             self.store[doc["digest"]] = base64.b64decode(doc["schedule_b64"])

@@ -25,10 +25,10 @@ MODULE_NAMES = [
     "repro.perm.permutation",
     "repro.routing.exact",
     "repro.circuit.circuit",
+    "repro.service.cache",
     "repro.service.service",
     "repro.service.telemetry",
     "repro.service.aio",
-    "repro.service.sharding",
     "repro.service.cluster",
 ]
 

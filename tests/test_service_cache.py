@@ -10,7 +10,7 @@ from repro.graphs import GridGraph
 from repro.perm import random_permutation
 from repro.routing import LocalGridRouter
 from repro.routing.codec import encode_schedule
-from repro.service import LRUCache, ScheduleCache
+from repro.service import LRUCache, RoutingService, ScheduleCache
 
 
 def _schedule(seed: int = 0, size: int = 3):
@@ -126,6 +126,18 @@ class TestScheduleCacheDisk:
         assert c.stats.disk_errors == 1
         assert not bad.exists()
 
+    def test_shard_subdirectories_are_not_read(self, tmp_path):
+        """Entries under an older release's ``shard-<i>/`` are misses."""
+        sched = _schedule(seed=2)
+        old = tmp_path / "shard-3"
+        old.mkdir()
+        (old / "k.rsc").write_bytes(encode_schedule(sched))
+        c = ScheduleCache(maxsize=4, disk_dir=tmp_path)
+        assert c.get("k") is None
+        assert c.stats.misses == 1 and c.stats.disk_errors == 0
+        c.put("k", sched)  # the recompute lands in the flat directory
+        assert (tmp_path / "k.rsc").is_file()
+
     def test_unwritable_dir_counts_error_but_serves_memory(self, tmp_path):
         blocked = tmp_path / "file"
         blocked.write_text("occupied", encoding="utf-8")
@@ -135,6 +147,43 @@ class TestScheduleCacheDisk:
         c.put("k", sched)
         assert c.stats.disk_errors == 1
         assert c.get("k") == sched
+
+
+class TestAdmission:
+    """``min_cost``: schedules cheaper to recompute than to keep."""
+
+    def test_cost_threshold_seconds(self):
+        c = ScheduleCache(maxsize=8, min_cost=1e-3)
+        c.put("dear", _schedule(), cost=1.0)
+        c.put("cheap", _schedule(), cost=1e-6)
+        # Unknown cost must not silently disable caching.
+        c.put("unmeasured", _schedule())
+        assert set(c.keys()) == {"dear", "unmeasured"}
+        assert c.rejected_puts == 1
+
+    def test_rejects_negative_thresholds(self):
+        with pytest.raises(ValueError):
+            ScheduleCache(min_cost=-1)
+
+    def test_admission_rejects_cheap_puts(self, tmp_path):
+        c = ScheduleCache(maxsize=64, disk_dir=tmp_path, min_cost=1.0)
+        c.put("k0", _schedule(), cost=1e-6)  # too cheap: rejected
+        assert "k0" not in c
+        assert c.rejected_puts == 1 and c.stats.puts == 0
+        assert not (tmp_path / "k0.rsc").exists()  # nor written to disk
+        c.put("k1", _schedule(), cost=5.0)  # expensive: admitted
+        assert "k1" in c and (tmp_path / "k1.rsc").is_file()
+        assert c.as_dict()["rejected_puts"] == 1
+
+    def test_min_cost_via_service(self):
+        # An impossibly high threshold: nothing is ever cached, so the
+        # same request recomputes every time and rejected_puts grows.
+        svc = RoutingService(cache_size=64, cache_min_cost=1e9)
+        grid = GridGraph(3, 3)
+        perm = random_permutation(grid, seed=0)
+        assert svc.submit(grid, perm).source == "computed"
+        assert svc.submit(grid, perm).source == "computed"
+        assert svc.stats()["schedule_cache"]["rejected_puts"] == 2
 
 
 class TestDiskEvictionRace:

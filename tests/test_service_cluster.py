@@ -18,6 +18,7 @@ import time
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from socket_daemon import JOIN_TIMEOUT, route_batch, shutdown, start_daemon, stats
 
 from repro.errors import ClusterShardError
 from repro.graphs import GridGraph
@@ -26,18 +27,14 @@ from repro.routing import route
 from repro.service import (
     AsyncRoutingService,
     ClusterScheduleCache,
-    DaemonClient,
     HashRing,
+    HttpRoutingServer,
     InProcessShardClient,
     RemoteShardClient,
-    RoutingDaemon,
     RoutingService,
     ScheduleCache,
-    ShardedScheduleCache,
-    wait_for_socket,
+    wait_for_http,
 )
-
-JOIN_TIMEOUT = 60.0
 
 
 def _digest(i: int) -> str:
@@ -327,13 +324,14 @@ class TestClusterScheduleCache:
         assert stats.misses == tier_a.stats.misses - 1
 
     def test_as_dict_shape(self, schedule):
-        sharded = ShardedScheduleCache(maxsize=32, n_shards=4)
+        tier = ScheduleCache(maxsize=32, min_cost=1.0)
         cluster = ClusterScheduleCache(
-            sharded, {"B": _FailingClient()}, node_id="A", replication=2
+            tier, {"B": _FailingClient()}, node_id="A", replication=2
         )
         cluster.put(DIGESTS[0], schedule)
+        cluster.put(DIGESTS[1], schedule, cost=1e-6)
         doc = cluster.as_dict()
-        assert doc["n_shards"] == 4  # local sharded rollup passes through
+        assert doc["rejected_puts"] == 1  # the local rollup passes through
         cl = doc["cluster"]
         assert cl["node_id"] == "A" and cl["replication"] == 2
         assert set(cl["ring_nodes"]) == {"A", "B"}
@@ -366,23 +364,8 @@ class TestClusterScheduleCache:
 # ----------------------------------------------------------------------
 def _start_daemon(tmp_path, name="repro.sock", **service_kwargs):
     sock = str(tmp_path / name)
-    service_kwargs.setdefault("cache_size", 64)
-    service_kwargs.setdefault("max_workers", 1)
-    svc = AsyncRoutingService(**service_kwargs)
-    daemon = RoutingDaemon(svc)
-    thread = threading.Thread(
-        target=asyncio.run, args=(daemon.serve_unix(sock),), daemon=True
-    )
-    thread.start()
-    wait_for_socket(sock, timeout=JOIN_TIMEOUT)
+    thread, _svc = start_daemon(sock, **service_kwargs)
     return sock, thread
-
-
-def _shutdown(sock, thread):
-    with DaemonClient(sock, timeout=JOIN_TIMEOUT) as client:
-        assert client.shutdown()
-    thread.join(timeout=JOIN_TIMEOUT)
-    assert not thread.is_alive()
 
 
 class TestRemoteShardProtocol:
@@ -399,7 +382,7 @@ class TestRemoteShardProtocol:
             assert stats["entries"] == 1 and stats["puts"] == 1
             client.close()
         finally:
-            _shutdown(sock, thread)
+            shutdown(sock, thread)
 
     def test_daemon_serves_peer_entries(self, tmp_path, schedule):
         """A daemon probes its peer's warm cache before computing."""
@@ -412,30 +395,28 @@ class TestRemoteShardProtocol:
             cluster_node_id=sock_b,
             cluster_replication=2,
         )
-        daemon_b = RoutingDaemon(svc_b)
+        server_b = HttpRoutingServer(svc_b, socket_path=sock_b)
         thread_b = threading.Thread(
-            target=asyncio.run, args=(daemon_b.serve_unix(sock_b),), daemon=True
+            target=asyncio.run, args=(server_b.serve(),), daemon=True
         )
         thread_b.start()
-        wait_for_socket(sock_b, timeout=JOIN_TIMEOUT)
+        wait_for_http(sock_b, timeout=JOIN_TIMEOUT)
         try:
             docs = [
                 {"rows": 4, "cols": 4, "workload": "random", "seed": s}
                 for s in range(8)
             ]
-            with DaemonClient(sock_a, timeout=JOIN_TIMEOUT) as ca:
-                warm = ca.route_batch(docs)
-                assert all(r["ok"] for r in warm)
-            with DaemonClient(sock_b, timeout=JOIN_TIMEOUT) as cb:
-                served = cb.route_batch(docs)
-                assert all(r["ok"] for r in served)
-                cluster = cb.stats()["schedule_cache"]["cluster"]
+            warm = route_batch(sock_a, docs)
+            assert all(r["ok"] for r in warm)
+            served = route_batch(sock_b, docs)
+            assert all(r["ok"] for r in served)
+            cluster = stats(sock_b)["schedule_cache"]["cluster"]
             # B computed nothing: every key was a local or remote hit.
             assert all(r["source"] == "cache" for r in served)
             assert cluster["remote_hits"] >= 1
         finally:
-            _shutdown(sock_b, thread_b)
-            _shutdown(sock_a, thread_a)
+            shutdown(sock_b, thread_b)
+            shutdown(sock_a, thread_a)
 
     def test_garbled_peer_response_degrades_to_miss(self, tmp_path, schedule):
         """A non-JSON reply (wrong service, version skew) is a shard
@@ -487,11 +468,11 @@ class TestRemoteShardProtocol:
         )
         out_file = tmp_path / "results.jsonl"
         try:
-            with DaemonClient(sock, timeout=JOIN_TIMEOUT) as client:
-                warm = client.route_batch(
-                    [json.loads(line) for line in requests_file.read_text().splitlines()]
-                )
-                assert all(r["ok"] for r in warm)
+            warm = route_batch(
+                sock,
+                [json.loads(line) for line in requests_file.read_text().splitlines()],
+            )
+            assert all(r["ok"] for r in warm)
             code = main([
                 "batch", str(requests_file), "--cluster", sock,
                 "--workers", "1", "--out", str(out_file),
@@ -504,7 +485,7 @@ class TestRemoteShardProtocol:
             # daemon serves the whole batch.
             assert all(r["ok"] and r["source"] == "cache" for r in results)
         finally:
-            _shutdown(sock, thread)
+            shutdown(sock, thread)
 
     def test_batch_cluster_excludes_daemon_and_http(self, tmp_path, capsys):
         from repro.cli import main

@@ -1,34 +1,38 @@
-"""Tests for the daemon front end (repro.service.daemon) and its CLI.
+"""Tests for the daemon on a UNIX socket and its CLI.
 
-Socket tests run the server on a background thread with its own event
-loop and talk to it through the real :class:`DaemonClient`; every
-blocking wait carries an explicit timeout so a hung socket fails the
-test instead of wedging the suite (CI adds pytest-timeout on top).
+The daemon is :class:`~repro.service.http.HttpRoutingServer` in socket
+mode, on a background thread with its own event loop; tests talk to it
+through the real HTTP client helpers. Every blocking wait carries an
+explicit timeout so a hung socket fails the test instead of wedging the
+suite (CI adds pytest-timeout on top).
 """
 
 from __future__ import annotations
 
 import asyncio
-import io
 import json
 import os
-import signal
+import socket
+import subprocess
+import sys
 import threading
 import time
 
 import pytest
+from socket_daemon import JOIN_TIMEOUT, call, route, shutdown, start_daemon, stats
 
 from repro.cli import main
-from repro.errors import DaemonDisconnectedError, ReproError
+from repro.errors import ReproError
 from repro.service import (
     AsyncRoutingService,
-    DaemonClient,
-    RoutingDaemon,
+    HttpRoutingServer,
+    RemoteShardClient,
+    http_request,
     request_from_doc,
-    wait_for_socket,
+    wait_for_http,
 )
-
-JOIN_TIMEOUT = 60.0
+from repro.service import http as http_mod
+from repro.service.http import open_connection
 
 
 class TestRequestFromDoc:
@@ -60,224 +64,146 @@ class TestRequestFromDoc:
 
 
 def _start_daemon(tmp_path, **service_kwargs):
-    """Run a daemon on a background thread; returns (socket, thread, svc)."""
+    """Run a daemon on ``<tmp_path>/repro.sock``: (socket, thread, svc)."""
     sock = str(tmp_path / "repro.sock")
-    service_kwargs.setdefault("cache_size", 64)
-    service_kwargs.setdefault("max_workers", 1)
-    svc = AsyncRoutingService(**service_kwargs)
-    daemon = RoutingDaemon(svc)
-    thread = threading.Thread(
-        target=asyncio.run, args=(daemon.serve_unix(sock),), daemon=True
-    )
-    thread.start()
-    wait_for_socket(sock, timeout=JOIN_TIMEOUT)
+    thread, svc = start_daemon(sock, **service_kwargs)
     return sock, thread, svc
 
 
-def _shutdown(sock, thread):
-    with DaemonClient(sock, timeout=JOIN_TIMEOUT) as client:
-        assert client.shutdown()
-    thread.join(timeout=JOIN_TIMEOUT)
-    assert not thread.is_alive()
+def _post(conn, path, payload) -> tuple[int, dict]:
+    """One POST on a kept connection; ``payload`` is a doc or raw bytes."""
+    body = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
+    conn.request("POST", path, body=body, headers={"Content-Type": "application/json"})
+    resp = conn.getresponse()
+    return resp.status, json.loads(resp.read())
 
 
 class TestUnixSocketDaemon:
     def test_ping_route_stats_roundtrip(self, tmp_path):
         sock, thread, _svc = _start_daemon(tmp_path)
         try:
-            with DaemonClient(sock, timeout=JOIN_TIMEOUT) as client:
-                assert client.ping()
-                doc = {"rows": 4, "cols": 4, "workload": "random", "seed": 0}
-                r1 = client.route(doc)
-                assert r1["ok"] and r1["source"] == "computed"
-                assert r1["depth"] >= 1
-                r2 = client.route(doc)
-                assert r2["source"] == "cache"
-                assert r2["depth"] == r1["depth"]
-                stats = client.stats()
-                assert stats["telemetry"]["counters"]["aio_requests"] == 2
+            assert call(sock, "/healthz")["ok"]
+            doc = {"rows": 4, "cols": 4, "workload": "random", "seed": 0}
+            r1 = route(sock, doc)
+            assert r1["ok"] and r1["source"] == "computed"
+            assert r1["depth"] >= 1
+            r2 = route(sock, doc)
+            assert r2["source"] == "cache"
+            assert r2["depth"] == r1["depth"]
+            assert stats(sock)["telemetry"]["counters"]["aio_requests"] == 2
         finally:
-            _shutdown(sock, thread)
+            shutdown(sock, thread)
 
     def test_include_schedule_and_id_echo(self, tmp_path):
         sock, thread, _svc = _start_daemon(tmp_path)
         try:
-            with DaemonClient(sock, timeout=JOIN_TIMEOUT) as client:
-                resp = client.request({
-                    "op": "route", "id": "req-7", "rows": 3, "cols": 3,
-                    "workload": "random", "seed": 1, "include_schedule": True,
-                })
-                assert resp["id"] == "req-7"
-                assert resp["schedule"]["format"] == "repro.schedule"
+            resp = route(sock, {
+                "id": "req-7", "rows": 3, "cols": 3,
+                "workload": "random", "seed": 1, "include_schedule": True,
+            })
+            assert resp["id"] == "req-7"
+            assert resp["schedule"]["format"] == "repro.schedule"
         finally:
-            _shutdown(sock, thread)
+            shutdown(sock, thread)
 
     def test_bad_requests_isolated(self, tmp_path):
         sock, thread, _svc = _start_daemon(tmp_path)
+        conn = open_connection(sock, timeout=JOIN_TIMEOUT)
         try:
-            with DaemonClient(sock, timeout=JOIN_TIMEOUT) as client:
-                bad = client.request({"op": "route", "rows": 3})
-                assert not bad["ok"] and "cols" in bad["error"]
-                unknown = client.request({"op": "frobnicate"})
-                assert not unknown["ok"] and "unknown op" in unknown["error"]
-                # Non-JSON garbage gets an error response, not a hangup.
-                client._ensure_connected()
-                client._file.write(b"{not json}\n")
-                client._file.flush()
-                garbage = client._recv()
-                assert not garbage["ok"] and "bad request" in garbage["error"]
-                # Validation failures (bad timeout type) and
-                # non-ReproError failures (an options key colliding with
-                # a submit_async parameter) must also come back as one
-                # error line, not kill the connection.
-                bad_timeout = client.request({
-                    "op": "route", "rows": 3, "cols": 3,
-                    "workload": "random", "timeout": "abc",
-                })
-                assert not bad_timeout["ok"]
-                assert bad_timeout["code"] == "bad_request"
-                assert "'timeout'" in bad_timeout["error"]
-                bad_perm = client.request({
-                    "op": "route", "rows": 2, "cols": 2,
-                    "perm": ["a", "b", "c", "d"],
-                })
-                assert not bad_perm["ok"]
-                assert bad_perm["code"] == "bad_request"
-                assert "perm" in bad_perm["error"]
-                collision = client.request({
-                    "op": "route", "rows": 3, "cols": 3,
-                    "workload": "random", "options": {"router": "naive"},
-                })
-                assert not collision["ok"] and collision["error"]
-                # The connection is still serviceable afterwards.
-                assert client.ping()
+            # Every refusal below arrives on one keep-alive connection.
+            status, bad = _post(conn, "/v1/route", {"rows": 3})
+            assert status == 400 and "cols" in bad["error"]
+            status, unknown = _post(conn, "/v1/frobnicate", {})
+            assert status == 404 and unknown["code"] == "not_found"
+            # Non-JSON garbage gets an error response, not a hangup.
+            status, garbage = _post(conn, "/v1/route", b"{not json}")
+            assert status == 400 and garbage["code"] == "bad_json"
+            # Validation failures (bad timeout type) and
+            # non-ReproError failures (an options key colliding with
+            # a submit_async parameter) must also come back as one
+            # error response, not kill the connection.
+            _, bad_timeout = _post(conn, "/v1/route", {
+                "rows": 3, "cols": 3, "workload": "random", "timeout": "abc",
+            })
+            assert not bad_timeout["ok"]
+            assert bad_timeout["code"] == "bad_request"
+            assert "'timeout'" in bad_timeout["error"]
+            _, bad_perm = _post(conn, "/v1/route", {
+                "rows": 2, "cols": 2, "perm": ["a", "b", "c", "d"],
+            })
+            assert not bad_perm["ok"]
+            assert bad_perm["code"] == "bad_request"
+            assert "perm" in bad_perm["error"]
+            _, collision = _post(conn, "/v1/route", {
+                "rows": 3, "cols": 3, "workload": "random",
+                "options": {"router": "naive"},
+            })
+            assert not collision["ok"] and collision["error"]
+            # The connection is still serviceable afterwards.
+            conn.request("GET", "/healthz")
+            resp = conn.getresponse()
+            assert resp.status == 200 and json.loads(resp.read())["ok"]
         finally:
-            _shutdown(sock, thread)
+            conn.close()
+            shutdown(sock, thread)
 
     def test_refuses_to_hijack_live_socket(self, tmp_path):
         sock, thread, _svc = _start_daemon(tmp_path)
         try:
-            rival = RoutingDaemon(
-                AsyncRoutingService(cache_size=8, max_workers=1)
-            )
+            rival_svc = AsyncRoutingService(cache_size=8, max_workers=1)
+            rival = HttpRoutingServer(rival_svc, socket_path=sock)
             with pytest.raises(ReproError, match="already listening"):
-                asyncio.run(rival.serve_unix(sock))
+                asyncio.run(rival.serve())
+            asyncio.run(rival_svc.aclose())
             # The running daemon is untouched.
-            with DaemonClient(sock, timeout=JOIN_TIMEOUT) as client:
-                assert client.ping()
+            assert call(sock, "/healthz")["ok"]
         finally:
-            _shutdown(sock, thread)
+            shutdown(sock, thread)
 
     def test_stale_socket_file_is_replaced(self, tmp_path):
-        import os
-        import socket as socket_mod
-
         sock = str(tmp_path / "repro.sock")
         # A dead daemon's leftover: a bound-but-unserved socket file.
-        stale = socket_mod.socket(socket_mod.AF_UNIX, socket_mod.SOCK_STREAM)
+        stale = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         stale.bind(sock)
         stale.close()
         assert os.path.exists(sock)
         sock2, thread, _svc = _start_daemon(tmp_path)
         assert sock2 == sock
         try:
-            with DaemonClient(sock, timeout=JOIN_TIMEOUT) as client:
-                assert client.ping()
+            assert call(sock, "/healthz")["ok"]
         finally:
-            _shutdown(sock, thread)
-
-    def test_pipelined_requests_dispatch_concurrently(self, tmp_path):
-        import time as time_mod
-
-        sock, thread, svc = _start_daemon(tmp_path)
-        state = {"active": 0, "peak": 0}
-        lock = threading.Lock()
-        try:
-            ex = svc.service.executor
-            real_submit = ex.submit_job
-
-            def counting_submit(fn, payload):
-                def wrapped(p):
-                    with lock:
-                        state["active"] += 1
-                        state["peak"] = max(state["peak"], state["active"])
-                    try:
-                        time_mod.sleep(0.05)
-                        return fn(p)
-                    finally:
-                        with lock:
-                            state["active"] -= 1
-
-                return real_submit(wrapped, payload)
-
-            ex.submit_job = counting_submit
-            docs = [
-                {"rows": 3, "cols": 3, "workload": "random", "seed": s}
-                for s in range(4)
-            ]
-            with DaemonClient(sock, timeout=JOIN_TIMEOUT) as client:
-                responses = client.route_batch(docs, window=4)
-            ex.submit_job = real_submit
-            assert all(r["ok"] for r in responses)
-            # One pipelined connection must reach the pool concurrently,
-            # not line-by-line.
-            assert state["peak"] >= 2, state
-        finally:
-            _shutdown(sock, thread)
-
-    def test_route_batch_pipelines_in_order(self, tmp_path):
-        sock, thread, _svc = _start_daemon(tmp_path)
-        try:
-            docs = [
-                {"rows": 3, "cols": 3, "workload": "random", "seed": s % 2}
-                for s in range(10)
-            ]
-            with DaemonClient(sock, timeout=JOIN_TIMEOUT) as client:
-                responses = client.route_batch(docs, window=4)
-            assert len(responses) == 10
-            assert all(r["ok"] for r in responses)
-            # Same seed => same key: responses landed in request order.
-            assert responses[0]["key"] == responses[2]["key"]
-            assert responses[1]["key"] == responses[3]["key"]
-            assert responses[0]["key"] != responses[1]["key"]
-        finally:
-            _shutdown(sock, thread)
+            shutdown(sock, thread)
 
     def test_shutdown_with_idle_second_connection(self, tmp_path):
         sock, thread, _svc = _start_daemon(tmp_path)
-        idle = DaemonClient(sock, timeout=JOIN_TIMEOUT)
+        idle = RemoteShardClient(sock, timeout=JOIN_TIMEOUT)
         try:
             assert idle.ping()  # connected and idle from here on
-            _shutdown(sock, thread)  # must not hang on the idle conn
+            shutdown(sock, thread)  # must not hang on the idle conn
         finally:
             idle.close()
 
     def test_socket_file_removed_on_shutdown(self, tmp_path):
-        import os
-
         sock, thread, _svc = _start_daemon(tmp_path)
-        _shutdown(sock, thread)
+        shutdown(sock, thread)
         assert not os.path.exists(sock)
 
     def test_client_refuses_dead_socket(self, tmp_path):
-        client = DaemonClient(str(tmp_path / "nothing.sock"), timeout=1.0)
         with pytest.raises(ReproError):
-            client.ping()
+            http_request(str(tmp_path / "nothing.sock"), "/healthz", timeout=1.0)
+        assert RemoteShardClient(str(tmp_path / "nothing.sock")).ping() is False
         with pytest.raises(ReproError):
-            wait_for_socket(tmp_path / "nothing.sock", timeout=0.2)
+            wait_for_http(str(tmp_path / "nothing.sock"), timeout=0.2)
 
 
 class TestBindRace:
     """The stale-socket TOCTOU fix: probe→unlink→bind under a lock file."""
 
     def test_racing_daemons_exactly_one_wins(self, tmp_path):
-        import os
-        import socket as socket_mod
-
         sock = str(tmp_path / "race.sock")
         # Seed the TOCTOU condition both daemons must resolve: a stale
         # socket file from a dead daemon.
-        stale = socket_mod.socket(socket_mod.AF_UNIX, socket_mod.SOCK_STREAM)
+        stale = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         stale.bind(sock)
         stale.close()
 
@@ -287,10 +213,10 @@ class TestBindRace:
 
         def run(name: str) -> None:
             svc = AsyncRoutingService(cache_size=8, max_workers=1)
-            daemon = RoutingDaemon(svc)
+            server = HttpRoutingServer(svc, socket_path=sock)
             barrier.wait()
             try:
-                asyncio.run(daemon.serve_unix(sock))
+                asyncio.run(server.serve())
                 served.append(name)
             except ReproError as exc:
                 lost.append(str(exc))
@@ -302,18 +228,15 @@ class TestBindRace:
         ]
         for t in threads:
             t.start()
-        wait_for_socket(sock, timeout=JOIN_TIMEOUT)
+        wait_for_http(sock, timeout=JOIN_TIMEOUT)
         # The loser notices the live winner and exits loudly.
-        import time as time_mod
-
-        deadline = time_mod.monotonic() + JOIN_TIMEOUT
-        while len(lost) < 1 and time_mod.monotonic() < deadline:
-            time_mod.sleep(0.01)
+        deadline = time.monotonic() + JOIN_TIMEOUT
+        while len(lost) < 1 and time.monotonic() < deadline:
+            time.sleep(0.01)
         assert len(lost) == 1 and "already listening" in lost[0]
         # The winner is fully functional and shuts down cleanly.
-        with DaemonClient(sock, timeout=JOIN_TIMEOUT) as client:
-            assert client.ping()
-            assert client.shutdown()
+        assert call(sock, "/healthz")["ok"]
+        assert call(sock, "/v1/shutdown", {})["ok"]
         for t in threads:
             t.join(timeout=JOIN_TIMEOUT)
             assert not t.is_alive()
@@ -321,32 +244,23 @@ class TestBindRace:
         assert not os.path.exists(sock + ".lock")
 
     def test_stale_lock_from_dead_pid_is_broken(self, tmp_path):
-        import os
-        import subprocess
-        import sys as sys_mod
-
         sock = str(tmp_path / "repro.sock")
-        proc = subprocess.Popen([sys_mod.executable, "-c", "pass"])
+        proc = subprocess.Popen([sys.executable, "-c", "pass"])
         proc.wait()
         with open(sock + ".lock", "w", encoding="ascii") as fh:
             fh.write(str(proc.pid))
         sock2, thread, _svc = _start_daemon(tmp_path)
         assert sock2 == sock
         try:
-            with DaemonClient(sock, timeout=JOIN_TIMEOUT) as client:
-                assert client.ping()
+            assert call(sock, "/healthz")["ok"]
         finally:
-            _shutdown(sock, thread)
+            shutdown(sock, thread)
         assert not os.path.exists(sock + ".lock")
 
     def test_unremovable_stale_lock_times_out(self, tmp_path, monkeypatch):
         """A stale lock that cannot be unlinked must hit the timeout,
         not spin forever retrying the unlink."""
-        import os
-
-        from repro.service import daemon as daemon_mod
-
-        monkeypatch.setattr(daemon_mod, "SOCKET_LOCK_TIMEOUT", 0.2)
+        monkeypatch.setattr(http_mod, "SOCKET_LOCK_TIMEOUT", 0.2)
         sock = str(tmp_path / "stuck.sock")
         lock = sock + ".lock"
         with open(lock, "w", encoding="ascii") as fh:
@@ -358,27 +272,23 @@ class TestBindRace:
                 raise PermissionError(f"cannot unlink {p}")
             return real_unlink(p, *args, **kwargs)
 
-        monkeypatch.setattr(daemon_mod.os, "unlink", failing_unlink)
+        monkeypatch.setattr(http_mod.os, "unlink", failing_unlink)
         svc = AsyncRoutingService(cache_size=8, max_workers=1)
         try:
             with pytest.raises(ReproError, match="socket lock"):
-                asyncio.run(RoutingDaemon(svc).serve_unix(sock))
+                asyncio.run(HttpRoutingServer(svc, socket_path=sock).serve())
         finally:
             asyncio.run(svc.aclose())
 
     def test_held_lock_times_out_with_helpful_error(self, tmp_path, monkeypatch):
-        import os
-
-        from repro.service import daemon as daemon_mod
-
-        monkeypatch.setattr(daemon_mod, "SOCKET_LOCK_TIMEOUT", 0.2)
+        monkeypatch.setattr(http_mod, "SOCKET_LOCK_TIMEOUT", 0.2)
         sock = str(tmp_path / "held.sock")
         with open(sock + ".lock", "w", encoding="ascii") as fh:
             fh.write(str(os.getpid()))  # alive: never considered stale
         svc = AsyncRoutingService(cache_size=8, max_workers=1)
         try:
             with pytest.raises(ReproError, match="socket lock"):
-                asyncio.run(RoutingDaemon(svc).serve_unix(sock))
+                asyncio.run(HttpRoutingServer(svc, socket_path=sock).serve())
         finally:
             asyncio.run(svc.aclose())
             os.unlink(sock + ".lock")
@@ -387,48 +297,45 @@ class TestBindRace:
 class TestHalfOpenClient:
     def test_dead_connection_raises_and_reconnects(self, tmp_path):
         sock, thread, _svc = _start_daemon(tmp_path)
-        client = DaemonClient(sock, timeout=JOIN_TIMEOUT)
+        client = RemoteShardClient(sock, timeout=JOIN_TIMEOUT)
         try:
-            assert client.ping()
-            # The daemon exits between this client's send and recv
-            # cycles, leaving the client's connection half-open.
-            _shutdown(sock, thread)
-            with pytest.raises(DaemonDisconnectedError):
-                client.request({"op": "ping"})
-            # The client marked itself disconnected...
-            assert client._sock is None and client._file is None
+            assert client.cache_stats()["entries"] == 0
+            # The daemon exits while this client's keep-alive
+            # connection sits idle, leaving it half-open.
+            shutdown(sock, thread)
+            with pytest.raises(ReproError):
+                client.cache_stats()
+            # The client dropped the dead connection...
+            assert client._conn is None
             # ...so once a daemon is back on the path, the next request
-            # transparently reconnects instead of writing into the dead
-            # socket.
+            # transparently dials a fresh connection.
             sock2, thread2, _svc2 = _start_daemon(tmp_path)
             assert sock2 == sock
             try:
-                assert client.ping()
+                assert client.cache_stats()["entries"] == 0
             finally:
-                _shutdown(sock, thread2)
+                shutdown(sock, thread2)
         finally:
             client.close()
 
 
 class TestWaitForSocket:
     def test_timeout_error_names_path_and_elapsed(self, tmp_path):
-        path = tmp_path / "nothing.sock"
+        path = str(tmp_path / "nothing.sock")
         with pytest.raises(ReproError) as excinfo:
-            wait_for_socket(path, timeout=0.2)
+            wait_for_http(path, timeout=0.2)
         message = str(excinfo.value)
-        assert str(path) in message
+        assert path in message
         assert "after" in message and "timeout 0.2s" in message
 
     def test_backoff_grows_and_caps(self, tmp_path, monkeypatch):
-        from repro.service import daemon as daemon_mod
-
         delays: list[float] = []
-        real_sleep = daemon_mod.time.sleep
+        real_sleep = http_mod.time.sleep
         monkeypatch.setattr(
-            daemon_mod.time, "sleep", lambda s: delays.append(s) or real_sleep(0)
+            http_mod.time, "sleep", lambda s: delays.append(s) or real_sleep(0)
         )
         with pytest.raises(ReproError):
-            wait_for_socket(tmp_path / "nothing.sock", timeout=0.05)
+            wait_for_http(str(tmp_path / "nothing.sock"), timeout=0.05)
         assert len(delays) >= 4, delays
         # Doubling from 2 ms while under the remaining budget...
         assert delays[:4] == pytest.approx([0.002, 0.004, 0.008, 0.016])
@@ -437,144 +344,22 @@ class TestWaitForSocket:
         assert max(delays) <= 0.5
 
 
-class TestPipeDaemon:
-    def _serve(self, lines):
-        inp = io.StringIO("".join(json.dumps(doc) + "\n" for doc in lines))
-        out = io.StringIO()
-        svc = AsyncRoutingService(cache_size=16, max_workers=1)
-        asyncio.run(RoutingDaemon(svc).serve_pipe(inp, out))
-        return [json.loads(line) for line in out.getvalue().splitlines()]
-
-    def test_protocol_over_pipes(self):
-        responses = self._serve([
-            {"op": "ping"},
-            {"rows": 3, "cols": 3, "workload": "random", "seed": 0},
-            {"op": "shutdown"},
-        ])
-        assert [r["ok"] for r in responses] == [True, True, True]
-        assert responses[1]["source"] == "computed"
-        assert responses[2]["op"] == "shutdown"
-
-    def test_eof_acts_as_shutdown(self):
-        responses = self._serve([{"op": "ping"}])  # stream ends without op
-        assert len(responses) == 1
-        assert responses[0]["ok"] is True
-        assert responses[0]["op"] == "ping"
-        # ping reports service identity (version always; node_id/epoch
-        # only in cluster mode).
-        assert responses[0]["version"]
-
-
-class _ParkedInput:
-    """A pipe stand-in: hands out ``lines``, then parks on readline.
-
-    After the scripted lines drain, ``readline`` blocks until
-    :attr:`gate` is set (with a bounded timeout so a regression fails
-    the test instead of wedging it) and then reports EOF.
-    ``reads_after_drain`` records whether the serve loop came back for
-    more input — a drained SIGTERM exit never should.
-    """
-
-    def __init__(self, lines):
-        self._lines = [json.dumps(doc) + "\n" for doc in lines]
-        self.gate = threading.Event()
-        self.reads_after_drain = 0
-
-    def readline(self):
-        if self._lines:
-            return self._lines.pop(0)
-        self.reads_after_drain += 1
-        self.gate.wait(5.0)
-        return ""
-
-
-@pytest.mark.skipif(
-    not hasattr(signal, "SIGHUP"), reason="requires unix signals"
-)
-class TestPipeSignals:
-    """Satellite: --pipe mode shares the socket/HTTP shutdown hook."""
-
-    def test_sigterm_drains_inflight_request(self):
-        """A SIGTERM mid-request still answers it before exiting."""
-        svc = AsyncRoutingService(cache_size=16, max_workers=1)
-        ex = svc.service.executor
-        real_submit = ex.submit_job
-        started = threading.Event()
-        release = threading.Event()
-
-        def gated_submit(fn, payload):
-            def wrapped(p):
-                started.set()
-                release.wait(JOIN_TIMEOUT)
-                return fn(p)
-
-            return real_submit(wrapped, payload)
-
-        ex.submit_job = gated_submit
-        inp = _ParkedInput(
-            [{"rows": 4, "cols": 4, "workload": "random", "seed": 7}]
-        )
-        out = io.StringIO()
-
-        def killer() -> None:
-            assert started.wait(JOIN_TIMEOUT)
-            # The signal lands while the request is on the worker...
-            os.kill(os.getpid(), signal.SIGTERM)
-            time.sleep(0.05)
-            # ...and only then does the worker finish.
-            release.set()
-
-        t = threading.Thread(target=killer, daemon=True)
-        t.start()
-        # serve_pipe runs on the main thread: that is where asyncio can
-        # install signal handlers, exactly as `repro serve --pipe` does.
-        asyncio.run(RoutingDaemon(svc).serve_pipe(inp, out))
-        t.join(timeout=JOIN_TIMEOUT)
-        assert not t.is_alive()
-        responses = [json.loads(x) for x in out.getvalue().splitlines()]
-        assert len(responses) == 1
-        assert responses[0]["ok"] is True  # drained, not dropped
-        # The stop event — not EOF — ended the loop: the daemon never
-        # went back to the pipe for more input after the signal.
-        assert inp.reads_after_drain == 0
-
-    def test_sigterm_while_parked_on_readline_exits(self):
-        """A SIGTERM with no request in flight exits promptly."""
-        svc = AsyncRoutingService(cache_size=16, max_workers=1)
-        inp = _ParkedInput([{"op": "ping"}])
-        out = io.StringIO()
-
-        def killer() -> None:
-            deadline = time.monotonic() + JOIN_TIMEOUT
-            while not out.getvalue().strip():  # the ping was answered
-                assert time.monotonic() < deadline
-                time.sleep(0.005)
-            os.kill(os.getpid(), signal.SIGTERM)
-            time.sleep(0.1)
-            inp.gate.set()  # unblock the abandoned background read
-
-        t = threading.Thread(target=killer, daemon=True)
-        t.start()
-        asyncio.run(RoutingDaemon(svc).serve_pipe(inp, out))
-        t.join(timeout=JOIN_TIMEOUT)
-        assert not t.is_alive()
-        responses = [json.loads(x) for x in out.getvalue().splitlines()]
-        assert len(responses) == 1 and responses[0]["op"] == "ping"
+def _serve_in_thread(argv: list[str], rc_box: list[int] | None = None):
+    """Run ``repro serve ...`` on a thread; returns the thread."""
+    box = rc_box if rc_box is not None else []
+    thread = threading.Thread(target=lambda: box.append(main(argv)), daemon=True)
+    thread.start()
+    return thread
 
 
 class TestServeCli:
     def test_serve_and_batch_daemon_roundtrip(self, tmp_path, capsys):
         sock = str(tmp_path / "cli.sock")
         rc_box: list[int] = []
-        thread = threading.Thread(
-            target=lambda: rc_box.append(
-                main(["serve", "--socket", sock, "--workers", "1",
-                      "--shards", "4"])
-            ),
-            daemon=True,
+        thread = _serve_in_thread(
+            ["serve", "--socket", sock, "--workers", "1"], rc_box
         )
-        thread.start()
-        wait_for_socket(sock, timeout=JOIN_TIMEOUT)
+        wait_for_http(sock, timeout=JOIN_TIMEOUT)
 
         reqs = tmp_path / "requests.jsonl"
         reqs.write_text(
@@ -598,20 +383,13 @@ class TestServeCli:
         lines = [json.loads(line) for line in out.read_text().splitlines()]
         assert [line["source"] for line in lines] == ["cache", "cache"]
 
-        with DaemonClient(sock, timeout=JOIN_TIMEOUT) as client:
-            assert client.shutdown()
-        thread.join(timeout=JOIN_TIMEOUT)
-        assert not thread.is_alive()
+        shutdown(sock, thread)
         assert rc_box == [0]
 
     def test_batch_daemon_error_exit_code(self, tmp_path, capsys):
         sock = str(tmp_path / "cli2.sock")
-        thread = threading.Thread(
-            target=lambda: main(["serve", "--socket", sock, "--workers", "1"]),
-            daemon=True,
-        )
-        thread.start()
-        wait_for_socket(sock, timeout=JOIN_TIMEOUT)
+        thread = _serve_in_thread(["serve", "--socket", sock, "--workers", "1"])
+        wait_for_http(sock, timeout=JOIN_TIMEOUT)
         try:
             reqs = tmp_path / "requests.jsonl"
             reqs.write_text(
@@ -629,9 +407,7 @@ class TestServeCli:
             ]
             assert [line["ok"] for line in out_lines] == [True, False]
         finally:
-            with DaemonClient(sock, timeout=JOIN_TIMEOUT) as client:
-                client.shutdown()
-            thread.join(timeout=JOIN_TIMEOUT)
+            shutdown(sock, thread)
 
     def test_batch_api_key_against_tenant_enforcing_daemon(
         self, tmp_path, capsys
@@ -642,15 +418,11 @@ class TestServeCli:
             json.dumps({"tenants": [{"name": "acme", "key": "ak_acme"}]}),
             encoding="utf-8",
         )
-        thread = threading.Thread(
-            target=lambda: main([
-                "serve", "--socket", sock, "--workers", "1",
-                "--tenants", str(tenants),
-            ]),
-            daemon=True,
-        )
-        thread.start()
-        wait_for_socket(sock, timeout=JOIN_TIMEOUT)
+        thread = _serve_in_thread([
+            "serve", "--socket", sock, "--workers", "1",
+            "--tenants", str(tenants),
+        ])
+        wait_for_http(sock, timeout=JOIN_TIMEOUT)
         try:
             reqs = tmp_path / "requests.jsonl"
             reqs.write_text(
@@ -658,16 +430,11 @@ class TestServeCli:
                             "seed": 0}) + "\n",
                 encoding="utf-8",
             )
-            # Keyless: every request answers unauthorized (exit 3, the
-            # per-request-failure code — the transport itself is fine).
+            # Keyless: the daemon refuses the whole batch with 401.
             rc = main(["batch", str(reqs), "--daemon", sock])
-            assert rc == 3
-            out_lines = [
-                json.loads(line)
-                for line in capsys.readouterr().out.splitlines()
-            ]
-            assert [line["code"] for line in out_lines] == ["unauthorized"]
-            # --api-key stamps the credential into each request doc.
+            assert rc == 2
+            assert "401" in capsys.readouterr().err
+            # --api-key sends the credential as a Bearer header.
             out = tmp_path / "results.jsonl"
             rc = main(["batch", str(reqs), "--daemon", sock,
                        "--api-key", "ak_acme", "--out", str(out)])
@@ -675,9 +442,32 @@ class TestServeCli:
             lines = [json.loads(x) for x in out.read_text().splitlines()]
             assert len(lines) == 1 and lines[0]["ok"]
         finally:
-            with DaemonClient(sock, timeout=JOIN_TIMEOUT) as client:
-                client.shutdown()
-            thread.join(timeout=JOIN_TIMEOUT)
+            shutdown(sock, thread)
+
+    def test_batch_daemon_over_max_body_reports_413(self, tmp_path, capsys):
+        sock = str(tmp_path / "small.sock")
+        thread = _serve_in_thread(
+            ["serve", "--socket", sock, "--workers", "1", "--max-body", "1024"]
+        )
+        wait_for_http(sock, timeout=JOIN_TIMEOUT)
+        try:
+            reqs = tmp_path / "requests.jsonl"
+            reqs.write_text(
+                "".join(
+                    json.dumps({"rows": 3, "cols": 3, "workload": "random",
+                                "seed": s}) + "\n"
+                    for s in range(20_000)
+                ),
+                encoding="utf-8",
+            )
+            # The whole file is one POST /v1/route_batch: far over the
+            # limit, refused before the daemon reads the body.
+            rc = main(["batch", str(reqs), "--daemon", sock])
+            assert rc == 2
+            err = capsys.readouterr().err
+            assert "status 413" in err and "1024-byte limit" in err
+        finally:
+            shutdown(sock, thread)
 
     def test_batch_daemon_missing_socket_errors(self, tmp_path, capsys):
         reqs = tmp_path / "requests.jsonl"
@@ -689,16 +479,76 @@ class TestServeCli:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_serve_validates_flags(self, capsys):
-        assert main(["serve", "--pipe", "--cache-size", "0"]) == 2
+    def test_serve_validates_flags(self, tmp_path, capsys):
+        sock = str(tmp_path / "never.sock")
+        assert main(["serve", "--socket", sock, "--cache-size", "0"]) == 2
         assert "--cache-size" in capsys.readouterr().err
-        assert main(["serve", "--pipe", "--shards", "0"]) == 2
-        assert "--shards" in capsys.readouterr().err
-        assert main(["serve", "--pipe", "--max-concurrency", "0"]) == 2
+        assert main(["serve", "--socket", sock, "--min-cache-seconds", "-1"]) == 2
+        assert "--min-cache-seconds" in capsys.readouterr().err
+        assert main(["serve", "--socket", sock, "--max-concurrency", "0"]) == 2
         assert "--max-concurrency" in capsys.readouterr().err
-        assert main(["serve", "--pipe", "--workers", "-1"]) == 2
+        assert main(["serve", "--socket", sock, "--workers", "-1"]) == 2
         assert "--workers" in capsys.readouterr().err
+        assert not os.path.exists(sock)
 
     def test_serve_requires_transport(self):
         with pytest.raises(SystemExit):
             main(["serve"])
+
+    def test_serve_help_lists_two_listen_modes(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["serve", "--help"])
+        usage = capsys.readouterr().out
+        assert "--socket PATH" in usage and "--http HOST:PORT" in usage
+        assert "--pipe" not in usage and "--shards" not in usage
+
+    def test_socket_mode_serves_the_endpoint_table(self, tmp_path):
+        """`repro serve --socket` speaks the HTTP endpoint table."""
+        sock = str(tmp_path / "http.sock")
+        rc_box: list[int] = []
+        thread = _serve_in_thread(
+            ["serve", "--socket", sock, "--workers", "1"], rc_box
+        )
+        wait_for_http(sock, timeout=JOIN_TIMEOUT)
+        status, health = http_request(sock, "/healthz")
+        assert status == 200 and health["status"] == "serving"
+        assert health["node_id"] == sock
+        doc = {"rows": 3, "cols": 3, "workload": "random", "seed": 4}
+        status, body = http_request(sock, "/v1/route", doc)
+        assert status == 200 and body["ok"] and body["source"] == "computed"
+        status, body = http_request(sock, "/stats")
+        assert status == 200 and body["stats"]["schedule_cache"]["entries"] == 1
+        status, text = http_request(sock, "/metrics")
+        assert status == 200 and "repro_schedule_cache_entries 1" in text
+        status, body = http_request(sock, "/v1/shutdown", {})
+        assert status == 200 and body["ok"]
+        thread.join(timeout=JOIN_TIMEOUT)
+        assert not thread.is_alive() and rc_box == [0]
+        assert not os.path.exists(sock)
+        assert not os.path.exists(sock + ".lock")
+
+    @pytest.mark.parametrize("cache_size", [1, 10])
+    def test_cache_size_bounds_resident_entries(self, tmp_path, cache_size):
+        """`--cache-size N` keeps at most N schedules in memory."""
+        sock = str(tmp_path / "pin.sock")
+        thread = _serve_in_thread([
+            "serve", "--socket", sock, "--workers", "1",
+            "--cache-size", str(cache_size),
+            "--cache-dir", str(tmp_path / "cache"),
+        ])
+        wait_for_http(sock, timeout=JOIN_TIMEOUT)
+        try:
+            docs = [
+                {"rows": 3, "cols": 3, "workload": "random", "seed": s}
+                for s in range(3 * cache_size + 6)
+            ]
+            digests = {request_from_doc(d).key().digest for d in docs}
+            assert len(digests) > cache_size
+            for doc in docs:
+                assert route(sock, doc)["ok"]
+            cache = stats(sock)["schedule_cache"]
+            assert cache["entries"] <= cache_size, cache
+            assert cache["maxsize"] == cache_size
+            assert cache["disk_writes"] == len(digests)
+        finally:
+            shutdown(sock, thread)

@@ -54,8 +54,11 @@ class TestDispatch:
         async def run():
             async with AsyncRoutingService(cache_size=16, max_workers=1) as svc:
                 handler = RequestHandler(svc)
-                bad = await handler.dispatch_line(b"{definitely not json")
-                assert not bad["ok"] and bad["code"] == "bad_json"
+                bad = await handler._get_pipeline().process_http(
+                    "POST", "/v1/route", "", {}, b"{definitely not json"
+                )
+                assert bad.status == 400
+                assert not bad.payload["ok"] and bad.payload["code"] == "bad_json"
                 unknown = await handler.dispatch({"op": "frobnicate"})
                 assert unknown["code"] == "unknown_op"
                 invalid = await handler.dispatch({"op": "route", "rows": 3})
@@ -181,13 +184,16 @@ class TestRenderPrometheus:
         # No cache sections, no max_workers: still well-formed output.
         assert "repro_schedule_cache" not in text
 
-    def test_sharded_cache_fields_export(self):
+    def test_cache_admission_fields_export(self):
         from repro.service import RoutingService
 
-        with RoutingService(cache_size=32, cache_shards=4, max_workers=1) as svc:
+        with RoutingService(
+            cache_size=32, cache_min_cost=1.0, max_workers=1
+        ) as svc:
             text = render_prometheus(svc.stats())
-        assert "repro_schedule_cache_n_shards 4" in text
         assert "repro_schedule_cache_rejected_puts_total 0" in text
+        assert "repro_schedule_cache_maxsize 32" in text
+        assert "shard" not in text
 
 
 class TestCacheOps:
@@ -295,13 +301,3 @@ class TestCacheOps:
         assert "repro_cluster_ring_nodes 2" in text
         assert "repro_cluster_dead_nodes 0" in text
         assert 'repro_cluster_node_up{node="peer-a"} 1' in text
-
-    def test_per_shard_disk_errors_export(self):
-        from repro.service import ShardedScheduleCache
-
-        cache = ShardedScheduleCache(maxsize=32, n_shards=4)
-        cache._shards[2].stats.disk_errors = 7
-        doc = {"schedule_cache": cache.as_dict()}
-        assert cache.as_dict()["disk_errors_by_shard"] == {"2": 7}
-        text = render_prometheus(doc)
-        assert 'repro_schedule_cache_shard_disk_errors_total{shard="2"} 7' in text

@@ -1,8 +1,8 @@
 """End-to-end tests for the HTTP/JSON front end (repro.service.http).
 
 The server runs on a background thread with its own event loop and is
-exercised through real TCP connections — ``http_request`` (urllib) for
-the JSON surface, raw sockets for protocol-level behaviour (framing
+exercised through real TCP connections — ``http_request`` for the JSON
+surface, raw sockets for protocol-level behaviour (framing
 errors, keep-alive, oversized payloads). Every blocking wait carries an
 explicit timeout so a hung server fails the test instead of wedging the
 suite.
@@ -56,7 +56,7 @@ def _start_http(max_body_bytes: int | None = None, **service_kwargs):
 
 
 def _shutdown(base: str, thread: threading.Thread) -> None:
-    status, body = http_request(base + "/v1/shutdown", {})
+    status, body = http_request(base, "/v1/shutdown", {})
     assert status == 200 and body["ok"]
     thread.join(timeout=JOIN_TIMEOUT)
     assert not thread.is_alive()
@@ -82,25 +82,25 @@ class TestEndpoints:
     def test_healthz_route_stats_metrics_roundtrip(self):
         server, base, thread = _start_http()
         try:
-            status, body = http_request(base + "/healthz")
+            status, body = http_request(base, "/healthz")
             assert status == 200
             assert body["ok"] is True and body["status"] == "serving"
             assert body["version"]  # identity enrichment
 
             doc = {"rows": 4, "cols": 4, "workload": "random", "seed": 0}
-            status, r1 = http_request(base + "/v1/route", doc)
+            status, r1 = http_request(base, "/v1/route", doc)
             assert status == 200
             assert r1["ok"] and r1["source"] == "computed" and r1["depth"] >= 1
-            status, r2 = http_request(base + "/v1/route", doc)
+            status, r2 = http_request(base, "/v1/route", doc)
             assert r2["source"] == "cache" and r2["depth"] == r1["depth"]
 
-            status, stats = http_request(base + "/stats")
+            status, stats = http_request(base, "/stats")
             assert status == 200
             counters = stats["stats"]["telemetry"]["counters"]
             assert counters["aio_requests"] == 2
             assert counters["http_requests"] >= 3
 
-            status, text = http_request(base + "/metrics")
+            status, text = http_request(base, "/metrics")
             assert status == 200
             assert isinstance(text, str)
             assert '# TYPE repro_counter_total counter' in text
@@ -113,7 +113,7 @@ class TestEndpoints:
     def test_route_echoes_id_and_include_schedule(self):
         server, base, thread = _start_http()
         try:
-            status, resp = http_request(base + "/v1/route", {
+            status, resp = http_request(base, "/v1/route", {
                 "id": "req-9", "rows": 3, "cols": 3, "workload": "random",
                 "seed": 1, "include_schedule": True,
             })
@@ -126,7 +126,7 @@ class TestEndpoints:
         server, base, thread = _start_http()
         try:
             good = {"rows": 3, "cols": 3, "workload": "random", "seed": 0}
-            status, body = http_request(base + "/v1/route_batch", {
+            status, body = http_request(base, "/v1/route_batch", {
                 "requests": [
                     good,
                     {"rows": 3},
@@ -154,7 +154,7 @@ class TestEndpoints:
         server, base, thread = _start_http()
         try:
             doc = {"qasm": QASM, "rows": 2, "cols": 2}
-            status, body = http_request(base + "/v1/transpile_batch", {
+            status, body = http_request(base, "/v1/transpile_batch", {
                 "requests": [doc, dict(doc), {"rows": 2, "cols": 2}],
                 "include_qasm": True,
             })
@@ -186,22 +186,22 @@ class TestEndpoints:
         server, base, thread = _start_http()
         try:
             status, body = http_request(
-                base + "/v1/cache_get", {"digest": digest}
+                base, "/v1/cache_get", {"digest": digest}
             )
             assert status == 200 and body["ok"] and body["found"] is False
-            status, body = http_request(base + "/v1/cache_put", {
+            status, body = http_request(base, "/v1/cache_put", {
                 "digest": digest, "schedule_b64": frame_b64, "cost": 0.1,
             })
             assert status == 200 and body["stored"]
             status, body = http_request(
-                base + "/v1/cache_get", {"digest": digest}
+                base, "/v1/cache_get", {"digest": digest}
             )
             assert body["found"]
             assert decode_schedule(base64.b64decode(body["schedule_b64"])) == schedule
-            status, body = http_request(base + "/v1/cache_stats")
+            status, body = http_request(base, "/v1/cache_stats")
             assert status == 200 and body["stats"]["entries"] == 1
             # Validation failures map to 400.
-            status, body = http_request(base + "/v1/cache_get", {})
+            status, body = http_request(base, "/v1/cache_get", {})
             assert status == 400 and body["code"] == "bad_request"
 
             # The shard client speaks the same endpoints end to end.
@@ -228,13 +228,13 @@ class TestEndpoints:
         assert len(frame) == 88
         server, base, thread = _start_http()
         try:
-            status, body = http_request(base + "/v1/cache_put", {
+            status, body = http_request(base, "/v1/cache_put", {
                 "digest": "ab" * 32,
                 "schedule_b64": base64.b64encode(frame).decode("ascii"),
             })
             assert status == 400 and body["code"] == "bad_request"
             status, body = http_request(
-                base + "/v1/route", {"rows": 3, "cols": 3, "workload": "random"}
+                base, "/v1/route", {"rows": 3, "cols": 3, "workload": "random"}
             )
             assert status == 200 and body["ok"]
         finally:
@@ -243,22 +243,22 @@ class TestEndpoints:
     def test_protocol_errors(self):
         server, base, thread = _start_http()
         try:
-            status, body = http_request(base + "/nope")
+            status, body = http_request(base, "/nope")
             assert status == 404 and body["code"] == "not_found"
-            status, body = http_request(base + "/v1/route", method="GET")
+            status, body = http_request(base, "/v1/route", method="GET")
             assert status == 405 and body["code"] == "method_not_allowed"
-            status, body = http_request(base + "/healthz", {"x": 1})
+            status, body = http_request(base, "/healthz", {"x": 1})
             assert status == 405 and body["code"] == "method_not_allowed"
             # Malformed JSON bodies.
-            status, body = http_request(base + "/v1/route_batch", {"requests": "x"})
+            status, body = http_request(base, "/v1/route_batch", {"requests": "x"})
             assert status == 400 and body["code"] == "bad_request"
             status, body = http_request(
-                base + "/v1/route_batch", {"requests": [], "timeout": "x"}
+                base, "/v1/route_batch", {"requests": [], "timeout": "x"}
             )
             assert status == 400 and body["code"] == "bad_request"
             # A bad timeout on a single request is a validation failure
             # (400/bad_request), not an internal error.
-            status, body = http_request(base + "/v1/route", {
+            status, body = http_request(base, "/v1/route", {
                 "rows": 3, "cols": 3, "workload": "random", "timeout": "abc",
             })
             assert status == 400 and body["code"] == "bad_request"
@@ -350,7 +350,7 @@ class TestProtocol:
             # reused: the refusal must hang up.
             assert headers["connection"] == "close"
             # The server survives and still answers new connections.
-            status, _ = http_request(base + "/healthz")
+            status, _ = http_request(base, "/healthz")
             assert status == 200
         finally:
             _shutdown(base, thread)
@@ -377,7 +377,7 @@ class TestProtocol:
             lock = threading.Lock()
 
             def client(seed: int) -> None:
-                resp = http_request(base + "/v1/route", {
+                resp = http_request(base, "/v1/route", {
                     "rows": 3, "cols": 3, "workload": "random", "seed": seed,
                 })
                 with lock:
@@ -415,7 +415,7 @@ class TestProtocol:
         outcome: dict = {}
 
         def client() -> None:
-            outcome["resp"] = http_request(base + "/v1/route", {
+            outcome["resp"] = http_request(base, "/v1/route", {
                 "rows": 4, "cols": 4, "workload": "random", "seed": 3,
             })
 
@@ -436,11 +436,40 @@ class TestProtocol:
             thread.join(timeout=JOIN_TIMEOUT)
         assert not thread.is_alive()
         with pytest.raises(ReproError):
-            http_request(base + "/healthz", timeout=2.0)
+            http_request(base, "/healthz", timeout=2.0)
 
     def test_wait_for_http_timeout_message(self):
         with pytest.raises(ReproError, match="no HTTP server answering"):
             wait_for_http("http://127.0.0.1:1", timeout=0.3)
+
+
+class TestClientIgnoresProxyEnvironment:
+    def test_proxy_variables_do_not_divert_peer_traffic(self, monkeypatch):
+        """A dead proxy in the environment must not cut off a live peer."""
+        from repro.service import RemoteShardClient
+
+        import urllib.request
+
+        server, base, thread = _start_http()
+        try:
+            for name in ("http_proxy", "HTTP_PROXY", "all_proxy", "ALL_PROXY"):
+                monkeypatch.setenv(name, "http://127.0.0.1:9")
+            for name in ("no_proxy", "NO_PROXY"):
+                monkeypatch.delenv(name, raising=False)
+            # urllib builds its default opener, proxies included, on first
+            # use; drop a cached one so an env-reading client would see
+            # the dead proxy set above.
+            monkeypatch.setattr(urllib.request, "_opener", None)
+            status, body = http_request(base, "/healthz", timeout=JOIN_TIMEOUT)
+            assert status == 200 and body["ok"]
+            client = RemoteShardClient(base, timeout=JOIN_TIMEOUT)
+            try:
+                assert client.ping() is True
+                assert client.cache_stats()["entries"] == 0
+            finally:
+                client.close()
+        finally:
+            _shutdown(base, thread)
 
 
 def _free_port() -> int:
@@ -474,21 +503,21 @@ class TestHttpCli:
             encoding="utf-8",
         )
         out = tmp_path / "results.jsonl"
-        rc = main(["batch", str(reqs), "--http", base, "--out", str(out)])
+        rc = main(["batch", str(reqs), "--daemon", base, "--out", str(out)])
         assert rc == 0
         lines = [json.loads(line) for line in out.read_text().splitlines()]
         assert len(lines) == 2 and all(line["ok"] for line in lines)
-        assert "via http" in capsys.readouterr().err
+        assert f"via daemon {base}" in capsys.readouterr().err
 
         # Second invocation: warm cache across client invocations.
-        rc = main(["batch", str(reqs), "--http", base, "--out", str(out),
+        rc = main(["batch", str(reqs), "--daemon", base, "--out", str(out),
                    "--stats"])
         assert rc == 0
         lines = [json.loads(line) for line in out.read_text().splitlines()]
         assert [line["source"] for line in lines] == ["cache", "cache"]
         assert "schedule_cache" in capsys.readouterr().err
 
-        status, body = http_request(base + "/v1/shutdown", {})
+        status, body = http_request(base, "/v1/shutdown", {})
         assert status == 200 and body["ok"]
         thread.join(timeout=JOIN_TIMEOUT)
         assert not thread.is_alive()
@@ -514,15 +543,15 @@ class TestHttpCli:
                 + "\n",
                 encoding="utf-8",
             )
-            rc = main(["batch", str(reqs), "--http", base])
-            assert rc == 3  # per-request failure, mirroring --daemon
+            rc = main(["batch", str(reqs), "--daemon", base])
+            assert rc == 3  # per-request failure, mirroring local batch
             out_lines = [
                 json.loads(line)
                 for line in capsys.readouterr().out.splitlines()
             ]
             assert [line["ok"] for line in out_lines] == [True, False]
         finally:
-            http_request(base + "/v1/shutdown", {})
+            http_request(base, "/v1/shutdown", {})
             thread.join(timeout=JOIN_TIMEOUT)
 
     def test_batch_http_unreachable_errors(self, tmp_path, capsys):
@@ -531,19 +560,16 @@ class TestHttpCli:
             json.dumps({"rows": 3, "cols": 3, "workload": "random"}) + "\n",
             encoding="utf-8",
         )
-        rc = main(["batch", str(reqs), "--http", "http://127.0.0.1:1"])
+        rc = main(["batch", str(reqs), "--daemon", "http://127.0.0.1:1"])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_batch_daemon_and_http_are_exclusive(self, tmp_path, capsys):
-        reqs = tmp_path / "requests.jsonl"
-        reqs.write_text("{}\n", encoding="utf-8")
-        rc = main([
-            "batch", str(reqs),
-            "--daemon", "/tmp/x.sock", "--http", "http://127.0.0.1:1",
-        ])
-        assert rc == 2
-        assert "mutually exclusive" in capsys.readouterr().err
+    def test_batch_has_one_server_flag(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["batch", "--help"])
+        usage = capsys.readouterr().out
+        assert "--daemon ADDR" in usage
+        assert "--http" not in usage
 
     def test_serve_http_validates_address(self, capsys):
         assert main(["serve", "--http", "nope"]) == 2
@@ -556,10 +582,8 @@ class TestTenancyCli:
     """`repro serve --tenants/--max-body` + `repro batch --api-key` e2e."""
 
     def test_serve_flag_validation(self, tmp_path, capsys):
-        # --max-body is an HTTP framing knob; refuse it on the NDJSON
-        # transports rather than silently ignoring it.
         sock = str(tmp_path / "d.sock")
-        assert main(["serve", "--socket", sock, "--max-body", "1024"]) == 2
+        assert main(["serve", "--socket", sock, "--max-body", "0"]) == 2
         assert "--max-body" in capsys.readouterr().err
         assert main(["serve", "--http", "127.0.0.1:0", "--max-body", "0"]) == 2
         assert "--max-body" in capsys.readouterr().err
@@ -601,28 +625,28 @@ class TestTenancyCli:
         try:
             doc = {"rows": 4, "cols": 4, "workload": "random", "seed": 0}
             # Work ops demand a key once tenancy is enforced...
-            status, body = http_request(base + "/v1/route", doc)
+            status, body = http_request(base, "/v1/route", doc)
             assert status == 401 and body["code"] == "unauthorized"
             # ...presented as a Bearer token or the x-api-key header.
             status, body = http_request(
-                base + "/v1/route", doc,
+                base, "/v1/route", doc,
                 headers={"Authorization": "Bearer ak_acme"},
             )
             assert status == 200 and body["ok"]
             status, body = http_request(
-                base + "/v1/route", dict(doc, seed=1),
+                base, "/v1/route", dict(doc, seed=1),
                 headers={"X-API-Key": "ak_acme"},
             )
             assert status == 200 and body["ok"]
 
             # The limited tenant's bucket drains after one 4x4 request.
             status, body = http_request(
-                base + "/v1/route", dict(doc, seed=2),
+                base, "/v1/route", dict(doc, seed=2),
                 headers={"Authorization": "Bearer ak_lim"},
             )
             assert status == 200 and body["ok"]
             status, body = http_request(
-                base + "/v1/route", dict(doc, seed=3),
+                base, "/v1/route", dict(doc, seed=3),
                 headers={"Authorization": "Bearer ak_lim"},
             )
             assert status == 429 and body["code"] == "rate_limited"
@@ -637,11 +661,11 @@ class TestTenancyCli:
                 ) + "\n",
                 encoding="utf-8",
             )
-            rc = main(["batch", str(reqs), "--http", base])
+            rc = main(["batch", str(reqs), "--daemon", base])
             assert rc == 2
             assert "401" in capsys.readouterr().err
             out = tmp_path / "results.jsonl"
-            rc = main(["batch", str(reqs), "--http", base,
+            rc = main(["batch", str(reqs), "--daemon", base,
                        "--api-key", "ak_acme", "--out", str(out)])
             assert rc == 0
             lines = [json.loads(x) for x in out.read_text().splitlines()]
@@ -662,14 +686,14 @@ class TestTenancyCli:
             assert "4096" in json.loads(body_bytes)["error"]
 
             # Tenancy flows into /stats and the Prometheus rendering.
-            status, body = http_request(base + "/stats")
+            status, body = http_request(base, "/stats")
             assert status == 200
             tenancy = body["stats"]["tenancy"]
             assert tenancy["enforced"] is True
             assert tenancy["tenants"]["acme"]["admitted"] == 3
             assert tenancy["tenants"]["limited"]["throttled"] == 1
             assert body["stats"]["aio"]["max_queue_depth"] == 64
-            status, text = http_request(base + "/metrics")
+            status, text = http_request(base, "/metrics")
             assert status == 200
             assert (
                 'repro_tenant_requests_total'
@@ -680,7 +704,7 @@ class TestTenancyCli:
                 '{outcome="throttled",tenant="limited"} 1' in text
             )
         finally:
-            http_request(base + "/v1/shutdown", {})
+            http_request(base, "/v1/shutdown", {})
             thread.join(timeout=JOIN_TIMEOUT)
         assert not thread.is_alive()
 
@@ -711,7 +735,7 @@ class TestHttpSighupReload:
         def driver() -> None:
             try:
                 wait_for_http(base, timeout=JOIN_TIMEOUT)
-                status, body = http_request(base + "/v1/topology")
+                status, body = http_request(base, "/v1/topology")
                 assert status == 200 and body["ok"]
                 epoch0 = body["topology"]["epoch"]
                 assert body["topology"]["members"] == [node]
@@ -723,7 +747,7 @@ class TestHttpSighupReload:
                 os.kill(os.getpid(), signal.SIGHUP)
                 deadline = time.monotonic() + JOIN_TIMEOUT
                 while True:
-                    status, body = http_request(base + "/v1/topology")
+                    status, body = http_request(base, "/v1/topology")
                     if peer in body["topology"]["members"]:
                         break
                     if time.monotonic() > deadline:
@@ -735,7 +759,7 @@ class TestHttpSighupReload:
 
                 # An admin join pinned to the pre-reload epoch lost the
                 # race; the stable stale_epoch code maps to 409.
-                status, body = http_request(base + "/v1/topology", {
+                status, body = http_request(base, "/v1/topology", {
                     "action": "join",
                     "node": "http://127.0.0.1:59998",
                     "expected_epoch": epoch0,
@@ -745,7 +769,7 @@ class TestHttpSighupReload:
                 failures.append(exc)
             finally:
                 try:
-                    http_request(base + "/v1/shutdown", {})
+                    http_request(base, "/v1/shutdown", {})
                 except ReproError:
                     pass
 

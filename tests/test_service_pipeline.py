@@ -85,23 +85,16 @@ class TestAuthentication:
 
     def test_transport_key_and_doc_key(self):
         pipeline, svc = _pipeline(tenants=_enforced_registry())
-        ok_transport, ok_doc, bad = _run(
-            pipeline,
-            svc,
-            ROUTE,
-            {**ROUTE, "api_key": "ak_1"},
-            {**ROUTE, "api_key": "wrong"},
-            api_key="ak_1",
+        ok_transport, ignored_wrong = _run(
+            pipeline, svc, ROUTE, {**ROUTE, "api_key": "wrong"}, api_key="ak_1"
         )
         assert ok_transport["ok"]
-        assert ok_doc["ok"]
-        # The document's key wins over the transport's, even when wrong.
-        assert not bad["ok"] and bad["code"] == "unauthorized"
-
-    def test_non_string_api_key_is_bad_request(self):
+        # The key comes from the transport's headers only: an
+        # ``api_key`` field in the document changes nothing.
+        assert ignored_wrong["ok"]
         pipeline, svc = _pipeline(tenants=_enforced_registry())
-        (resp,) = _run(pipeline, svc, {**ROUTE, "api_key": 42})
-        assert not resp["ok"] and resp["code"] == "bad_request"
+        (keyless,) = _run(pipeline, svc, {**ROUTE, "api_key": "ak_1"})
+        assert not keyless["ok"] and keyless["code"] == "unauthorized"
 
     def test_unauthorized_echoes_id(self):
         pipeline, svc = _pipeline(tenants=_enforced_registry())
@@ -232,7 +225,13 @@ class TestStageObservability:
 
     def test_tenant_outcome_counter_and_prometheus(self):
         pipeline, svc = _pipeline(tenants=_enforced_registry())
-        _run(pipeline, svc, ROUTE, {**ROUTE, "api_key": "bad"}, api_key="ak_1")
+
+        async def go():
+            await pipeline.process(dict(ROUTE), api_key="ak_1")
+            await pipeline.process(dict(ROUTE), api_key="bad")
+            await svc.aclose()
+
+        asyncio.run(go())
         snap = pipeline.telemetry.snapshot()
         series = {
             tuple(sorted(s["labels"].items())): s["value"]
@@ -280,6 +279,26 @@ class TestProcessHttp:
             return out
 
         return asyncio.run(go())
+
+    def test_trace_context_comes_from_the_header(self):
+        pipeline, svc = _pipeline(trace_buffer=8)
+        header_trace, body_trace = "ab" * 16, "cd" * 16
+        body = (
+            b'{"rows":3,"cols":3,"workload":"random",'
+            b'"trace":"00-' + body_trace.encode() + b'-00f067aa0ba902b7-01"}'
+        )
+        headers = {"traceparent": f"00-{header_trace}-00f067aa0ba902b7-01"}
+        joined, fresh = self._call(
+            pipeline,
+            svc,
+            [
+                ("POST", "/v1/route", "", headers, body),
+                ("POST", "/v1/route", "", None, body),
+            ],
+        )
+        assert joined.payload["trace_id"] == header_trace
+        # A ``trace`` field in the body is not trace context.
+        assert fresh.payload["trace_id"] not in (header_trace, body_trace)
 
     def test_keyless_work_is_401(self):
         pipeline, svc = _pipeline(tenants=_enforced_registry())

@@ -27,7 +27,6 @@ from repro.service import (
     InProcessShardClient,
     LRUCache,
     ScheduleCache,
-    ShardedScheduleCache,
 )
 from repro.service.handler import _CLUSTER_COUNTER_FIELDS, render_prometheus
 
@@ -127,13 +126,6 @@ class TestDiscard:
         assert not path.exists()
         # Without the disk unlink the next get would resurrect it.
         assert cache.get(DIGESTS[1]) is None
-
-    def test_sharded_discard_routes_to_owning_shard(self, schedule):
-        sharded = ShardedScheduleCache(maxsize=32, n_shards=4)
-        sharded.put(DIGESTS[2], schedule)
-        assert sharded.discard(DIGESTS[2]) is True
-        assert sharded.discard(DIGESTS[2]) is False
-        assert DIGESTS[2] not in sharded
 
 
 # ----------------------------------------------------------------------

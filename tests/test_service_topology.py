@@ -15,14 +15,16 @@ from __future__ import annotations
 import asyncio
 import hashlib
 import json
+import socket
 import threading
 import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from socket_daemon import JOIN_TIMEOUT, route_batch, shutdown, start_daemon, stats
 
-from repro.errors import DaemonDisconnectedError, ReproError, StaleEpochError
+from repro.errors import ClusterShardError, ReproError, StaleEpochError
 from repro.graphs import GridGraph
 from repro.perm import random_permutation
 from repro.routing import route
@@ -30,20 +32,15 @@ from repro.service import (
     AsyncRoutingService,
     ClusterScheduleCache,
     ClusterTopology,
-    DaemonClient,
     InProcessShardClient,
     RemoteShardClient,
     RequestHandler,
-    RoutingDaemon,
     ScheduleCache,
     TopologyFileWatcher,
     parse_topology_doc,
     render_prometheus,
     request_from_doc,
-    wait_for_socket,
 )
-
-JOIN_TIMEOUT = 60.0
 
 
 def _digest(i: int) -> str:
@@ -486,67 +483,114 @@ class TestRuntimeReconfiguration:
         assert a.cluster_stats.handoff_rounds == 0
 
 
+class _ScriptedPeer:
+    """A UNIX-socket HTTP peer that drops connections on cue.
+
+    Answers ``GET /healthz`` and keeps the connection open; on any other
+    request it reads the request and closes the connection without an
+    answer, the way a peer that idle-closed or died mid-request looks
+    to a keep-alive client. With ``idle_close`` it also closes every
+    connection right after answering. Records every request line and
+    counts accepted connections.
+    """
+
+    def __init__(self, path: str, idle_close: bool = False) -> None:
+        self.requests: list[str] = []
+        self.connections = 0
+        self.closed = threading.Event()
+        self._idle_close = idle_close
+        self._server = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        self._server.bind(path)
+        self._server.listen(4)
+        self._thread = threading.Thread(target=self._run, daemon=True)
+        self._thread.start()
+
+    def _run(self) -> None:
+        while True:
+            try:
+                conn, _ = self._server.accept()
+            except OSError:
+                return  # listener closed
+            self.connections += 1
+            with conn, conn.makefile("rb") as fh:
+                while True:
+                    line = fh.readline().decode("latin-1").strip()
+                    if not line:
+                        break
+                    length = 0
+                    while header := fh.readline().strip():
+                        name, _, value = header.decode("latin-1").partition(":")
+                        if name.lower() == "content-length":
+                            length = int(value)
+                    fh.read(length)
+                    self.requests.append(line)
+                    if not line.startswith("GET /healthz"):
+                        break  # close without answering
+                    body = b'{"ok": true}'
+                    conn.sendall(
+                        b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+                        b"Content-Length: %d\r\n\r\n%s" % (len(body), body)
+                    )
+                    if self._idle_close:
+                        break
+            self.closed.set()
+
+    def close(self) -> None:
+        # shutdown() wakes the accept() the serving thread is parked in.
+        try:
+            self._server.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+        self._server.close()
+        self._thread.join(timeout=JOIN_TIMEOUT)
+
+
 class TestRemoteShardClientReconnect:
-    def test_half_open_connection_retries_once(self):
-        client = RemoteShardClient("/tmp/never-dialed.sock")
+    def test_half_open_connection_retries_once(self, tmp_path):
+        sock = str(tmp_path / "idle.sock")
+        peer = _ScriptedPeer(sock, idle_close=True)
+        client = RemoteShardClient(sock, timeout=JOIN_TIMEOUT)
+        try:
+            assert client.ping() is True  # opens the keep-alive connection
+            assert peer.closed.wait(JOIN_TIMEOUT)  # the peer idle-closed it
+            # One transparent retry on a fresh connection, no breaker trip.
+            assert client.ping() is True
+            assert peer.connections == 2
+            assert peer.requests == ["GET /healthz HTTP/1.1"] * 2
+        finally:
+            client.close()
+            peer.close()
 
-        class _FlakyDaemon:
-            def __init__(self):
-                self.calls = 0
-
-            def request(self, doc):
-                self.calls += 1
-                if self.calls == 1:
-                    raise DaemonDisconnectedError("idle-closed")
-                return {"ok": True, "op": doc.get("op")}
-
-            def close(self):
-                pass
-
-        flaky = _FlakyDaemon()
-        client._daemon = flaky
-        assert client.ping() is True  # one transparent retry, no breaker trip
-        assert flaky.calls == 2
-
-    def test_topology_update_is_never_retried_on_disconnect(self):
+    def test_topology_update_is_never_retried_on_disconnect(self, tmp_path):
         # The eaten response may mean the update already applied;
         # re-sending it would turn success into a spurious CAS failure.
-        client = RemoteShardClient("/tmp/never-dialed.sock")
+        sock = str(tmp_path / "update.sock")
+        peer = _ScriptedPeer(sock)
+        client = RemoteShardClient(sock, timeout=JOIN_TIMEOUT)
+        try:
+            assert client.ping() is True  # a reused connection from here on
+            with pytest.raises(ClusterShardError):
+                client.topology_update({"members": ["a"], "epoch": 2})
+            updates = [r for r in peer.requests if "topology_update" in r]
+            assert len(updates) == 1
+        finally:
+            client.close()
+            peer.close()
 
-        class _OnceDaemon:
-            def __init__(self):
-                self.calls = 0
-
-            def request(self, doc):
-                self.calls += 1
-                raise DaemonDisconnectedError("mid-update")
-
-            def close(self):
-                pass
-
-        once = _OnceDaemon()
-        client._daemon = once
-        with pytest.raises(DaemonDisconnectedError):
-            client.topology_update({"members": ["a"], "epoch": 2})
-        assert once.calls == 1
-
-    def test_double_disconnect_still_fails(self):
-        client = RemoteShardClient("/tmp/never-dialed.sock")
-
-        class _DeadDaemon:
-            calls = 0
-
-            def request(self, doc):
-                type(self).calls += 1
-                raise DaemonDisconnectedError("still dead")
-
-            def close(self):
-                pass
-
-        client._daemon = _DeadDaemon()
-        with pytest.raises(DaemonDisconnectedError):
-            client.cache_stats()
-        assert _DeadDaemon.calls == 2
+    def test_double_disconnect_still_fails(self, tmp_path):
+        sock = str(tmp_path / "dead.sock")
+        peer = _ScriptedPeer(sock)
+        client = RemoteShardClient(sock, timeout=JOIN_TIMEOUT)
+        try:
+            assert client.ping() is True
+            with pytest.raises(ClusterShardError):
+                client.cache_stats()
+            probes = [r for r in peer.requests if "cache_stats" in r]
+            assert len(probes) == 2  # the retry, then the failure
+            assert client._conn is None  # the next call dials afresh
+        finally:
+            client.close()
+            peer.close()
 
 
 # ----------------------------------------------------------------------
@@ -598,28 +642,13 @@ class TestTopologyOps:
 def _start_daemon(tmp_path, name, **service_kwargs):
     sock = str(tmp_path / name)
     service_kwargs.setdefault("cache_size", 256)
-    service_kwargs.setdefault("max_workers", 1)
     service_kwargs.setdefault("cluster_node_id", sock)
-    svc = AsyncRoutingService(**service_kwargs)
-    daemon = RoutingDaemon(svc)
-    thread = threading.Thread(
-        target=asyncio.run, args=(daemon.serve_unix(sock),), daemon=True
-    )
-    thread.start()
-    wait_for_socket(sock, timeout=JOIN_TIMEOUT)
+    thread, _svc = start_daemon(sock, **service_kwargs)
     return sock, thread
 
 
-def _shutdown(sock, thread):
-    with DaemonClient(sock, timeout=JOIN_TIMEOUT) as client:
-        assert client.shutdown()
-    thread.join(timeout=JOIN_TIMEOUT)
-    assert not thread.is_alive()
-
-
 def _cluster_stats(sock):
-    with DaemonClient(sock, timeout=JOIN_TIMEOUT) as client:
-        return client.stats()["schedule_cache"]["cluster"]
+    return stats(sock)["schedule_cache"]["cluster"]
 
 
 class TestLiveJoinDrill:
@@ -636,8 +665,7 @@ class TestLiveJoinDrill:
                 for s in range(16)
             ]
             digests = [request_from_doc(d).key().digest for d in docs]
-            with DaemonClient(sock_a, timeout=JOIN_TIMEOUT) as ca:
-                assert all(r["ok"] for r in ca.route_batch(docs))
+            assert all(r["ok"] for r in route_batch(sock_a, docs))
 
             assert main(["topology", "join", sock_b, "--contact", sock_a]) == 0
             out = capsys.readouterr().out
@@ -670,8 +698,7 @@ class TestLiveJoinDrill:
             finally:
                 shard_b.close()
             # And the whole original workload is warm through B.
-            with DaemonClient(sock_b, timeout=JOIN_TIMEOUT) as cb:
-                served = cb.route_batch(docs)
+            served = route_batch(sock_b, docs)
             assert all(r["ok"] and r["source"] == "cache" for r in served)
 
             # `repro topology show` sees the converged ring.
@@ -687,8 +714,8 @@ class TestLiveJoinDrill:
                 time.sleep(0.05)
             assert _cluster_stats(sock_a)["ring_nodes"] == [sock_a]
         finally:
-            _shutdown(sock_b, thread_b)
-            _shutdown(sock_a, thread_a)
+            shutdown(sock_b, thread_b)
+            shutdown(sock_a, thread_a)
 
     def test_topology_join_rejects_existing_member(self, tmp_path, capsys):
         from repro.cli import main
@@ -699,7 +726,7 @@ class TestLiveJoinDrill:
             assert code == 2
             assert "already a ring member" in capsys.readouterr().err
         finally:
-            _shutdown(sock_a, thread_a)
+            shutdown(sock_a, thread_a)
 
     def test_topology_join_aborts_when_newcomer_unreachable(
         self, tmp_path, capsys
@@ -716,4 +743,4 @@ class TestLiveJoinDrill:
             topo = _cluster_stats(sock_a)
             assert topo["epoch"] == 1 and topo["ring_nodes"] == [sock_a]
         finally:
-            _shutdown(sock_a, thread_a)
+            shutdown(sock_a, thread_a)

@@ -14,11 +14,12 @@ import asyncio
 import io
 import json
 import logging as stdlib_logging
-import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from socket_daemon import route as route_doc
+from socket_daemon import shutdown, start_daemon
 
 from repro import GridGraph, route
 from repro.cli import main
@@ -26,11 +27,9 @@ from repro.perm import make_workload
 from repro.routing.base import StageProfiler, profile, stage
 from repro.service import (
     AsyncRoutingService,
-    DaemonClient,
     JsonFormatter,
     RemoteShardClient,
     RequestHandler,
-    RoutingDaemon,
     Trace,
     TraceBuffer,
     configure_logging,
@@ -41,7 +40,6 @@ from repro.service import (
     record_stage_spans,
     span,
     start_trace,
-    wait_for_socket,
 )
 
 TIMEOUT = 30.0
@@ -474,27 +472,13 @@ class TestHandlerTracing:
 # live two-daemon ring: one trace spanning both nodes
 # ----------------------------------------------------------------------
 def _start_ring_daemon(sock, peers):
-    svc = AsyncRoutingService(
-        cache_size=64,
-        max_workers=1,
+    thread, _svc = start_daemon(
+        sock,
         cluster_peers=peers,
         cluster_node_id=sock,
         cluster_replication=2,
     )
-    daemon = RoutingDaemon(svc)
-    thread = threading.Thread(
-        target=asyncio.run, args=(daemon.serve_unix(sock),), daemon=True
-    )
-    thread.start()
-    wait_for_socket(sock, timeout=TIMEOUT)
     return thread
-
-
-def _shutdown(sock, thread):
-    with DaemonClient(sock, timeout=TIMEOUT) as client:
-        client.shutdown()
-    thread.join(timeout=TIMEOUT)
-    assert not thread.is_alive()
 
 
 class TestCrossDaemonTracing:
@@ -507,13 +491,11 @@ class TestCrossDaemonTracing:
         thread_b = _start_ring_daemon(sock_b, (sock_a,))
         try:
             doc = {"rows": 4, "cols": 4, "workload": "random", "seed": 7}
-            with DaemonClient(sock_a, timeout=TIMEOUT) as ca:
-                warm = ca.route(doc)
-                assert warm["ok"] and warm["source"] == "computed"
-            with DaemonClient(sock_b, timeout=TIMEOUT) as cb:
-                served = cb.route(doc)
-                assert served["ok"] and served["source"] == "cache"
-                trace_id = served["trace_id"]
+            warm = route_doc(sock_a, doc)
+            assert warm["ok"] and warm["source"] == "computed"
+            served = route_doc(sock_b, doc)
+            assert served["ok"] and served["source"] == "cache"
+            trace_id = served["trace_id"]
 
             client_a = RemoteShardClient(sock_a, timeout=TIMEOUT)
             client_b = RemoteShardClient(sock_b, timeout=TIMEOUT)
@@ -541,8 +523,8 @@ class TestCrossDaemonTracing:
             # And everything shares one trace id.
             assert {s["trace_id"] for s in spans} == {trace_id}
         finally:
-            _shutdown(sock_b, thread_b)
-            _shutdown(sock_a, thread_a)
+            shutdown(sock_b, thread_b)
+            shutdown(sock_a, thread_a)
 
     def test_trace_cli_merges_nodes(self, tmp_path, capsys):
         sock_a = str(tmp_path / "a.sock")
@@ -551,11 +533,9 @@ class TestCrossDaemonTracing:
         thread_b = _start_ring_daemon(sock_b, (sock_a,))
         try:
             doc = {"rows": 4, "cols": 4, "workload": "random", "seed": 9}
-            with DaemonClient(sock_a, timeout=TIMEOUT) as ca:
-                assert ca.route(doc)["ok"]
-            with DaemonClient(sock_b, timeout=TIMEOUT) as cb:
-                served = cb.route(doc)
-                trace_id = served["trace_id"]
+            assert route_doc(sock_a, doc)["ok"]
+            served = route_doc(sock_b, doc)
+            trace_id = served["trace_id"]
             rc = main(["trace", sock_a, sock_b, "--id", trace_id])
             out = capsys.readouterr().out
             assert rc == 0
@@ -568,8 +548,8 @@ class TestCrossDaemonTracing:
             assert rc == 0 and merged[0]["trace_id"] == trace_id
             assert len(merged[0]["nodes"]) == 2
         finally:
-            _shutdown(sock_b, thread_b)
-            _shutdown(sock_a, thread_a)
+            shutdown(sock_b, thread_b)
+            shutdown(sock_a, thread_a)
 
     def test_trace_cli_no_daemon_fails(self, tmp_path, capsys):
         rc = main(["trace", str(tmp_path / "ghost.sock")])
