@@ -153,11 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="pre-route the paper workload families before the batch",
     )
     p_batch.add_argument(
-        "--verify",
-        action="store_true",
-        help="re-verify every computed schedule",
-    )
-    p_batch.add_argument(
         "--include-schedule",
         action="store_true",
         help="embed the full schedule layers in each result line",
@@ -173,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="send the requests to a running `repro serve` daemon at this "
         "address (UNIX socket path or http://HOST:PORT) in one POST "
         "/v1/route_batch, bounded by the daemon's --max-body, instead of "
-        "routing locally (--workers/--cache-*/--warm/--verify are the "
+        "routing locally (--workers/--cache-*/--warm are the "
         "daemon's business and ignored here)",
     )
     p_batch.add_argument(
@@ -279,11 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--warm",
         action="store_true",
         help="pre-route the paper workload families before serving",
-    )
-    p_serve.add_argument(
-        "--verify",
-        action="store_true",
-        help="re-verify every computed schedule",
     )
     p_serve.add_argument(
         "--peer",
@@ -568,13 +558,9 @@ def _cmd_route_json(args, grid, perm, router_names, noise) -> int:
     """The ``route --json`` path: one service-encoded result per router."""
     from .service import RoutingService, route_result_to_dict
 
-    # verify=True so --json keeps the same guarantee as the text path,
-    # which re-verifies every schedule before printing it.
-    svc = RoutingService(
-        cache_size=len(router_names) + 1,
-        max_workers=1,
-        verify=True,
-    )
+    # The service verifies every schedule it computes, the same
+    # guarantee the text path gives by verifying before printing.
+    svc = RoutingService(cache_size=len(router_names) + 1, max_workers=1)
     results = []
     for name in router_names:
         res = svc.submit(grid, perm, router=name)
@@ -752,7 +738,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         cache_size=args.cache_size,
         cache_dir=args.cache_dir,
         max_workers=args.workers,
-        verify=args.verify,
         cluster_peers=tuple(args.cluster or ()),
         cluster_replication=args.replication,
         cluster_retry_interval=args.breaker_cooldown,
@@ -912,7 +897,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         cache_dir=args.cache_dir,
         cache_min_cost=args.min_cache_seconds,
         max_workers=args.workers,
-        verify=args.verify,
         cluster_peers=tuple(args.peer or ()),
         cluster_node_id=node_id,
         cluster_replication=args.replication,

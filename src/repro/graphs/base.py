@@ -70,7 +70,7 @@ class Graph:
     2
     """
 
-    __slots__ = ("_n", "_adj", "_edges", "_edge_set", "_dist", "name")
+    __slots__ = ("_n", "_adj", "_edges", "_edge_set", "_edge_keys", "_dist", "name")
 
     def __init__(
         self,
@@ -101,6 +101,7 @@ class Graph:
         )
         self._edges: tuple[Edge, ...] = tuple(sorted(edge_set))
         self._edge_set: frozenset[Edge] = frozenset(edge_set)
+        self._edge_keys: np.ndarray | None = None
         self._dist: np.ndarray | None = None
 
     # ------------------------------------------------------------------
@@ -140,6 +141,26 @@ class Graph:
         if u == v:
             return False
         return canonical_edge(u, v) in self._edge_set
+
+    def has_edges(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """Vectorized :meth:`has_edge` over canonical vertex pairs.
+
+        ``lo`` and ``hi`` are equal-length integer arrays with
+        ``0 <= lo[i] < hi[i] < n_vertices`` (the invariants of a
+        :class:`~repro.routing.schedule.Schedule`'s swaps). Returns a
+        boolean mask: one ``searchsorted`` of the ``lo * n + hi`` keys
+        into the sorted keys of the edge list, built on first use.
+        """
+        keys = self._edge_keys
+        if keys is None:
+            ends = np.asarray(self._edges, dtype=np.int64).reshape(-1, 2)
+            # Edges are sorted (u, v) pairs with v < n, so the keys are too.
+            keys = self._edge_keys = ends[:, 0] * self._n + ends[:, 1]
+        query = np.asarray(lo, dtype=np.int64) * self._n + np.asarray(hi)
+        if keys.size == 0:
+            return np.zeros(query.shape, dtype=bool)
+        at = np.minimum(np.searchsorted(keys, query), keys.size - 1)
+        return keys[at] == query
 
     def max_degree(self) -> int:
         """Maximum vertex degree (0 for edgeless graphs)."""

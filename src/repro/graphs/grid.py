@@ -94,6 +94,19 @@ class GridGraph(Graph):
         self._check_vertex(v)
         return divmod(v, self._ncols)
 
+    def has_edges(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """Vectorized edge test in closed form (no edge list needed).
+
+        Same contract as :meth:`Graph.has_edges`: ``{lo, hi}`` with
+        ``lo < hi`` is an edge exactly when it is a horizontal step
+        inside one row (``hi - lo == 1`` and ``lo`` not in the last
+        column) or a vertical step (``hi - lo == n_cols``).
+        """
+        lo = np.asarray(lo)
+        step = np.asarray(hi) - lo
+        cols = self._ncols
+        return ((step == 1) & (lo % cols != cols - 1)) | (step == cols)
+
     def rows_of(self, vertices: np.ndarray) -> np.ndarray:
         """Vectorized row indices of an array of vertex ids."""
         return np.asarray(vertices) // self._ncols

@@ -1,41 +1,42 @@
-"""Zero-copy binary schedule codec (the serving hot-path format).
+"""Binary schedule codec (the serving hot-path format).
 
 :func:`schedule_to_json` is the archival/interchange format — text,
-self-describing, diffable. It is also what every warm cache hit used to
-pay for: a disk-tier read parsed JSON into nested Python lists, and a
-cluster ``cache_get`` round-tripped the same text over the wire. For a
-large grid that is megabytes of number tokens per schedule.
+self-describing, diffable. This module is the binary alternative for
+the paths where both ends are ``repro``: the disk tier of the schedule
+cache, the pool boundary, and the cluster ``cache_get``/``cache_put``
+ops. A frame is a fixed little-endian header followed by the
+:class:`~repro.routing.schedule.FlatLayers` arrays in the narrowest
+integer width that holds every vertex id, so a 64x64 grid schedule
+takes about a quarter of the bytes an ``int64`` frame would.
 
-This module is the binary alternative for the paths where both ends are
-``repro``: a fixed little-endian header followed by the raw ``int64``
-buffers of the :class:`~repro.routing.schedule.FlatLayers`
-representation. Decoding slices the payload with a ``memoryview`` and
-wraps the slices with ``np.frombuffer`` — no copy, no per-swap Python
-objects — then hands the arrays straight to the lazy ``FlatLayers``
-path of :class:`~repro.routing.schedule.Schedule`, so a decoded
-schedule never materializes nested tuples unless a caller structurally
-iterates it.
-
-Wire layout (all integers little-endian)::
+Wire layout, version 2 (all integers little-endian)::
 
     offset  size  field
-    0       8     magic  b"reproSC\\x01"  (version byte is the last byte)
-    8       8     n_vertices   (int64, > 0)
+    0       8     magic  b"reproSC\\x02"  (version byte is the last byte)
+    8       8     n_vertices   (int64, 1 .. 2**31 - 1)
     16      8     n_layers     (int64, >= 0)
     24      8     n_swaps      (int64, >= 0)
     32      8     meta_len     (int64, >= 0; UTF-8 JSON bytes, 0 = none)
-    40      8*L   counts       (int64[n_layers])
-    ..      8*S   lo           (int64[n_swaps])
-    ..      8*S   hi           (int64[n_swaps])
+    40      w*L   counts       (intW[n_layers])
+    ..      w*S   lo           (intW[n_swaps])
+    ..      w*S   hi           (intW[n_swaps])
     ..      M     metadata     (UTF-8 JSON object)
 
-Decoding re-validates every invariant the public ``Schedule``
-constructor enforces (range, canonical ``lo < hi`` order, per-layer
-vertex-disjointness, ``(layer, lo, hi)`` sort order) with vectorized
-checks, so a peer — or a corrupted disk file — can never plant an
-invalid schedule. Any malformation raises
+The width ``w`` follows from ``n_vertices``, so the header needs no
+field for it: ``int16`` (w = 2) when ``n_vertices <= 32767``, else
+``int32`` (w = 4). A layer holds at most ``n_vertices / 2`` swaps, so
+the counts fit the same width.
+
+Decoding widens the three arrays to ``int64`` (one copy each, so no
+later arithmetic can overflow) and re-validates every invariant the
+public ``Schedule`` constructor enforces (range, canonical ``lo < hi``
+order, per-layer vertex-disjointness, ``(layer, lo, hi)`` sort order)
+with vectorized checks whose extra memory is bounded. Any malformation
+— a version-1 frame included — raises
 :class:`~repro.errors.ScheduleError`; callers on the cache path turn
-that into a miss.
+that into a miss. Decoding proves a frame is *a* schedule, not that it
+routes any particular request: the serving layer checks that with
+:meth:`~repro.routing.schedule.Schedule.verify`.
 """
 
 from __future__ import annotations
@@ -51,72 +52,75 @@ from .schedule import FlatLayers, Schedule
 __all__ = [
     "CODEC_VERSION",
     "MAGIC",
+    "MAX_VERTICES",
     "encode_schedule",
     "decode_schedule",
 ]
 
 #: Binary format version (bumped on any layout change; the version byte
-#: is baked into :data:`MAGIC` so old readers reject new frames at the
-#: magic check instead of misparsing the header).
-CODEC_VERSION = 1
+#: is baked into :data:`MAGIC` so a reader of another version rejects a
+#: frame at the magic check instead of misparsing the header).
+CODEC_VERSION = 2
 
 #: Frame magic: ``b"reproSC"`` + the one-byte format version.
 MAGIC = b"reproSC" + bytes([CODEC_VERSION])
 
+#: Largest ``n_vertices`` a frame can carry (ids must fit ``int32``).
+MAX_VERTICES = 2**31 - 1
+
+#: Largest ``n_vertices`` whose ids are stored as ``int16``.
+_INT16_MAX_VERTICES = 2**15 - 1
+
+#: Above this many ``n_layers * n_vertices`` counters the per-layer
+#: vertex-reuse check sorts the endpoints instead of counting them.
+_BINCOUNT_MAX = 1 << 22
+
 _HEADER = struct.Struct("<8sqqqq")  # magic, n_vertices, n_layers, n_swaps, meta_len
-_I64 = np.dtype("<i8")
 
 
-def _flat_of(schedule: Schedule) -> FlatLayers:
-    """The schedule's canonical flat arrays (built from tuples if needed)."""
-    flat = schedule._flat
-    if flat is not None:
-        return flat
-    layers = schedule.layers
-    counts = np.asarray([len(layer) for layer in layers], dtype=np.int64)
-    total = int(counts.sum())
-    pairs = np.fromiter(
-        (x for layer in layers for swap in layer for x in swap),
-        dtype=np.int64,
-        count=2 * total,
-    ).reshape(-1, 2)
-    return FlatLayers(
-        np.ascontiguousarray(pairs[:, 0]),
-        np.ascontiguousarray(pairs[:, 1]),
-        counts,
-    )
+def _id_dtype(n: int) -> np.dtype:
+    """The little-endian integer width that holds ids and counts for ``n``."""
+    return np.dtype("<i2" if n <= _INT16_MAX_VERTICES else "<i4")
 
 
 def encode_schedule(schedule: Schedule) -> bytes:
     """Serialize a schedule to the binary frame described above.
 
     Round-trips exactly through :func:`decode_schedule`, including the
-    provenance metadata. Encoding from a flat-represented schedule (the
-    numpy kernels' native output) is three buffer copies and no
-    per-swap Python work.
+    provenance metadata.
+
+    Raises
+    ------
+    ScheduleError
+        If the schedule has more than :data:`MAX_VERTICES` vertices.
     """
-    flat = _flat_of(schedule)
-    counts = np.ascontiguousarray(flat.counts, dtype=_I64)
-    lo = np.ascontiguousarray(flat.lo, dtype=_I64)
-    hi = np.ascontiguousarray(flat.hi, dtype=_I64)
+    n = schedule.n_vertices
+    if n > MAX_VERTICES:
+        raise ScheduleError(
+            f"cannot encode a schedule on {n} vertices (max {MAX_VERTICES})"
+        )
+    flat = schedule._flat_view()
+    width = _id_dtype(n)
     meta = (
         json.dumps(schedule.metadata, separators=(",", ":")).encode("utf-8")
         if schedule.metadata
         else b""
     )
-    header = _HEADER.pack(
-        MAGIC, schedule.n_vertices, counts.size, lo.size, len(meta)
-    )
-    return b"".join((header, counts.tobytes(), lo.tobytes(), hi.tobytes(), meta))
+    header = _HEADER.pack(MAGIC, n, flat.counts.size, flat.lo.size, len(meta))
+    return b"".join((
+        header,
+        flat.counts.astype(width).tobytes(),
+        flat.lo.astype(width).tobytes(),
+        flat.hi.astype(width).tobytes(),
+        meta,
+    ))
 
 
 def decode_schedule(data: bytes | bytearray | memoryview) -> Schedule:
     """Parse a frame produced by :func:`encode_schedule`.
 
-    The three ``int64`` buffers are wrapped zero-copy (read-only views
-    over ``data``) and become the schedule's ``FlatLayers`` payload
-    directly — ``FlatLayers`` arrays are never mutated after
-    construction, so sharing the caller's buffer is safe.
+    The three arrays are widened to ``int64`` and become the schedule's
+    ``FlatLayers`` payload directly.
 
     Raises
     ------
@@ -136,24 +140,25 @@ def decode_schedule(data: bytes | bytearray | memoryview) -> Schedule:
         raise ScheduleError(
             f"not a schedule frame (magic {magic!r}, expected {MAGIC!r})"
         )
-    if n <= 0 or n_layers < 0 or n_swaps < 0 or meta_len < 0:
+    if not 0 < n <= MAX_VERTICES or n_layers < 0 or n_swaps < 0 or meta_len < 0:
         raise ScheduleError(
             f"corrupt schedule header: n_vertices={n}, n_layers={n_layers}, "
             f"n_swaps={n_swaps}, meta_len={meta_len}"
         )
-    expected = _HEADER.size + 8 * (n_layers + 2 * n_swaps) + meta_len
+    width = _id_dtype(n)
+    expected = _HEADER.size + width.itemsize * (n_layers + 2 * n_swaps) + meta_len
     if mv.nbytes != expected:
         raise ScheduleError(
             f"schedule frame size mismatch: {mv.nbytes} bytes, "
             f"header implies {expected}"
         )
     off = _HEADER.size
-    counts = np.frombuffer(mv, dtype=_I64, count=n_layers, offset=off)
-    off += 8 * n_layers
-    lo = np.frombuffer(mv, dtype=_I64, count=n_swaps, offset=off)
-    off += 8 * n_swaps
-    hi = np.frombuffer(mv, dtype=_I64, count=n_swaps, offset=off)
-    off += 8 * n_swaps
+    arrays = []
+    for count in (n_layers, n_swaps, n_swaps):
+        raw = np.frombuffer(mv, dtype=width, count=count, offset=off)
+        arrays.append(raw.astype(np.int64))
+        off += width.itemsize * count
+    counts, lo, hi = arrays
     metadata = None
     if meta_len:
         try:
@@ -177,11 +182,11 @@ def _validate_flat(
     Mirrors what the public ``Schedule`` constructor checks swap by swap:
     every endpoint in range, no self-swaps (implied by ``lo < hi``),
     per-layer vertex-disjointness, and the canonical sort order the
-    trusted ``_from_canonical`` path assumes.
+    trusted ``_from_canonical`` path assumes. The arrays are ``int64``
+    widened from at most ``int32``, so no sum or key below can overflow.
     """
-    # Bound every count by the swap count before summing: unbounded int64
-    # counts can wrap the sum around to ``lo.size``. Bounded, the sum is
-    # at most n_layers * n_swaps, which fits int64 for any frame < 64 GB.
+    # Bound every count by the swap count before summing, so the sum
+    # is exact and ``np.repeat`` never sees a negative count.
     if counts.size and (int(counts.min()) < 0 or int(counts.max()) > lo.size):
         raise ScheduleError("corrupt schedule frame: layer count out of range")
     if int(counts.sum()) != lo.size:
@@ -201,13 +206,21 @@ def _validate_flat(
             raise ScheduleError(
                 "corrupt schedule frame: layers not sorted canonically"
             )
-        ends = np.concatenate((lid * n + lo, lid * n + hi))
     else:  # pragma: no cover - astronomically large schedules
         order = np.lexsort((hi, lo, lid))
         if not bool(np.all(order == np.arange(order.size))):
             raise ScheduleError(
                 "corrupt schedule frame: layers not sorted canonically"
             )
-        ends = np.concatenate((lid * np.int64(n) + lo, lid * np.int64(n) + hi))
-    if np.unique(ends).size != ends.size:
+    # Each (layer, vertex) pair may occur once. Counting needs one
+    # counter per (layer, vertex); past _BINCOUNT_MAX counters a sort of
+    # the 2 * n_swaps endpoints keeps the extra memory O(n_swaps). Its
+    # first half is already sorted, which a stable (merging) sort exploits.
+    ends = np.concatenate((lid * n + lo, lid * n + hi))
+    if counts.size * n <= _BINCOUNT_MAX:
+        reused = int(np.bincount(ends).max()) > 1
+    else:
+        ends.sort(kind="stable")
+        reused = bool(np.any(ends[1:] == ends[:-1]))
+    if reused:
         raise ScheduleError("corrupt schedule frame: vertex reuse inside a layer")

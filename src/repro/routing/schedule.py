@@ -163,6 +163,29 @@ class Schedule:
         """Vertex-set size."""
         return self._n
 
+    def _flat_view(self) -> FlatLayers:
+        """The canonical flat arrays, built once from the tuples if needed.
+
+        The one tuple-to-array conversion: the codec, the simulation
+        sweep, :meth:`verify` and :meth:`relabel` all read these arrays.
+        """
+        flat = self._flat
+        if flat is None:
+            layers = self._layers
+            assert layers is not None
+            counts = np.fromiter(map(len, layers), dtype=np.int64, count=len(layers))
+            pairs = np.fromiter(
+                (x for layer in layers for swap in layer for x in swap),
+                dtype=np.int64,
+                count=2 * int(counts.sum()),
+            ).reshape(-1, 2)
+            flat = self._flat = FlatLayers(
+                np.ascontiguousarray(pairs[:, 0]),
+                np.ascontiguousarray(pairs[:, 1]),
+                counts,
+            )
+        return flat
+
     def _materialize(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Nested-tuple layers, built (once) from the flat arrays on demand."""
         layers = self._layers
@@ -252,33 +275,31 @@ class Schedule:
         """Apply every layer to ``occ`` in place (layers are matchings, so
         each layer's swaps are disjoint and apply in one vectorized step
         on the flat representation)."""
-        if self._layers is None:
-            assert self._flat is not None
-            fl = self._flat
-            pos = 0
-            for c in fl.counts.tolist():
-                if c:
-                    los = fl.lo[pos : pos + c]
-                    his = fl.hi[pos : pos + c]
-                    tmp = occ[los].copy()
-                    occ[los] = occ[his]
-                    occ[his] = tmp
-                pos += c
-            return
-        for layer in self._layers:
-            for u, v in layer:
-                occ[u], occ[v] = occ[v], occ[u]
+        fl = self._flat_view()
+        pos = 0
+        for c in fl.counts.tolist():
+            if c:
+                los = fl.lo[pos : pos + c]
+                his = fl.hi[pos : pos + c]
+                tmp = occ[los]
+                occ[los] = occ[his]
+                occ[his] = tmp
+            pos += c
+
+    def _final_positions(self) -> np.ndarray:
+        """``out[v]`` = the vertex where the token starting at ``v`` ends."""
+        occ = np.arange(self._n, dtype=np.int64)  # occ[position] = token there
+        self._sweep_occupancy(occ)
+        realized = np.empty(self._n, dtype=np.int64)
+        realized[occ] = np.arange(self._n, dtype=np.int64)
+        return realized
 
     def simulate(self) -> Permutation:
         """The permutation realized by the schedule.
 
         Returns the map *start vertex of a token* → *its final vertex*.
         """
-        occ = np.arange(self._n)  # occ[position] = token currently there
-        self._sweep_occupancy(occ)
-        realized = np.empty(self._n, dtype=np.int64)
-        realized[occ] = np.arange(self._n)
-        return Permutation(realized)
+        return Permutation(self._final_positions())
 
     def apply_to_occupancy(self, occ: np.ndarray) -> None:
         """In-place update of an occupancy array (position → token)."""
@@ -287,35 +308,51 @@ class Schedule:
         self._sweep_occupancy(occ)
 
     def check_against(self, graph: Graph) -> None:
-        """Raise unless every layer is a matching of ``graph``."""
+        """Raise unless every layer is a matching of ``graph``.
+
+        One vectorized edge-membership test over all swaps
+        (:meth:`Graph.has_edges`); the error names the first bad swap in
+        layer order. Vertex-disjointness inside a layer is a
+        construction invariant of every schedule, so it is not re-tested.
+        """
         if graph.n_vertices != self._n:
             raise ScheduleError(
                 f"schedule on {self._n} vertices vs graph on {graph.n_vertices}"
             )
-        for li, layer in enumerate(self._materialize()):
-            for u, v in layer:
-                if not graph.has_edge(u, v):
-                    raise ScheduleError(
-                        f"layer {li}: swap ({u}, {v}) is not an edge of {graph.name}"
-                    )
-        # vertex-disjointness was enforced at construction
+        fl = self._flat_view()
+        ok = graph.has_edges(fl.lo, fl.hi)
+        if not ok.all():
+            k = int(np.argmin(ok))
+            layer = int(np.searchsorted(np.cumsum(fl.counts), k, side="right"))
+            raise ScheduleError(
+                f"layer {layer}: swap ({int(fl.lo[k])}, {int(fl.hi[k])}) "
+                f"is not an edge of {graph.name}"
+            )
 
     def verify(self, graph: Graph, perm: Permutation) -> None:
         """Full validity check: matchings of ``graph`` realizing ``perm``.
+
+        The sizes of the graph, the schedule and the permutation are
+        compared before anything is allocated.
 
         Raises
         ------
         ScheduleError
             On any structural or semantic violation.
         """
+        if perm.size != self._n:
+            raise ScheduleError(
+                f"schedule on {self._n} vertices vs permutation on {perm.size}"
+            )
         self.check_against(graph)
-        realized = self.simulate()
-        if realized != perm:
-            bad = int(np.flatnonzero(realized.targets != perm.targets)[0])
+        realized = self._final_positions()
+        expected = perm.targets
+        if not np.array_equal(realized, expected):
+            bad = int(np.flatnonzero(realized != expected)[0])
             raise ScheduleError(
                 f"schedule realizes the wrong permutation "
                 f"(first mismatch at vertex {bad}: token ends at "
-                f"{realized(bad)}, expected {perm(bad)})"
+                f"{int(realized[bad])}, expected {int(expected[bad])})"
             )
 
     # ------------------------------------------------------------------
@@ -398,26 +435,10 @@ class Schedule:
             raise ScheduleError("relabel mapping has wrong size")
         if np.unique(m).size != self._n:
             raise ScheduleError("relabel mapping is not a bijection")
-        if self._layers is None:
-            assert self._flat is not None
-            fl = self._flat
-            counts = fl.counts
-            sizes = counts.tolist()
-            a = m[fl.lo]
-            b = m[fl.hi]
-        else:
-            sizes = [len(layer) for layer in self._layers]
-            total = sum(sizes)
-            if total == 0:
-                return Schedule._from_canonical(self._n, self._layers, self._meta)
-            flat = np.fromiter(
-                (x for layer in self._layers for swap in layer for x in swap),
-                dtype=np.int64,
-                count=2 * total,
-            ).reshape(-1, 2)
-            counts = np.asarray(sizes, dtype=np.int64)
-            a = m[flat[:, 0]]
-            b = m[flat[:, 1]]
+        fl = self._flat_view()
+        counts = fl.counts
+        a = m[fl.lo]
+        b = m[fl.hi]
         lo = np.minimum(a, b)
         hi = np.maximum(a, b)
         if lo.size == 0:
@@ -432,8 +453,8 @@ class Schedule:
         # (layer, lo) unique, so when the packed (layer, lo, hi) key
         # fits in int64 a single non-stable argsort replaces the
         # 3-key lexsort.
-        lid = np.repeat(np.arange(len(sizes), dtype=np.int64), counts)
-        if len(sizes) * self._n * self._n < 2**62:
+        lid = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
+        if counts.size * self._n * self._n < 2**62:
             order = np.argsort((lid * self._n + lo) * self._n + hi)
         else:  # pragma: no cover - astronomically large schedules
             order = np.lexsort((hi, lo, lid))

@@ -49,15 +49,16 @@ import functools
 import time
 from typing import Any, AsyncIterator, Mapping, Sequence
 
-from ..errors import ScheduleError, ServiceClosedError
+from ..errors import ServiceClosedError
 from ..graphs.base import Graph
 from ..perm.permutation import Permutation
-from ..routing.codec import decode_schedule
 from ..routing.schedule import Schedule
+from .cache import Check
 from .executor import (
     RouteRequest,
     RouteResult,
     _route_in_worker,
+    _worker_schedule,
     record_stage_telemetry,
 )
 from .keys import RequestKey, graph_spec
@@ -76,22 +77,6 @@ from .tenancy import (
 from .tracing import record_stage_spans, span
 
 __all__ = ["AsyncRoutingService"]
-
-
-def _decoded_worker_schedule(body: Any, n_vertices: int) -> Schedule:
-    """Decode a pool worker's binary schedule frame, checking the size.
-
-    Workers return :func:`~repro.routing.codec.encode_schedule` frames;
-    the vertex-count check keeps a mis-keyed frame from being cached
-    under the wrong request.
-    """
-    schedule = decode_schedule(body)
-    if schedule.n_vertices != n_vertices:
-        raise ScheduleError(
-            f"schedule on {schedule.n_vertices} vertices for a "
-            f"{n_vertices}-vertex graph"
-        )
-    return schedule
 
 
 def _route_error(
@@ -430,7 +415,7 @@ class AsyncRoutingService:
             if key is None:
                 key = req.key()
             with span("cache.get") as csp:
-                cached = await self._cache_get(key.digest)
+                cached = await self._cache_get(key.digest, req.check)
                 csp.set("hit", cached is not None)
             if cached is not None:
                 result = RouteResult(
@@ -520,13 +505,15 @@ class AsyncRoutingService:
                     _route_in_worker,
                     payload,
                     timeout,
-                    salvage=self._route_salvager(req, key),
+                    salvage=self._route_salvager(key),
                 )
                 _digest, status, body, seconds, stages = raw
                 csp.set("status", status)
                 if status == "ok":
                     record_stage_spans(stages)
                     record_stage_telemetry(self.telemetry, req.router, stages)
+                    verified = {"verify": {"seconds": body[1], "count": 1}}
+                    record_stage_spans(verified, prefix="schedule.", tier="worker")
         except asyncio.TimeoutError:
             self.telemetry.incr("aio_timeouts")
             elapsed = time.perf_counter() - t0
@@ -541,9 +528,7 @@ class AsyncRoutingService:
         if status != "ok":
             return _route_error(index, key, req.router, seconds, str(body))
         try:
-            schedule = _decoded_worker_schedule(body, req.graph.n_vertices)
-            if self.service.executor.verify:
-                schedule.verify(req.graph, req.perm)
+            schedule = _worker_schedule(body)
         except Exception as exc:  # noqa: BLE001 - isolate per request
             message = f"{type(exc).__name__}: {exc}"
             return _route_error(index, key, req.router, seconds, message)
@@ -572,24 +557,28 @@ class AsyncRoutingService:
             or bool(getattr(cache, "remote", False))
         )
 
-    async def _cache_get(self, digest: str) -> Schedule | None:
+    async def _cache_get(self, digest: str, check: Check) -> Schedule | None:
         """Probe the schedule cache without stalling the event loop.
 
-        A memory-only cache answers synchronously (an OrderedDict probe
-        under a lock — cheaper than a thread hop); a cache with a disk
-        tier or remote cluster shards may do I/O on a miss, so it runs
-        on a worker thread.
+        ``check`` is the request's verifier, applied by the cache to
+        what enters from disk or a peer. A memory-only cache answers
+        synchronously (an OrderedDict probe under a lock — cheaper than
+        a thread hop; only a peer's unverified push is checked there,
+        once); a cache with a disk tier or remote cluster shards may do
+        I/O on a miss, so it runs on a worker thread.
         """
         cache = self.service.cache
         if not self._cache_blocks(cache):
-            return cache.get(digest)
+            return cache.get(digest, check)
         loop = asyncio.get_running_loop()
         # run_in_executor does not propagate contextvars; carry the
         # trace context across the thread hop so spans opened inside the
         # cluster cache (remote probes, read repair) join this request's
         # trace.
         ctx = contextvars.copy_context()
-        return await loop.run_in_executor(None, lambda: ctx.run(cache.get, digest))
+        return await loop.run_in_executor(
+            None, lambda: ctx.run(cache.get, digest, check)
+        )
 
     async def _cache_put(
         self, digest: str, schedule: Schedule, cost: float
@@ -608,12 +597,13 @@ class AsyncRoutingService:
             ),
         )
 
-    def _route_salvager(self, req: RouteRequest, key: RequestKey) -> Any:
+    def _route_salvager(self, key: RequestKey) -> Any:
         """A done-callback caching the result of a timed-out route job.
 
         Runs on an executor thread after the abandoned job finishes —
         the caches and telemetry are thread-safe, so the work a client
-        gave up on still warms the cache for the next one.
+        gave up on still warms the cache for the next one. The worker
+        verified the schedule before returning it.
         """
 
         def _salvage(future: Any) -> None:
@@ -621,9 +611,7 @@ class AsyncRoutingService:
                 _digest, status, body, seconds, _stages = future.result()
                 if status != "ok":
                     return
-                schedule = _decoded_worker_schedule(body, req.graph.n_vertices)
-                if self.service.executor.verify:
-                    schedule.verify(req.graph, req.perm)
+                schedule = _worker_schedule(body)
                 self.service.cache.put(key.digest, schedule, cost=seconds)
                 self.telemetry.incr("aio_salvaged")
             except Exception:  # noqa: BLE001 - salvage is best-effort

@@ -15,6 +15,14 @@ Two tiers:
   (such as the ``shard-<i>/`` subdirectories of older releases) are
   never read.
 
+Verification: :meth:`ScheduleCache.get` takes the request's verifier
+(``check``). A schedule loaded from disk, and a memory entry stored
+without its request (a peer's ``cache_put``, see ``unverified`` on
+:meth:`ScheduleCache.put`), is checked before it is served; one that
+fails is dropped, counted in :attr:`ScheduleCache.rejected` and
+reported as a miss. Entries computed or checked in this process are
+served with no further work.
+
 Concurrency notes: all state is guarded by one ``RLock`` per cache.
 Disk writes go through a temp-file + ``os.replace`` so a crashed writer
 never leaves a truncated entry; corrupt or unreadable disk entries are
@@ -28,13 +36,23 @@ import threading
 from collections import OrderedDict
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator, NamedTuple
 
 from ..errors import ScheduleError
 from ..routing.codec import decode_schedule, encode_schedule
 from ..routing.schedule import Schedule
+from .tracing import span
 
-__all__ = ["CacheStats", "LRUCache", "ScheduleCache"]
+__all__ = ["CacheStats", "Check", "INGEST_SOURCES", "LRUCache", "ScheduleCache"]
+
+#: A request's verifier: raises :class:`~repro.errors.ScheduleError`
+#: unless the schedule validly routes the request
+#: (:meth:`~repro.service.executor.RouteRequest.check`).
+Check = Callable[[Schedule], None]
+
+#: Where a checked schedule can enter the cache from; rejections are
+#: counted per source in :attr:`ScheduleCache.rejected`.
+INGEST_SOURCES = ("disk", "remote", "pushed")
 
 
 @dataclass
@@ -106,13 +124,17 @@ class LRUCache:
         it unconditionally.
         """
         with self._lock:
-            if digest in self._data:
-                self._data.move_to_end(digest)
-            self._data[digest] = value
             self.stats.puts += 1
-            while len(self._data) > self.maxsize:
-                self._data.popitem(last=False)
-                self.stats.evictions += 1
+            self._insert(digest, value)
+
+    def _insert(self, digest: str, value: Any) -> None:
+        """Insert/refresh without counting a put (caller holds the lock)."""
+        if digest in self._data:
+            self._data.move_to_end(digest)
+        self._data[digest] = value
+        while len(self._data) > self.maxsize:
+            self._data.popitem(last=False)
+            self.stats.evictions += 1
 
     def __contains__(self, digest: str) -> bool:
         with self._lock:
@@ -155,6 +177,13 @@ class LRUCache:
             "entries": len(self),
             "maxsize": self.maxsize,
         }
+
+
+class _Unchecked(NamedTuple):
+    """A memory entry stored without its request, checked on first read."""
+
+    schedule: Schedule
+    source: str  # one of INGEST_SOURCES
 
 
 class ScheduleCache(LRUCache):
@@ -201,6 +230,9 @@ class ScheduleCache(LRUCache):
         self.min_cost = float(min_cost)
         #: Puts refused because their cost was below :attr:`min_cost`.
         self.rejected_puts = 0
+        #: Schedules that failed their request's check, per ingest
+        #: source (each one was served as a miss).
+        self.rejected: dict[str, int] = dict.fromkeys(INGEST_SOURCES, 0)
 
     # ------------------------------------------------------------------
     # disk tier
@@ -218,14 +250,15 @@ class ScheduleCache(LRUCache):
         except OSError:
             return None
         try:
-            return decode_schedule(data)
+            with span("codec.decode", tier="disk"):
+                return decode_schedule(data)
         except ScheduleError:
             pass
-        # Corrupt entry: drop it so it is recomputed, not re-served.
-        # Concurrent readers can race to this unlink; a file that is
-        # already gone was evicted (and counted) by the winner, so
-        # the loser tolerates the miss instead of crashing and does
-        # not double-count the eviction.
+        # Corrupt entry (or another codec version's): drop it so it is
+        # recomputed, not re-served. Concurrent readers can race to this
+        # unlink; a file that is already gone was evicted (and counted)
+        # by the winner, so the loser tolerates the miss instead of
+        # crashing and does not double-count the eviction.
         try:
             path.unlink()
         except FileNotFoundError:
@@ -235,6 +268,16 @@ class ScheduleCache(LRUCache):
         with self._lock:
             self.stats.disk_errors += 1
         return None
+
+    def _disk_unlink(self, digest: str) -> bool:
+        """Remove the disk copy of ``digest``; True if there was one."""
+        if self.disk_dir is None:
+            return False
+        try:
+            self._disk_path(digest).unlink()
+        except OSError:
+            return False
+        return True
 
     def _disk_store(self, digest: str, schedule: Schedule) -> None:
         if self.disk_dir is None:
@@ -256,33 +299,92 @@ class ScheduleCache(LRUCache):
     # ------------------------------------------------------------------
     # tiered get/put
     # ------------------------------------------------------------------
-    def get(self, digest: str) -> Schedule | None:
-        """Memory tier first, then disk; disk hits are promoted to memory."""
+    def vet(self, schedule: Schedule, check: Check, source: str) -> bool:
+        """Run ``check`` on a schedule that entered from ``source``.
+
+        Opens a ``schedule.verify`` span tagged with the ``tier``. A
+        failed check counts in :attr:`rejected` and returns ``False``.
+        """
+        with span("schedule.verify", tier=source) as sp:
+            try:
+                check(schedule)
+            except ScheduleError:
+                sp.status = "error"
+                with self._lock:
+                    self.rejected[source] += 1
+                return False
+        return True
+
+    def get(self, digest: str, check: Check | None = None) -> Schedule | None:
+        """Memory tier first, then disk; disk hits are promoted to memory.
+
+        ``check`` is the request's verifier. With it, a disk load and a
+        memory entry stored ``unverified`` are checked before they are
+        served; one that fails is dropped from both tiers, counted in
+        :attr:`rejected` and reported as a miss. Without it nothing is
+        checked, and a disk load is promoted as unverified.
+        """
         with self._lock:
-            if digest in self._data:
+            entry = self._data.get(digest)
+            if entry is not None:
                 self._data.move_to_end(digest)
-                self.stats.hits += 1
-                return self._data[digest]
+                if check is None or not isinstance(entry, _Unchecked):
+                    self.stats.hits += 1
+                    return entry.schedule if isinstance(entry, _Unchecked) else entry
+        if entry is not None and check is not None:  # an unchecked entry
+            passed = self.vet(entry.schedule, check, entry.source)
+            with self._lock:
+                # Another thread may have replaced the entry meanwhile;
+                # only the entry that was checked is updated or dropped.
+                held = self._data.get(digest) is entry
+                if passed:
+                    self.stats.hits += 1
+                    if held:
+                        self._data[digest] = entry.schedule
+                    return entry.schedule
+                self.stats.misses += 1
+                if held:
+                    del self._data[digest]
+            if held:
+                self._disk_unlink(digest)
+            return None
         schedule = self._disk_load(digest)
+        if schedule is not None and check is not None:
+            if not self.vet(schedule, check, "disk"):
+                self._disk_unlink(digest)
+                schedule = None
         with self._lock:
             if schedule is None:
                 self.stats.misses += 1
                 return None
             self.stats.hits += 1
             self.stats.disk_hits += 1
-        # Promote without double-counting a put.
-        super().put(digest, schedule)
-        with self._lock:
-            self.stats.puts -= 1
+            self._insert(
+                digest, schedule if check is not None else _Unchecked(schedule, "disk")
+            )
         return schedule
 
-    def put(self, digest: str, schedule: Schedule, cost: float | None = None) -> None:
-        """Store in memory and (if configured) on disk, unless too cheap."""
+    def put(
+        self,
+        digest: str,
+        schedule: Schedule,
+        cost: float | None = None,
+        *,
+        unverified: str | None = None,
+    ) -> None:
+        """Store in memory and (if configured) on disk, unless too cheap.
+
+        ``unverified`` names the source (one of :data:`INGEST_SOURCES`)
+        of a schedule that arrived without its request, such as a
+        peer's ``cache_put``: the entry is checked on its first read
+        that passes a ``check``.
+        """
         if cost is not None and cost < self.min_cost:
             with self._lock:
                 self.rejected_puts += 1
             return
-        super().put(digest, schedule, cost=cost)
+        value = schedule if unverified is None else _Unchecked(schedule, unverified)
+        super().put(digest, value, cost=cost)
         self._disk_store(digest, schedule)
 
     def discard(self, digest: str) -> bool:
@@ -292,18 +394,15 @@ class ScheduleCache(LRUCache):
         resurrected (and re-served as if owned) by the next ``get``.
         """
         dropped = super().discard(digest)
-        if self.disk_dir is not None:
-            try:
-                self._disk_path(digest).unlink()
-                dropped = True
-            except OSError:
-                pass
-        return dropped
+        return self._disk_unlink(digest) or dropped
 
     def as_dict(self) -> dict[str, Any]:
-        """The LRU rollup plus ``rejected_puts`` and the disk-tier location."""
+        """The LRU rollup plus the rejection counters and the disk-tier location."""
+        with self._lock:
+            rejected = dict(self.rejected)
         return {
             **super().as_dict(),
             "rejected_puts": self.rejected_puts,
+            "rejected": rejected,
             "disk_dir": str(self.disk_dir) if self.disk_dir else None,
         }

@@ -29,16 +29,23 @@ Four pieces provide that agreement:
   port (address = ``http://host:port``) or a UNIX socket (address =
   the socket path). Schedules ship as base64-wrapped binary
   :mod:`repro.routing.codec` frames, and every cache request carries
-  the constant ``"codec": 1`` that older daemons wait for before they
-  send binary.
+  ``"codec"`` set to :data:`~repro.routing.codec.CODEC_VERSION`. A
+  peer on another codec version fails to decode this node's frames
+  and this node fails to decode its frames, so a mixed ring falls back
+  to local compute in both directions.
 * :class:`ClusterScheduleCache` — the ``ScheduleCache`` drop-in that
   the service layer actually holds. ``get`` probes the local tier
   first, then the key's remote owners in ring order; ``put`` writes
-  the local tier plus every remote replica. Remote hits are
-  **read-repaired**: promoted into the local tier and pushed to any
-  replica that was probed and missed first. Ownership is re-read from
-  the topology on every operation, so a membership change takes
-  effect mid-flight without restarting anything.
+  the local tier plus every remote replica. A remote hit is checked
+  against the request (``check``) before it is used; one that fails
+  marks its peer failed and is counted in the local tier's
+  ``rejected["remote"]``. Remote hits are **read-repaired**: promoted
+  into the local tier and pushed to any replica that was probed and
+  missed first. A pushed entry arrives without its request, so the
+  receiving node stores it unverified and checks it on first read.
+  Ownership is re-read from the topology on every operation, so a
+  membership change takes effect mid-flight without restarting
+  anything.
 
 When a node **joins**, the members that lose primary ownership of keys
 stream those now-foreign hot-tier entries to the newcomer over the
@@ -73,7 +80,7 @@ from typing import Any, Callable, Iterator, Mapping, Protocol, Sequence
 from ..errors import ClusterShardError, ReproError, StaleEpochError
 from ..routing.codec import CODEC_VERSION, decode_schedule, encode_schedule
 from ..routing.schedule import Schedule
-from .cache import CacheStats, ScheduleCache
+from .cache import CacheStats, Check, ScheduleCache
 from .logging import get_logger
 from .tracing import current_traceparent, span
 
@@ -878,7 +885,8 @@ class RemoteShardClient:
         """Fetch ``digest`` from the shard's **local** cache tier.
 
         The peer answers a hit with a binary ``schedule_b64`` frame. A
-        daemon too old to send one fails the probe, and the caller
+        frame this node cannot decode (a daemon too old to send one, or
+        one on another codec version) fails the probe, and the caller
         computes locally.
 
         Returns
@@ -896,9 +904,9 @@ class RemoteShardClient:
         if not resp.get("found"):
             return None
         try:
-            return decode_schedule(
-                base64.b64decode(resp["schedule_b64"], validate=True)
-            )
+            frame = base64.b64decode(resp["schedule_b64"], validate=True)
+            with span("codec.decode", tier="remote"):
+                return decode_schedule(frame)
         except (KeyError, TypeError, binascii.Error, ReproError) as exc:
             raise ClusterShardError(
                 f"shard {self.address} returned a malformed schedule "
@@ -1068,8 +1076,8 @@ class InProcessShardClient:
     def cache_put(
         self, digest: str, schedule: Schedule, cost: float | None = None
     ) -> bool:
-        """Store into the wrapped cache."""
-        self.cache.put(digest, schedule, cost=cost)
+        """Store into the wrapped cache, unverified like a daemon's push."""
+        self.cache.put(digest, schedule, cost=cost, unverified="pushed")
         return True
 
     def cache_stats(self) -> dict[str, Any]:
@@ -1639,8 +1647,14 @@ class ClusterScheduleCache:
         view = view or self.topology.view()
         return view.ring.replicas(digest, self.replication)
 
-    def get(self, digest: str) -> Schedule | None:
+    def get(self, digest: str, check: Check | None = None) -> Schedule | None:
         """Local tier, then each live remote owner; ``None`` on miss.
+
+        ``check`` is the request's verifier: the local tier applies it
+        (see :meth:`ScheduleCache.get`), and a remote hit that fails it
+        marks its peer failed, as a malformed frame would, and the
+        next owner is tried. A remote hit read without ``check`` is
+        promoted into the local tier unverified.
 
         Ownership comes from one topology view taken at entry, so a
         concurrent membership change can never split this lookup across
@@ -1649,7 +1663,7 @@ class ClusterScheduleCache:
         raises for a dead or misbehaving peer.
         """
         with span("cache.local_get") as lsp:
-            schedule = self.local.get(digest)
+            schedule = self.local.get(digest, check)
             lsp.set("hit", schedule is not None)
         if schedule is not None:
             return schedule
@@ -1672,6 +1686,17 @@ class ClusterScheduleCache:
                     degraded = True
                     continue
                 rsp.set("hit", schedule is not None)
+            if schedule is not None and check is not None:
+                if not self.local.vet(schedule, check, "remote"):
+                    self._mark_failed(
+                        node,
+                        ClusterShardError(
+                            f"shard {node} served a schedule for {digest[:12]} "
+                            "that does not route the request"
+                        ),
+                    )
+                    degraded = True
+                    continue
             self._mark_ok(node)
             if schedule is None:
                 state = self._state(node)
@@ -1686,7 +1711,9 @@ class ClusterScheduleCache:
                 self.cluster_stats.remote_hits += 1
             # Promote into the local tier (near-cache) and repair the
             # replicas that answered "not found" before this hit.
-            self.local.put(digest, schedule)
+            self.local.put(
+                digest, schedule, unverified=None if check is not None else "remote"
+            )
             for lagging in missed:
                 self._repair(lagging, digest, schedule)
             return schedule

@@ -9,11 +9,16 @@ with three cost-avoidance layers, applied in order:
    are served synchronously without touching the pool.
 3. **Fan-out** — the remaining unique misses run on a persistent
    ``concurrent.futures`` process pool. Workers receive graph *specs*
-   (not pickled graph objects) and return binary
-   :mod:`repro.routing.codec` frames instead of nested layer lists, so
-   crossing the pool boundary costs three buffer copies rather than a
-   per-swap pickle walk; the parent decodes straight into the lazy
-   flat-array schedule representation.
+   (not pickled graph objects), verify the schedule against the
+   request, and return binary :mod:`repro.routing.codec` frames instead
+   of nested layer lists, so crossing the pool boundary costs a few
+   buffer copies rather than a per-swap pickle walk; the parent decodes
+   straight into the flat-array schedule representation.
+
+Every schedule this module hands out has been verified against its
+request exactly once: where it was computed (the worker, or
+:meth:`BatchExecutor._run_inline`), or where it entered the cache from
+disk or a peer (the cache's ``check``, fed :meth:`RouteRequest.check`).
 
 Misses are dispatched to the pool in descending estimated-cost order
 (stable, restored on collection) so one expensive route starts first
@@ -42,7 +47,7 @@ from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
-from ..errors import ScheduleError, ServiceClosedError
+from ..errors import ServiceClosedError
 from ..graphs.base import Graph
 from ..perm.permutation import Permutation
 from ..routing.base import StageProfiler, make_router, profile
@@ -52,6 +57,7 @@ from .cache import ScheduleCache
 from .cluster import ClusterScheduleCache
 from .keys import RequestKey, graph_from_spec, graph_spec, request_key
 from .telemetry import Telemetry
+from .tracing import span
 
 __all__ = [
     "RouteRequest",
@@ -83,6 +89,15 @@ class RouteRequest:
     def key(self) -> RequestKey:
         """The request's canonical cache key."""
         return request_key(self.graph, self.perm, self.router, self.options)
+
+    def check(self, schedule: Schedule) -> None:
+        """Raise :class:`~repro.errors.ScheduleError` unless ``schedule``
+        validly routes this request (the cache tiers' ``check``).
+
+        Proves the schedule is a sequence of matchings of ``graph`` that
+        realizes ``perm``, not that the named router produced it.
+        """
+        schedule.verify(self.graph, self.perm)
 
 
 @dataclass
@@ -140,17 +155,18 @@ def _warm_worker() -> None:
 def _route_in_worker(
     payload: tuple[str, dict, list[int], str, dict],
 ) -> tuple[str, str, Any, float, dict]:
-    """Pool worker: rebuild the instance, route it, return a codec frame.
+    """Pool worker: rebuild the instance, route and verify it, return a frame.
 
     Module-level so it pickles by reference. Never raises: failures are
     returned as ``(digest, "error", message, seconds, stages)`` tuples,
-    which is what keeps one bad instance from killing the whole batch.
-    Successes carry the schedule as a binary
+    which is what keeps one bad instance from killing the whole batch;
+    a schedule that fails verification is such a failure. Successes
+    carry ``(frame, verify_seconds)``: the schedule as a binary
     :func:`~repro.routing.codec.encode_schedule` frame (``bytes``
-    pickle as one opaque buffer; nested layer lists used to pickle swap
-    by swap). The trailing element carries the per-stage routing
-    profile — workers cannot share the parent's trace context, so it is
-    collected here and shipped back with the result.
+    pickle as one opaque buffer) and the time its verification took.
+    The trailing element carries the per-stage routing profile —
+    workers cannot share the parent's trace context, so it is collected
+    here and shipped back with the result.
     """
     digest, spec, targets, router_name, options = payload
     t0 = time.perf_counter()
@@ -161,11 +177,25 @@ def _route_in_worker(
         router = make_router(router_name, **options)
         with profile(profiler):
             schedule = router.route(graph, perm)
-        frame = encode_schedule(schedule)
-        return digest, "ok", frame, time.perf_counter() - t0, profiler.as_dict()
+        t_verify = time.perf_counter()
+        schedule.verify(graph, perm)
+        verify_seconds = time.perf_counter() - t_verify
+        body = (encode_schedule(schedule), verify_seconds)
+        return digest, "ok", body, time.perf_counter() - t0, profiler.as_dict()
     except Exception as exc:  # noqa: BLE001 - error isolation is the contract
         msg = f"{type(exc).__name__}: {exc}"
         return digest, "error", msg, time.perf_counter() - t0, {}
+
+
+def _worker_schedule(body: tuple[bytes, float]) -> Schedule:
+    """Decode the verified frame of a worker's ``"ok"`` result.
+
+    Opens a ``codec.decode`` span with tier ``worker``. Raises
+    :class:`~repro.errors.ScheduleError` on a malformed frame.
+    """
+    frame, _verify_seconds = body
+    with span("codec.decode", tier="worker"):
+        return decode_schedule(frame)
 
 
 class BatchExecutor:
@@ -182,10 +212,10 @@ class BatchExecutor:
     telemetry:
         Optional :class:`~repro.service.telemetry.Telemetry` receiving
         per-request counters and latencies.
-    verify:
-        When true, every computed schedule is re-verified against its
-        request before being cached or returned (defense in depth; the
-        routers already guarantee this).
+
+    A computed schedule that fails verification against its request,
+    and a cached one that fails its cache tier's check, never reaches a
+    result: the first becomes an error result, the second a miss.
     """
 
     def __init__(
@@ -193,14 +223,12 @@ class BatchExecutor:
         cache: ScheduleCache | ClusterScheduleCache | None = None,
         max_workers: int | None = 1,
         telemetry: Telemetry | None = None,
-        verify: bool = False,
     ) -> None:
         if max_workers is not None and max_workers < 0:
             raise ValueError(f"max_workers must be >= 0, got {max_workers}")
         self.cache = cache
         self.max_workers = max_workers
         self.telemetry = telemetry or Telemetry()
-        self.verify = verify
         self._pool: ProcessPoolExecutor | None = None
         self._threads: ThreadPoolExecutor | None = None
         self._pool_lock = threading.Lock()
@@ -372,7 +400,11 @@ class BatchExecutor:
                 )
                 continue
             first_of[key.digest] = i
-            cached = self.cache.get(key.digest) if self.cache is not None else None
+            cached = (
+                self.cache.get(key.digest, req.check)
+                if self.cache is not None
+                else None
+            )
             if cached is not None:
                 results[i] = RouteResult(
                     index=i, key=key, router=req.router, schedule=cached,
@@ -392,17 +424,6 @@ class BatchExecutor:
                     for i in misses
                 ]
             for result in outcomes:
-                req = requests[result.index]
-                if result.ok and self.verify:
-                    try:
-                        result.schedule.verify(req.graph, req.perm)
-                    except Exception as exc:  # noqa: BLE001 - isolate per request
-                        result = RouteResult(
-                            index=result.index, key=result.key,
-                            router=result.router, schedule=None,
-                            seconds=result.seconds, source="error",
-                            error=f"verification failed: {exc}",
-                        )
                 if result.ok and self.cache is not None:
                     self.cache.put(
                         result.key.digest, result.schedule, cost=result.seconds
@@ -428,7 +449,7 @@ class BatchExecutor:
     def _run_inline(
         self, req: RouteRequest, index: int, key: RequestKey | None = None
     ) -> RouteResult:
-        """Route one request in this process, catching its failure."""
+        """Route and verify one request in this process, catching its failure."""
         if key is None:
             key = req.key()
         t0 = time.perf_counter()
@@ -437,6 +458,7 @@ class BatchExecutor:
             router = make_router(req.router, **req.options)
             with profile(profiler):
                 schedule = router.route(req.graph, req.perm)
+            req.check(schedule)
             return RouteResult(
                 index=index, key=key, router=req.router, schedule=schedule,
                 seconds=time.perf_counter() - t0, source="computed",
@@ -494,12 +516,7 @@ class BatchExecutor:
             req = requests[i]
             if status == "ok":
                 try:
-                    schedule = decode_schedule(body)
-                    if schedule.n_vertices != req.graph.n_vertices:
-                        raise ScheduleError(
-                            f"schedule on {schedule.n_vertices} vertices for a "
-                            f"{req.graph.n_vertices}-vertex graph"
-                        )
+                    schedule = _worker_schedule(body)
                     out.append(RouteResult(
                         index=i, key=keys[i], router=req.router,
                         schedule=schedule, seconds=seconds, source="computed",

@@ -44,9 +44,18 @@ protocol** (``cache_get`` / ``cache_put`` / ``cache_stats``) that
 *local* cache tier — a daemon answering a peer never fans the probe
 back out to the cluster, which is what makes the ring recursion-free.
 Schedules cross this protocol as base64-wrapped binary
-:mod:`repro.routing.codec` frames under ``schedule_b64``. Requests and
-responses carry the constant ``"codec": 1``, because older daemons that
-also speak JSON send binary only to peers that echo it.
+:mod:`repro.routing.codec` frames under ``schedule_b64``, and requests
+and responses carry ``"codec"`` set to
+:data:`~repro.routing.codec.CODEC_VERSION`. A frame of another codec
+version fails to decode, so a ``cache_put`` from such a peer is a
+``bad_request`` and its ``cache_get`` answers are misses on the
+asking side. A ``cache_put`` arrives without the request the schedule
+claims to route, so the local tier stores it *unverified*: the first
+route request for that digest checks it (see
+:meth:`~repro.service.cache.ScheduleCache.get`) and turns a schedule
+that does not route the request into a miss, counted in the cache's
+``rejected["pushed"]``. ``cache_get`` serves the local tier as held,
+unchecked; the asking node checks what it receives.
 Runtime reconfiguration rides the same surface: ``topology_get`` /
 ``topology_update`` read and mutate the daemon's epoch-versioned
 :class:`~repro.service.cluster.ClusterTopology` (join / leave /
@@ -79,7 +88,7 @@ from .service import (
     route_result_to_dict,
     transpile_outcome_to_dict,
 )
-from .tracing import TraceBuffer
+from .tracing import TraceBuffer, span
 
 #: Ops that open a trace per request. Introspection ops (``ping``,
 #: ``stats``, ``metrics``, ``trace_get`` itself, topology reads) are
@@ -421,7 +430,8 @@ class RequestHandler:
 
         The response carries ``found`` plus, on a hit, the schedule as a
         base64 binary :func:`~repro.routing.codec.encode_schedule`
-        frame under ``schedule_b64``. It always echoes ``"codec": 1``.
+        frame under ``schedule_b64``. It always echoes ``"codec"``
+        (:data:`~repro.routing.codec.CODEC_VERSION`).
         Raises :class:`ReproError` on a malformed request
         (``bad_request`` via :meth:`dispatch`).
         """
@@ -446,10 +456,13 @@ class RequestHandler:
         The schedule arrives as ``schedule_b64``, a base64 binary
         :func:`~repro.routing.codec.encode_schedule` frame that decoding
         re-validates in full, so a peer can never plant a corrupt entry.
-        ``cost`` optionally carries the original compute seconds for the
-        admission policy. The response echoes ``"codec": 1``. Raises
-        :class:`ReproError` on malformed requests, a JSON ``schedule``
-        document included.
+        It is stored unverified: nothing here knows the request it
+        claims to route, so the first route request for the digest
+        checks it. ``cost`` optionally carries the original compute
+        seconds for the admission policy. The response echoes
+        ``"codec"``. Raises :class:`ReproError` on malformed requests, a
+        JSON ``schedule`` document or another codec version's frame
+        included.
         """
         digest = self._digest_from_doc(doc)
         frame_b64 = doc.get("schedule_b64")
@@ -460,7 +473,8 @@ class RequestHandler:
         except binascii.Error as exc:
             raise ReproError(f"bad 'schedule_b64': {exc}") from None
         try:
-            schedule = decode_schedule(frame)
+            with span("codec.decode", tier="pushed"):
+                schedule = decode_schedule(frame)
         except ScheduleError as exc:
             raise ReproError(f"bad 'schedule_b64': {exc}") from None
         cost = doc.get("cost")
@@ -471,7 +485,9 @@ class RequestHandler:
                 raise ReproError(f"'cost' must be a number, got {cost!r}") from None
         cache = self._local_cache()
         await self._cache_call(
-            functools.partial(cache.put, digest, schedule, cost=cost)
+            functools.partial(
+                cache.put, digest, schedule, cost=cost, unverified="pushed"
+            )
         )
         self.telemetry.incr("cache_put_ops")
         return {
@@ -815,6 +831,19 @@ def render_prometheus(stats: Mapping[str, Any]) -> str:
             if fld in cache:
                 lines.append(f"# TYPE {prefix}_{fld} gauge")
                 lines.append(f"{prefix}_{fld} {cache[fld]}")
+
+    rejected = (stats.get("schedule_cache") or {}).get("rejected") or {}
+    if rejected:
+        lines.append(
+            "# HELP repro_schedule_cache_rejected_total Schedules that failed "
+            "their request's check, by the source they entered from."
+        )
+        lines.append("# TYPE repro_schedule_cache_rejected_total counter")
+        for source in sorted(rejected):
+            lines.append(
+                "repro_schedule_cache_rejected_total"
+                f'{{source="{_prom_label(str(source))}"}} {rejected[source]}'
+            )
 
     cluster = (stats.get("schedule_cache") or {}).get("cluster") or {}
     if cluster:

@@ -291,8 +291,10 @@ class RoutingService:
         ``os.cpu_count()`` or an explicit count for a fixed pool.
     default_router:
         Router used when a request does not name one.
-    verify:
-        Re-verify every computed schedule against its request.
+
+    Every schedule the service returns has been verified against its
+    request once: where it was computed, or where it entered the cache
+    from disk or a peer.
 
     Examples
     --------
@@ -312,7 +314,6 @@ class RoutingService:
         cache_dir: str | os.PathLike | None = None,
         max_workers: int | None = 1,
         default_router: str = "local",
-        verify: bool = False,
         cache_min_cost: float = 0.0,
         cluster_peers: Sequence[str] = (),
         cluster_node_id: str | None = None,
@@ -367,7 +368,6 @@ class RoutingService:
             cache=self.cache,
             max_workers=max_workers,
             telemetry=self.telemetry,
-            verify=verify,
         )
 
     # ------------------------------------------------------------------

@@ -402,7 +402,7 @@ class start_trace:
 
 
 def record_stage_spans(
-    stages: Mapping[str, Mapping[str, Any]], prefix: str = "stage."
+    stages: Mapping[str, Mapping[str, Any]], prefix: str = "stage.", **attrs: Any
 ) -> None:
     """Synthesize child spans from a stage-profile dict.
 
@@ -412,7 +412,8 @@ def record_stage_spans(
     ``{stage: {"seconds": ..., "count": ...}}``; this helper turns them
     into spans under the *current* span (the compute span), laid out
     sequentially from its start. Durations are exact; the offsets are
-    presentational. No-op outside a trace.
+    presentational. ``attrs`` are added to every span. No-op outside a
+    trace.
     """
     cur = _CURRENT.get()
     if cur is None or not stages:
@@ -430,7 +431,7 @@ def record_stage_spans(
             start_unix=parent.start_unix + offset,
             t0=parent.t0 + offset,
             t1=parent.t0 + offset + seconds,
-            attrs={"count": int(info.get("count", 0))},
+            attrs={"count": int(info.get("count", 0)), **attrs},
         )
         state.spans.append(sp)
         offset += seconds

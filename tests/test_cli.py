@@ -25,6 +25,7 @@ def test_help_offers_no_backend_flag(command, capsys):
     out = capsys.readouterr().out
     assert "--rows" in out or "--workers" in out
     assert "--backend" not in out
+    assert "--verify" not in out  # every served schedule is verified
 
 
 class TestRoute:

@@ -2,10 +2,12 @@
 
 Covers hypothesis round-trips (``decode(encode(s)) == s``
 byte-identically, from both the flat-array and the nested-tuple
-schedule representations), a fuzzer proving that :func:`decode_schedule`
-raises nothing but :class:`ScheduleError` on any bytes, corrupt frames
-surfacing as cache misses or ``bad_request`` — never crashes — and the
-``cache_get``/``cache_put`` wire fields that older daemons rely on.
+schedule representations, at both id widths), a fuzzer proving that
+:func:`decode_schedule` raises nothing but :class:`ScheduleError` on
+any bytes, corrupt frames surfacing as cache misses or ``bad_request``
+— never crashes — the ``cache_get``/``cache_put`` wire fields, and the
+refusal of version-1 frames on disk, in ``cache_put`` and in
+``cache_get`` answers.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from repro.errors import ClusterShardError, ScheduleError
 from repro.routing.codec import (
     CODEC_VERSION,
     MAGIC,
+    MAX_VERTICES,
     decode_schedule,
     encode_schedule,
 )
@@ -43,9 +46,13 @@ from repro.service.handler import RequestHandler
 # ----------------------------------------------------------------------
 # strategies
 # ----------------------------------------------------------------------
+#: Vertex counts on both sides of the int16/int32 id-width boundary.
+_WIDE_N = st.sampled_from([32767, 32768, 40000])
+
+
 @st.composite
 def schedules(draw):
-    n = draw(st.integers(min_value=1, max_value=24))
+    n = draw(st.integers(min_value=1, max_value=24) | _WIDE_N)
     layers = []
     for _ in range(draw(st.integers(0, 5))):
         verts = draw(
@@ -110,6 +117,24 @@ class TestRoundTrip:
         assert decode_schedule(encode_schedule(flat)) == tup
         assert decode_schedule(encode_schedule(flat)).layers == tup.layers
 
+    @pytest.mark.parametrize("n, width", [(32767, 2), (32768, 4)])
+    def test_id_width_follows_n(self, n, width):
+        s = Schedule(n, [[(0, n - 1), (n - 3, n - 2)], [(n - 2, n - 1)]])
+        frame = encode_schedule(s)
+        assert len(frame) == 40 + width * (2 + 2 * 3)
+        assert decode_schedule(frame).layers == s.layers
+
+    def test_more_than_int32_vertices_refused(self):
+        with pytest.raises(ScheduleError):
+            encode_schedule(Schedule(MAX_VERTICES + 1))
+        with pytest.raises(ScheduleError, match="header"):
+            decode_schedule(_raw_frame(MAX_VERTICES + 1, [], [], []))
+
+    def test_64x64_frame_is_small(self):
+        grid = GridGraph(64, 64)
+        s = make_router("local").route(grid, random_permutation(grid, seed=1))
+        assert len(encode_schedule(s)) <= 600_000
+
     def test_decoded_schedule_is_usable(self):
         grid = GridGraph(4, 4)
         perm = random_permutation(grid, seed=1)
@@ -131,14 +156,31 @@ def _frame() -> bytes:
 def _raw_frame(
     n: int, counts: list[int], lo: list[int], hi: list[int], meta: bytes = b""
 ) -> bytes:
-    """A frame assembled field by field, consistent sizes, any values."""
+    """A frame assembled field by field, consistent sizes, any values.
+
+    Values are truncated to the id width ``n`` selects, as the encoder
+    would store them.
+    """
+    width = "<i2" if n <= 32767 else "<i4"
     header = struct.pack("<8sqqqq", MAGIC, n, len(counts), len(lo), len(meta))
-    body = [np.array(a, dtype="<i8").tobytes() for a in (counts, lo, hi)]
+    body = [
+        np.array(a, dtype=np.int64).astype(width).tobytes() for a in (counts, lo, hi)
+    ]
     return header + b"".join(body) + meta
 
 
-#: Four layer counts whose int64 sum wraps around to the one swap.
-WRAPPING_COUNTS = [2**62, 2**62, 2**62, 2**62 + 1]
+def _v1_frame(s: Schedule) -> bytes:
+    """The version-1 frame of ``s``: version byte 1 and int64 arrays."""
+    flat = s._flat_view()
+    header = struct.pack(
+        "<8sqqqq", b"reproSC\x01", s.n_vertices, flat.counts.size, flat.lo.size, 0
+    )
+    body = [a.astype("<i8").tobytes() for a in (flat.counts, flat.lo, flat.hi)]
+    return header + b"".join(body)
+
+
+#: Three int16 layer counts whose int16 sum wraps around to the one swap.
+WRAPPING_COUNTS = [32767, 32767, 3]
 
 
 class TestCorruptFrames:
@@ -162,34 +204,40 @@ class TestCorruptFrames:
 
     def test_tampered_payload_rejected(self):
         frame = bytearray(_frame())
-        # First counts word lives right after the 40-byte header.
-        frame[40:48] = struct.pack("<q", 99)
+        # First counts word (int16 at n = 6) lives right after the header.
+        frame[40:42] = struct.pack("<h", 99)
         with pytest.raises(ScheduleError):
             decode_schedule(bytes(frame))
 
     def test_vertex_reuse_rejected(self):
         # Two identical swaps in one layer: sorted-order check trips.
-        n_layers, n_swaps = 1, 2
-        header = struct.pack("<8sqqqq", MAGIC, 6, n_layers, n_swaps, 0)
-        counts = np.array([2], dtype="<i8").tobytes()
-        lo = np.array([0, 0], dtype="<i8").tobytes()
-        hi = np.array([1, 1], dtype="<i8").tobytes()
         with pytest.raises(ScheduleError):
-            decode_schedule(header + counts + lo + hi)
+            decode_schedule(_raw_frame(6, [2], [0, 0], [1, 1]))
         # Distinct but overlapping swaps in canonical order: uniqueness
         # of layer endpoints trips.
-        lo = np.array([0, 1], dtype="<i8").tobytes()
-        hi = np.array([1, 2], dtype="<i8").tobytes()
-        with pytest.raises(ScheduleError):
-            decode_schedule(header + counts + lo + hi)
+        with pytest.raises(ScheduleError, match="vertex reuse"):
+            decode_schedule(_raw_frame(6, [2], [0, 1], [1, 2]))
+
+    def test_vertex_reuse_rejected_on_the_sort_path(self):
+        # 40000 vertices x 105 layers is past the bincount bound, so the
+        # reuse check sorts the endpoints instead.
+        n, empty = 40000, [0] * 104
+        with pytest.raises(ScheduleError, match="vertex reuse"):
+            decode_schedule(_raw_frame(n, empty + [2], [0, 1], [1, 2]))
+        ok = decode_schedule(_raw_frame(n, empty + [2], [0, 2], [1, 3]))
+        assert ok.layers[-1] == ((0, 1), (2, 3))
 
     def test_wrapping_layer_counts_rejected(self):
-        # The int64 sum of these counts wraps to 1 == n_swaps, so only a
-        # bound on each count, checked before summing, rejects them.
+        # The int16 sum of these counts wraps to 1 == n_swaps; decoding
+        # widens to int64 and bounds each count before summing.
         frame = _raw_frame(4, WRAPPING_COUNTS, [0], [1])
-        assert len(frame) == 88
+        assert len(frame) == 50
         with pytest.raises(ScheduleError, match="layer count"):
             decode_schedule(frame)
+
+    def test_version_1_frame_rejected(self):
+        with pytest.raises(ScheduleError, match="not a schedule frame"):
+            decode_schedule(_v1_frame(decode_schedule(_frame())))
 
     @pytest.mark.parametrize(
         "meta", [b"[" * 100_000, b"{" * 100_000, b'{"a":' + b"1" * 5000 + b"}"]
@@ -220,10 +268,11 @@ def _arbitrary_fields(draw):
     """Header and payload fields drawn from the whole int64 range."""
     k = draw(st.integers(0, 5))
     s = draw(st.integers(0, 5))
+    ids = _INT64 | st.integers(0, 9) | st.integers(32760, 32775)
     counts = draw(st.lists(_INT64 | st.integers(0, s), min_size=k, max_size=k))
-    lo = draw(st.lists(_INT64 | st.integers(0, 9), min_size=s, max_size=s))
-    hi = draw(st.lists(_INT64 | st.integers(0, 9), min_size=s, max_size=s))
-    n = draw(_INT64 | st.integers(1, 10))
+    lo = draw(st.lists(ids, min_size=s, max_size=s))
+    hi = draw(st.lists(ids, min_size=s, max_size=s))
+    n = draw(_INT64 | st.integers(1, 10) | _WIDE_N)
     frame = _raw_frame(n, counts, lo, hi, draw(_METADATA))
     if draw(st.booleans()):  # overwrite one int64 header field
         at = 8 * draw(st.integers(1, 4))
@@ -233,14 +282,11 @@ def _arbitrary_fields(draw):
 
 @st.composite
 def _wrapping_counts(draw):
-    """Non-negative layer counts whose int64 sum wraps to ``n_swaps``."""
+    """int16 layer counts whose int16 sum wraps to ``n_swaps``."""
     s = draw(st.integers(0, 4))
     k = draw(st.integers(3, 6))
-    counts = [2**64 // k] * k
-    counts[0] += 2**64 + s - sum(counts)
-    shift = draw(st.integers(0, 2**60))
-    counts[1] += shift
-    counts[2] -= shift
+    counts = draw(st.lists(st.integers(0, 2**15 - 1), min_size=k - 1, max_size=k - 1))
+    counts.append((s - sum(counts)) % 2**16)  # stored as a negative int16
     ends = draw(st.lists(st.integers(0, 7), min_size=2 * s, max_size=2 * s))
     return _raw_frame(8, draw(st.permutations(counts)), ends[:s], ends[s:])
 
@@ -297,29 +343,33 @@ def _dispatch_all(docs: list[dict]) -> list[dict]:
     return asyncio.run(run())
 
 
-class _OlderPeer(RemoteShardClient):
-    """A peer running a release that still spoke JSON as well as binary.
+class _PeerStub(RemoteShardClient):
+    """A peer answering the cache ops in process, in one codec version.
 
-    A codec-aware one serves ``schedule_b64`` only to requests carrying
-    ``"codec": 1`` and echoes ``"codec": 1``. One from before the codec
-    speaks the JSON ``schedule`` document only and never echoes.
+    ``codec=CODEC_VERSION`` is a current peer. ``codec=1`` runs a
+    release on the version-1 codec: it echoes ``"codec": 1``, stores
+    only version-1 frames and serves them back. ``codec=None`` predates
+    the codec: it speaks the JSON ``schedule`` document only and never
+    echoes.
     """
 
-    def __init__(self, codec_aware: bool = True) -> None:
+    def __init__(self, codec: int | None = CODEC_VERSION) -> None:
         super().__init__("unused.sock")
-        self.codec_aware = codec_aware
+        self.codec = codec
         self.store: dict[str, bytes] = {}
         self.seen: list[dict] = []
 
     def _request(self, method: str, path: str, doc: dict | None = None) -> dict:
         doc = dict(doc or {})
         self.seen.append(doc)
-        binary = self.codec_aware and doc.get("codec") == 1
-        resp = {"ok": True, "codec": 1} if self.codec_aware else {"ok": True}
+        binary = self.codec is not None
+        resp = {"ok": True, "codec": self.codec} if binary else {"ok": True}
         if path == "/v1/cache_put":
-            if not binary:
-                return {"ok": False, "code": "bad_request", "error": "no schedule"}
-            self.store[doc["digest"]] = base64.b64decode(doc["schedule_b64"])
+            frame = base64.b64decode(doc.get("schedule_b64", ""))
+            magic = b"reproSC" + bytes([self.codec or 0])
+            if not binary or frame[:8] != magic:
+                return {"ok": False, "code": "bad_request", "error": "bad schedule"}
+            self.store[doc["digest"]] = frame
             return {**resp, "stored": True}
         frame = self.store.get(doc["digest"])
         resp["found"] = frame is not None
@@ -334,26 +384,26 @@ class TestWireFields:
     def test_handler_speaks_the_older_fields(self):
         frame = _frame()
         put, get = _dispatch_all([
-            {"op": "cache_put", "digest": "d1", "codec": 1,
+            {"op": "cache_put", "digest": "d1", "codec": CODEC_VERSION,
              "schedule_b64": _b64(frame)},
-            {"op": "cache_get", "digest": "d1", "codec": 1},
+            {"op": "cache_get", "digest": "d1", "codec": CODEC_VERSION},
         ])
-        assert put["ok"] and put["stored"] and put["codec"] == 1
-        assert get["found"] and get["codec"] == 1
+        assert put["ok"] and put["stored"] and put["codec"] == CODEC_VERSION
+        assert get["found"] and get["codec"] == CODEC_VERSION
         assert base64.b64decode(get["schedule_b64"]) == frame
 
     def test_client_speaks_the_older_fields(self):
-        peer = _OlderPeer()
+        peer = _PeerStub()
         s = decode_schedule(_frame())
         assert peer.cache_put("d2", s, cost=0.5)
         assert peer.cache_get("d2") == s
         assert peer.cache_get("absent") is None
-        assert all(doc["codec"] == 1 for doc in peer.seen)
+        assert all(doc["codec"] == CODEC_VERSION for doc in peer.seen)
 
     def test_json_only_peer_is_a_shard_error(self):
         # A daemon from before the codec speaks JSON only: both ops
         # fail, and the cluster cache computes the schedule locally.
-        peer = _OlderPeer(codec_aware=False)
+        peer = _PeerStub(codec=None)
         peer.store["d3"] = _frame()
         with pytest.raises(ClusterShardError, match="malformed"):
             peer.cache_get("d3")
@@ -361,7 +411,7 @@ class TestWireFields:
             peer.cache_put("d3", decode_schedule(_frame()))
 
     def test_json_only_peer_degrades_to_local_compute(self):
-        peer = _OlderPeer(codec_aware=False)
+        peer = _PeerStub(codec=None)
         peer.store["d5"] = _frame()
         cache = ClusterScheduleCache(
             ScheduleCache(), {"old": peer}, node_id="self", replication=2
@@ -373,6 +423,36 @@ class TestWireFields:
             assert cache.cluster_stats.degraded_gets >= 1
         finally:
             cache.close()
+
+    def test_version_1_peer_fails_both_directions(self):
+        # Each side's frames fail the other side's decode.
+        peer = _PeerStub(codec=1)
+        peer.store["d7"] = _v1_frame(decode_schedule(_frame()))
+        with pytest.raises(ClusterShardError, match="malformed"):
+            peer.cache_get("d7")
+        with pytest.raises(ClusterShardError, match="bad_request"):
+            peer.cache_put("d8", decode_schedule(_frame()))
+
+    def test_version_1_peer_degrades_to_local_compute(self):
+        peer = _PeerStub(codec=1)
+        peer.store["d9"] = _v1_frame(decode_schedule(_frame()))
+        cache = ClusterScheduleCache(
+            ScheduleCache(), {"old": peer}, node_id="self", replication=2
+        )
+        try:
+            assert cache.get("d9") is None
+            assert cache.dead_nodes() == ["old"]
+            assert cache.cluster_stats.remote_errors == 1
+        finally:
+            cache.close()
+
+    def test_version_1_cache_put_is_bad_request(self):
+        (put,) = _dispatch_all([
+            {"op": "cache_put", "digest": "d10",
+             "schedule_b64": _b64(_v1_frame(decode_schedule(_frame())))},
+        ])
+        assert not put["ok"] and put["code"] == "bad_request"
+        assert "not a schedule frame" in put["error"]
 
     def test_crafted_frame_put_is_bad_request(self):
         put, ping = _dispatch_all([
@@ -429,3 +509,14 @@ class TestDiskTier:
             assert not (tmp_path / f"{name}.rsc").exists()
         assert cache.stats.disk_errors == 4
         assert cache.stats.misses == 4
+
+    def test_version_1_file_is_unlinked_and_recomputed(self, tmp_path):
+        s = _schedule(5)
+        path = tmp_path / "v1.rsc"
+        path.write_bytes(_v1_frame(s))
+        cache = ScheduleCache(disk_dir=tmp_path)
+        assert cache.get("v1") is None
+        assert not path.exists()
+        assert cache.stats.disk_errors == 1
+        cache.put("v1", s)
+        assert ScheduleCache(disk_dir=tmp_path).get("v1") == s

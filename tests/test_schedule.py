@@ -77,6 +77,36 @@ class TestSemantics:
         with pytest.raises(ScheduleError):
             Schedule(3, []).check_against(path_graph(4))
 
+    def test_verify_permutation_size_mismatch(self):
+        s = Schedule(3, [[(0, 1)]])
+        with pytest.raises(ScheduleError, match="permutation on 4"):
+            s.verify(path_graph(3), Permutation([1, 0, 2, 3]))
+        # A claimed vertex count is compared before anything is allocated.
+        with pytest.raises(ScheduleError, match="1000000000000 vertices vs"):
+            Schedule(10**12).verify(path_graph(3), Permutation([0, 1, 2]))
+
+    def test_verify_names_first_bad_swap(self):
+        g = GridGraph(3, 3)
+        s = Schedule(9, [[(0, 1)], [(3, 4), (1, 2)], [(2, 3), (5, 8)], [(0, 4)]])
+        with pytest.raises(ScheduleError, match=r"layer 2: swap \(2, 3\) is not"):
+            s.verify(g, s.simulate())
+
+    @pytest.mark.parametrize("graph", [GridGraph(3, 4), path_graph(12)])
+    def test_vectorized_edge_test_matches_has_edge(self, graph):
+        rng = np.random.default_rng(5)
+        for _ in range(30):
+            verts = rng.permutation(12)[: 2 * int(rng.integers(1, 7))]
+            layer = list(zip(verts[0::2].tolist(), verts[1::2].tolist()))
+            s = Schedule(12, [layer])
+            expected = all(graph.has_edge(u, v) for u, v in layer)
+            for candidate in (s, Schedule._from_canonical(12, s._flat_view())):
+                try:
+                    candidate.check_against(graph)
+                    ok = True
+                except ScheduleError:
+                    ok = False
+                assert ok == expected
+
 
 class TestTransformations:
     def test_trimmed(self):

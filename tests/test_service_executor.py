@@ -98,12 +98,6 @@ class TestInlineExecution:
             res = ex.execute(reqs)[0]
         assert not res.ok and "bogus" in res.error
 
-    def test_verify_flag(self):
-        grid = GridGraph(3, 3)
-        with BatchExecutor(max_workers=1, verify=True) as ex:
-            res = ex.execute(_batch(grid, [0]))[0]
-        assert res.ok
-
     def test_rejects_negative_workers(self):
         with pytest.raises(ValueError):
             BatchExecutor(max_workers=-1)

@@ -206,7 +206,11 @@ class TestCacheOps:
         from repro.graphs import GridGraph
         from repro.perm import random_permutation
         from repro.routing import route
-        from repro.routing.codec import decode_schedule, encode_schedule
+        from repro.routing.codec import (
+            CODEC_VERSION,
+            decode_schedule,
+            encode_schedule,
+        )
         from repro.routing.serialize import schedule_to_json
 
         grid = GridGraph(3, 3)
@@ -230,7 +234,7 @@ class TestCacheOps:
 
                 hit = await handler.dispatch({"op": "cache_get", "digest": digest})
                 assert hit["ok"] and hit["found"] is True
-                assert hit["codec"] == 1 and "schedule" not in hit
+                assert hit["codec"] == CODEC_VERSION and "schedule" not in hit
                 got = decode_schedule(base64.b64decode(hit["schedule_b64"]))
                 assert got == schedule
 

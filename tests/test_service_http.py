@@ -215,17 +215,17 @@ class TestEndpoints:
             _shutdown(base, thread)
 
     def test_crafted_cache_put_frame_is_bad_request(self):
-        """Wrapping int64 layer counts are refused; the server keeps serving."""
+        """Wrapping int16 layer counts are refused; the server keeps serving."""
         import base64
         import struct
 
         from repro.routing.codec import MAGIC
 
-        counts = [2**62, 2**62, 2**62, 2**62 + 1]  # int64 sum wraps to 1
-        frame = struct.pack("<8sqqqq", MAGIC, 4, 4, 1, 0) + struct.pack(
-            "<6q", *counts, 0, 1
+        counts = [32767, 32767, 3]  # int16 sum wraps to 1
+        frame = struct.pack("<8sqqqq", MAGIC, 4, 3, 1, 0) + struct.pack(
+            "<5h", *counts, 0, 1
         )
-        assert len(frame) == 88
+        assert len(frame) == 50
         server, base, thread = _start_http()
         try:
             status, body = http_request(base, "/v1/cache_put", {

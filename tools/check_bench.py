@@ -2,9 +2,10 @@
 """Benchmark regression gate: BENCH_*.json vs the committed baselines.
 
 ``benchmarks/bench_core.py`` measures *ratios* (the numpy kernels'
-cold-route speedup over the python oracle) with both arms on the same
-machine, so the ratios — unlike absolute seconds — are comparable
-across machines. This tool compares a freshly produced
+cold-route speedup over the python oracle, and a cold route over a
+cache hit's decode + verify) with both arms on the same machine, so the
+ratios — unlike absolute seconds — are comparable across machines.
+This tool compares a freshly produced
 ``BENCH_core.json`` against the committed snapshot in
 ``benchmarks/baselines/`` and fails when any gated ratio regressed by
 more than ``--tolerance`` (default 25%).
@@ -35,13 +36,18 @@ def _core_metrics(doc: dict) -> dict[str, float]:
     out: dict[str, float] = {}
     for run in doc.get("runs", []):
         out[f"cold_route/{run['router']}/{run['size']}"] = run["speedup"]
+    for row in doc.get("hit_vs_route", []):
+        out[f"hit_vs_route/{row['size']}"] = row["ratio"]
     return out
 
 
 def _core_invariants(doc: dict) -> list[str]:
+    failures = []
     if not doc.get("runs"):
-        return ["no cold-route runs recorded"]
-    return []
+        failures.append("no cold-route runs recorded")
+    if not doc.get("hit_vs_route"):
+        failures.append("no hit-vs-route row recorded")
+    return failures
 
 
 #: Artifact basename -> (ratio extractor, invariant checker).
