@@ -1,34 +1,24 @@
-"""Async and daemon front-end benchmarks: sync vs async vs warm daemon.
+"""Daemon front-end benchmark: a warm daemon vs cold CLI invocations.
 
-Two measurements back the daemon's acceptance criteria:
-
-* ``sync_vs_async`` — the same mixed batch through
-  ``RoutingService.submit_batch`` and
-  ``AsyncRoutingService.submit_batch_async`` must produce identical
-  outcomes; the async path's overhead (event loop + semaphore) must
-  stay small. This is a parity check, not a race: on one process pool
-  both fan out the same work.
-
-* ``daemon_vs_cold`` — a mixed workload split into K client
-  invocations, served two ways: **cold** spawns a fresh ``repro
-  batch`` subprocess per invocation (each pays interpreter start-up,
-  the scipy import, pool spawn and a cold cache), **daemon** starts
-  one ``repro serve --socket`` process and sends the same K chunks,
-  each as one ``POST /v1/route_batch`` over HTTP on the socket. The
-  warm pool and schedule cache must make the daemon >= 2x faster end
-  to end on the default 200-request workload.
+``daemon_vs_cold`` splits a mixed workload into K client invocations
+and serves them two ways: **cold** spawns a fresh ``repro batch``
+subprocess per invocation (each pays interpreter start-up, the scipy
+import, pool spawn and a cold cache), **daemon** starts one ``repro
+serve --socket`` process and sends the same K chunks, each as one
+``POST /v1/route_batch`` over HTTP on the socket. The warm pool and
+schedule cache must make the daemon >= 2x faster end to end on the
+default 200-request workload.
 
 Run standalone (``python benchmarks/bench_async.py``) for a report and
 the 2x assertion; ``--ci`` shrinks the workload and only fails on
 crash (CI gates on the benchmark *running*, not on shared-runner
 timing); ``--out BENCH_async.json`` writes the numbers for artifact
-upload. Under pytest, smoke-sized variants of both measurements run
-with lenient thresholds.
+upload. Under pytest, a smoke-sized variant runs with a lenient
+threshold.
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
 import os
 import subprocess
@@ -40,13 +30,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 sys.path.insert(0, os.path.dirname(__file__))
 
 from _common import make_parser, report, write_json
-from repro.service import (
-    AsyncRoutingService,
-    RoutingService,
-    http_request,
-    request_from_doc,
-    wait_for_http,
-)
+from repro.service import http_request, wait_for_http
 
 #: Workload mix: grid sizes x workload families, seeds cycled so later
 #: chunks repeat earlier instances (the cache-hit traffic a long-lived
@@ -82,44 +66,6 @@ def mixed_docs(n: int) -> list[dict]:
 def _chunks(docs: list[dict], k: int) -> list[list[dict]]:
     size = -(-len(docs) // k)  # ceil
     return [docs[i : i + size] for i in range(0, len(docs), size)]
-
-
-# ----------------------------------------------------------------------
-# sync vs async (in-process parity + overhead)
-# ----------------------------------------------------------------------
-def bench_sync_vs_async(n: int = 60) -> dict:
-    """The same batch through the sync facade and the asyncio front end."""
-    docs = mixed_docs(n)
-    requests = [request_from_doc(d) for d in docs]
-
-    with RoutingService(cache_size=256, max_workers=1) as svc:
-        t0 = time.perf_counter()
-        sync_results = svc.submit_batch(requests)
-        sync_seconds = time.perf_counter() - t0
-
-    async def _run():
-        async with AsyncRoutingService(cache_size=256, max_workers=1) as asvc:
-            t0 = time.perf_counter()
-            results = await asvc.submit_batch_async(requests)
-            return results, time.perf_counter() - t0
-
-    async_results, async_seconds = asyncio.run(_run())
-
-    assert len(sync_results) == len(async_results) == n
-    assert all(r.ok for r in sync_results) and all(r.ok for r in async_results)
-    # Parity: identical schedules per slot (sources may legally differ —
-    # concurrent misses can race a duplicate into "computed" where the
-    # sync path saw "cache", but the depths must agree).
-    for s, a in zip(sync_results, async_results):
-        assert s.key.digest == a.key.digest
-        assert s.depth == a.depth and s.size == a.size
-    return {
-        "n_requests": n,
-        "sync_seconds": sync_seconds,
-        "async_seconds": async_seconds,
-        "sync_req_per_s": n / sync_seconds if sync_seconds > 0 else float("inf"),
-        "async_req_per_s": n / async_seconds if async_seconds > 0 else float("inf"),
-    }
 
 
 # ----------------------------------------------------------------------
@@ -198,13 +144,8 @@ def bench_daemon_vs_cold(
 
 
 # ----------------------------------------------------------------------
-# pytest entry points (smoke-sized)
+# pytest entry point (smoke-sized)
 # ----------------------------------------------------------------------
-def test_async_matches_sync():
-    stats = bench_sync_vs_async(n=24)
-    assert stats["async_req_per_s"] > 0
-
-
 def test_daemon_beats_cold_invocations():
     stats = bench_daemon_vs_cold(n_requests=40, n_chunks=4)
     assert stats["speedup"] > 1.0, stats
@@ -216,12 +157,8 @@ def test_daemon_beats_cold_invocations():
 def main(argv: list[str] | None = None) -> int:
     args = make_parser(__doc__.splitlines()[0]).parse_args(argv)
 
-    n_async, n_daemon, n_chunks = (24, 40, 4) if args.ci else (60, 200, 8)
+    n_daemon, n_chunks = (40, 4) if args.ci else (200, 8)
     doc: dict = {"ci": args.ci}
-
-    sva = bench_sync_vs_async(n=n_async)
-    report("sync vs async (parity + overhead)", sva)
-    doc["sync_vs_async"] = sva
 
     dvc = bench_daemon_vs_cold(n_requests=n_daemon, n_chunks=n_chunks)
     report("warm daemon vs cold per-invocation `repro batch`", dvc)

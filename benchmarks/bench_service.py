@@ -130,10 +130,9 @@ def bench_cold_parallel(
     sequential = time.perf_counter() - t0
 
     with RoutingService(cache_size=2 * n, max_workers=workers) as svc:
-        # Pay pool spawn/warm outside the measured region: the pool is
-        # persistent, so steady-state batches never see that cost. Needs
-        # >= 2 distinct instances — a single miss is computed inline and
-        # would leave the pool unspawned.
+        # Pay pool spawn and the workers' warm-up outside the measured
+        # region: the pool is persistent, so steady-state batches never
+        # see that cost.
         tiny = GridGraph(3, 3)
         svc.submit_batch([
             (tiny, make_workload("random", tiny, seed=s)) for s in range(4)

@@ -19,7 +19,7 @@ True
 """
 
 # Defined before the subpackage imports so service modules can report
-# the version (``/healthz``, ``ping``) without a circular import.
+# the version (``/healthz``) without a circular import.
 __version__ = "1.0.0"
 
 from .errors import (

@@ -141,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="process-pool size (default: all CPUs; 1 = inline)",
+        help="process-pool size (default: all CPUs; 0 or 1 = one compute thread)",
     )
     p_batch.add_argument("--cache-size", type=int, default=4096)
     p_batch.add_argument(
@@ -221,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="process-pool size (default: all CPUs; 1 = inline)",
+        help="process-pool size (default: all CPUs; 0 or 1 = one compute thread)",
     )
     p_serve.add_argument("--cache-size", type=int, default=4096)
     p_serve.add_argument(
@@ -560,14 +560,14 @@ def _cmd_route_json(args, grid, perm, router_names, noise) -> int:
 
     # The service verifies every schedule it computes, the same
     # guarantee the text path gives by verifying before printing.
-    svc = RoutingService(cache_size=len(router_names) + 1, max_workers=1)
     results = []
-    for name in router_names:
-        res = svc.submit(grid, perm, router=name)
-        extra = {}
-        if args.fidelity and res.ok:
-            extra["est_success"] = noise.schedule_fidelity(res.schedule)
-        results.append(route_result_to_dict(res, **extra))
+    with RoutingService(cache_size=len(router_names) + 1, max_workers=1) as svc:
+        for name in router_names:
+            res = svc.submit(grid, perm, router=name)
+            extra = {}
+            if args.fidelity and res.ok:
+                extra["est_success"] = noise.schedule_fidelity(res.schedule)
+            results.append(route_result_to_dict(res, **extra))
     doc = {
         "command": "route",
         "rows": args.rows,

@@ -4,12 +4,14 @@ The modules compose bottom-up — :mod:`~repro.service.keys` (canonical
 request fingerprints), :mod:`~repro.service.cache` (tiered LRU schedule
 cache with a cost threshold for admission),
 :mod:`~repro.service.telemetry` (counters and latency histograms),
-:mod:`~repro.service.executor` (dedup + cache + process pool) — and
-:mod:`~repro.service.service` ties them into the
-:class:`RoutingService` facade that the CLI's ``batch`` subcommand and
-the benchmarks drive. On top of the facade sit the always-on front
-ends: :mod:`~repro.service.aio` (:class:`AsyncRoutingService`, bounded
-concurrency + per-request timeouts) and the one wire protocol, HTTP/1.1
+:mod:`~repro.service.executor` (the worker pool) — and
+:mod:`~repro.service.aio` runs every request over them through one
+lifecycle (:class:`AsyncRoutingService`: batch dedup, cache,
+single-flight, bounded concurrency, per-request timeouts) for routes
+and transpiles alike. :mod:`~repro.service.service` holds the
+:class:`RoutingService` facade the CLI's ``batch`` subcommand and the
+benchmarks drive, whose work calls are sync wrappers over that
+lifecycle, and the one wire protocol is HTTP/1.1
 (:mod:`~repro.service.http`, ``repro serve --http HOST:PORT`` or
 ``--socket PATH``, including the Prometheus ``/metrics`` endpoint).
 The transport is a thin framing adapter over one request-lifecycle

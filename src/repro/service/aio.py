@@ -1,15 +1,20 @@
-"""Asyncio front end over the routing service.
+"""The request lifecycle: one asyncio path for every route and transpile.
 
-:class:`AsyncRoutingService` exposes the same request surface as
-:class:`~repro.service.service.RoutingService` — submit one, submit a
-batch, transpile a batch — as coroutines that never block the event
-loop. Misses are shipped to the executor's worker pool with
-:meth:`~repro.service.executor.BatchExecutor.submit_job` and awaited
-via ``asyncio.wrap_future`` (process pool) or the thread fallback
-(inline executors), instead of blocking on ``pool.map`` the way the
-sync facade does. That makes it the natural engine for the daemon
-(:mod:`repro.service.http`), where many client connections multiplex
-onto one warm pool.
+:class:`AsyncRoutingService` runs every request — a route or a
+transpile, single or batched, from the daemon
+(:mod:`repro.service.http`), ``repro batch`` or the sync
+:class:`~repro.service.service.RoutingService` wrapper — through one
+lifecycle:
+
+``batch dedup → fair slot → cache → single-flight → compute → put``
+
+Misses are shipped to the executor's workers with
+:meth:`~repro.service.executor.BatchExecutor.submit_job` and awaited via
+``asyncio.wrap_future`` — a process pool when parallel, one compute
+thread otherwise — so the event loop never blocks. What differs between
+the two job kinds (the cache tier, the worker function and its payload,
+how a worker's body becomes a value, the result type) lives in one small
+adapter per kind, :class:`_RouteJobs` and :class:`_TranspileJobs`.
 
 Three service-y concerns are handled here rather than left to callers:
 
@@ -27,13 +32,13 @@ Three service-y concerns are handled here rather than left to callers:
   inherit ``default_timeout``); an expired request yields an *error
   result* (``source == "error"``, ``TimeoutError`` in ``error``),
   consistent with the batch error-isolation contract. The underlying
-  pool task is cancelled when it has not started yet.
-* **Dedup** — identical requests inside one batch are computed once,
-  exactly like the sync executor (duplicates report ``source ==
-  "dedup"``) — and identical *concurrent* route requests from
-  different callers (e.g. concurrent daemon connections) are
-  single-flight coalesced onto one computation instead of racing the
-  cache.
+  pool task is cancelled when it has not started yet; a started one
+  is salvaged into the cache when it finishes.
+* **Dedup** — identical requests inside one batch are computed once
+  (duplicates report ``source == "dedup"``), and identical *concurrent*
+  requests from different callers (e.g. concurrent daemon connections)
+  are single-flight coalesced onto one computation instead of racing
+  the cache.
 
 Cancellation is cooperative and clean: cancelling a coroutine releases
 its semaphore slot and decrements the gauges, so a cancelled client
@@ -45,21 +50,19 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import contextvars
+import dataclasses
 import functools
 import time
-from typing import Any, AsyncIterator, Mapping, Sequence
+from typing import Any, AsyncIterator, Callable, Mapping, Sequence, Union
 
 from ..errors import ServiceClosedError
 from ..graphs.base import Graph
 from ..perm.permutation import Permutation
-from ..routing.schedule import Schedule
-from .cache import Check
 from .executor import (
     RouteRequest,
     RouteResult,
     _route_in_worker,
     _worker_schedule,
-    record_stage_telemetry,
 )
 from .keys import RequestKey, graph_spec
 from .service import (
@@ -79,19 +82,23 @@ from .tracing import record_stage_spans, span
 __all__ = ["AsyncRoutingService"]
 
 
-def _route_error(
-    index: int, key: RequestKey, router: str, seconds: float, error: str
-) -> RouteResult:
-    """An error-shaped :class:`RouteResult` (``ok`` False, no schedule)."""
-    return RouteResult(
-        index=index,
-        key=key,
-        router=router,
-        schedule=None,
-        seconds=seconds,
-        source="error",
-        error=error,
-    )
+async def _cache_call(cache: Any, fn: Callable[..., Any], *args: Any) -> Any:
+    """Run one operation of ``cache`` without stalling the event loop.
+
+    A memory-only tier answers synchronously (an OrderedDict probe under
+    a lock is cheaper than a thread hop). A tier with a disk directory
+    or remote cluster shards may do I/O, so ``fn`` runs on a worker
+    thread. ``run_in_executor`` does not propagate contextvars, so the
+    trace context is carried across the hop: spans opened inside the
+    cache (disk decode, remote probes, read repair) join the request's
+    trace.
+    """
+    disk_dir = getattr(cache, "disk_dir", None)
+    if disk_dir is None and not getattr(cache, "remote", False):
+        return fn(*args)
+    ctx = contextvars.copy_context()
+    loop = asyncio.get_running_loop()
+    return await loop.run_in_executor(None, functools.partial(ctx.run, fn, *args))
 
 
 def _consume_outcome(future: "asyncio.Future[Any]") -> None:
@@ -100,55 +107,141 @@ def _consume_outcome(future: "asyncio.Future[Any]") -> None:
         future.exception()
 
 
-def _as_dedup_route(
-    orig: RouteResult, index: int, key: RequestKey, router: str
-) -> RouteResult:
-    """Clone an original result for a duplicate/coalesced request slot."""
-    return RouteResult(
-        index=index,
-        key=key,
-        router=router,
-        schedule=orig.schedule,
-        seconds=0.0,
-        source="dedup" if orig.ok else "error",
-        error=orig.error,
-    )
+def _as_dedup(orig: Any, index: int) -> Any:
+    """Clone a result for a duplicate or coalesced request slot.
+
+    Identical requests share a digest, hence the key and router too.
+    """
+    source = "dedup" if orig.ok else "error"
+    return dataclasses.replace(orig, index=index, seconds=0.0, source=source)
 
 
-def _as_dedup_transpile(
-    orig: TranspileOutcome, index: int, digest: str, router: str
-) -> TranspileOutcome:
-    """Clone an original outcome for a duplicate request slot."""
-    return TranspileOutcome(
-        index=index,
-        digest=digest,
-        router=router,
-        metrics=orig.metrics,
-        physical_qasm=orig.physical_qasm,
-        seconds=0.0,
-        source="dedup" if orig.ok else "error",
-        error=orig.error,
-    )
+class _RouteJobs:
+    """Route jobs: the schedule cache, verified worker frames, RouteResult."""
+
+    #: Telemetry names: compute latency, batch latency, batch count.
+    latency, batch, batches = "aio_route", "aio_batch", "aio_batches"
+    worker = staticmethod(_route_in_worker)
+
+    def __init__(self, service: RoutingService) -> None:
+        self.service = service
+
+    @property
+    def cache(self) -> Any:
+        return self.service.cache
+
+    @staticmethod
+    def key(req: RouteRequest) -> RequestKey:
+        return req.key()
+
+    @staticmethod
+    def digest(key: RequestKey) -> str:
+        return key.digest
+
+    def get(self, req: RouteRequest, key: RequestKey) -> Any:
+        return self.cache.get(key.digest, req.check)
+
+    def put(self, key: RequestKey, schedule: Any, seconds: float) -> None:
+        self.cache.put(key.digest, schedule, cost=seconds)
+
+    @staticmethod
+    def payload(req: RouteRequest, key: RequestKey) -> tuple:
+        spec, targets = graph_spec(req.graph), req.perm.targets.tolist()
+        return key.digest, spec, targets, req.router, dict(req.options)
+
+    @staticmethod
+    def computed(body: Any) -> None:
+        """Lay the worker's verification into the ``compute`` span."""
+        verified = {"verify": {"seconds": body[1], "count": 1}}
+        record_stage_spans(verified, prefix="schedule.", tier="worker")
+
+    #: A worker's verified frame, decoded (raises on a malformed one).
+    value = staticmethod(_worker_schedule)
+
+    @staticmethod
+    def result(
+        index: int,
+        key: RequestKey,
+        router: str,
+        schedule: Any,
+        seconds: float,
+        source: str,
+        error: str | None = None,
+    ) -> RouteResult:
+        return RouteResult(index, key, router, schedule, seconds, source, error)
 
 
-def _transpile_error(
-    index: int, digest: str, router: str, seconds: float, error: str
-) -> TranspileOutcome:
-    """An error-shaped :class:`TranspileOutcome`."""
-    return TranspileOutcome(
-        index=index,
-        digest=digest,
-        router=router,
-        metrics=None,
-        physical_qasm=None,
-        seconds=seconds,
-        source="error",
-        error=error,
-    )
+class _TranspileJobs:
+    """Transpile jobs: the transpile cache, metrics bodies, TranspileOutcome."""
+
+    latency = "aio_transpile"
+    batch, batches = "aio_transpile_batch", "aio_transpile_batches"
+    worker = staticmethod(_transpile_in_worker)
+
+    def __init__(self, service: RoutingService, include_qasm: bool) -> None:
+        self.service = service
+        self.include_qasm = include_qasm
+
+    @property
+    def cache(self) -> Any:
+        return self.service.transpile_cache
+
+    def key(self, req: TranspileRequest) -> str:
+        return req.digest(include_qasm_out=self.include_qasm)
+
+    @staticmethod
+    def digest(key: str) -> str:
+        return key
+
+    def get(self, req: TranspileRequest, digest: str) -> Any:
+        return self.cache.get(digest)
+
+    def put(self, digest: str, body: Any, seconds: float) -> None:
+        self.cache.put(digest, body, cost=seconds)
+
+    def payload(self, req: TranspileRequest, digest: str) -> tuple:
+        return (
+            digest,
+            req.qasm,
+            graph_spec(req.graph),
+            req.router,
+            req.mapping,
+            req.seed,
+            req.completion,
+            dict(req.options),
+            self.include_qasm,
+        )
+
+    @staticmethod
+    def computed(body: Any) -> None:
+        """Nothing beyond the stage profile to trace."""
+
+    @staticmethod
+    def value(body: Any) -> Any:
+        return body
+
+    @staticmethod
+    def result(
+        index: int,
+        digest: str,
+        router: str,
+        body: Any,
+        seconds: float,
+        source: str,
+        error: str | None = None,
+    ) -> TranspileOutcome:
+        metrics = body["metrics"] if body is not None else None
+        qasm = body["physical_qasm"] if body is not None else None
+        return TranspileOutcome(
+            index, digest, router, metrics, qasm, seconds, source, error
+        )
+
+
+_Jobs = Union[_RouteJobs, _TranspileJobs]
 
 
 class AsyncRoutingService:
-    """Bounded-concurrency asyncio facade over a :class:`RoutingService`.
+    """Bounded-concurrency asyncio lifecycle over a :class:`RoutingService`.
 
     Parameters
     ----------
@@ -204,6 +297,7 @@ class AsyncRoutingService:
             service if service is not None else RoutingService(**service_kwargs)
         )
         self._owns_service = service is None
+        self._routes = _RouteJobs(self.service)
         self.max_concurrency = max_concurrency
         self.default_timeout = default_timeout
         self.tenants = tenants if tenants is not None else TenantRegistry()
@@ -252,8 +346,151 @@ class AsyncRoutingService:
         await self.aclose()
 
     # ------------------------------------------------------------------
-    # concurrency plumbing
+    # routing and transpilation
     # ------------------------------------------------------------------
+    async def submit_async(
+        self,
+        graph: Graph,
+        perm: Permutation,
+        router: str | None = None,
+        *,
+        timeout: float | None = None,
+        **options: Any,
+    ) -> RouteResult:
+        """Route one instance without blocking the event loop.
+
+        Mirrors :meth:`RoutingService.submit`: served from the schedule
+        cache when possible, computed on the worker pool otherwise. A
+        timeout (argument or ``default_timeout``) turns an overdue
+        request into an error result rather than an exception.
+        """
+        req = RouteRequest(graph, perm, router or self.service.default_router, options)
+        return await self.route_async(req, timeout=timeout)
+
+    async def route_async(
+        self, request: RouteRequest, *, timeout: float | None = None
+    ) -> RouteResult:
+        """Route one built :class:`RouteRequest` (no batch around it).
+
+        ``timeout`` applies as in :meth:`submit_async`; the request's
+        ``options`` reach the router factory untouched.
+        """
+        return await self._run_one(self._routes, request, 0, timeout)
+
+    async def submit_batch_async(
+        self,
+        requests: Sequence[RouteRequest | Mapping[str, Any] | tuple],
+        *,
+        timeout: float | None = None,
+    ) -> list[RouteResult]:
+        """Route a batch concurrently; results are index-aligned.
+
+        Accepts the same entry shapes as
+        :meth:`RoutingService.submit_batch`. Unique requests run
+        concurrently under the fair scheduler; in-batch duplicates are
+        computed once (``source == "dedup"``). ``timeout`` applies per
+        request, not to the batch.
+        """
+        reqs = [self.service._coerce(r) for r in requests]
+        return await self._run_batch(self._routes, reqs, timeout)
+
+    async def transpile_async(
+        self,
+        request: TranspileRequest,
+        include_qasm: bool = False,
+        *,
+        timeout: float | None = None,
+    ) -> TranspileOutcome:
+        """Transpile one :class:`TranspileRequest` (no batch around it).
+
+        The single-request twin of :meth:`transpile_batch_async`, as
+        :meth:`route_async` is of :meth:`submit_batch_async`.
+        """
+        jobs = _TranspileJobs(self.service, include_qasm)
+        return await self._run_one(jobs, request, 0, timeout)
+
+    async def transpile_batch_async(
+        self,
+        requests: Sequence[TranspileRequest],
+        include_qasm: bool = False,
+        *,
+        timeout: float | None = None,
+    ) -> list[TranspileOutcome]:
+        """Transpile circuits concurrently; semantics mirror routing.
+
+        Outcomes are index-aligned, duplicates computed once, the
+        transpile cache consulted, failures isolated; ``timeout``
+        applies per request.
+        """
+        jobs = _TranspileJobs(self.service, include_qasm)
+        return await self._run_batch(jobs, list(requests), timeout)
+
+    # ------------------------------------------------------------------
+    # the lifecycle
+    # ------------------------------------------------------------------
+    async def _run_batch(
+        self, jobs: _Jobs, reqs: list[Any], timeout: float | None
+    ) -> list[Any]:
+        """Run each unique request once; duplicates share its result."""
+        t_batch = time.perf_counter()
+        keys = [jobs.key(req) for req in reqs]
+        first_of: dict[str, int] = {}
+        tasks: dict[int, asyncio.Task] = {}
+        for i, (req, key) in enumerate(zip(reqs, keys)):
+            digest = jobs.digest(key)
+            if digest not in first_of:
+                first_of[digest] = i
+                tasks[i] = asyncio.ensure_future(
+                    self._run_one(jobs, req, i, timeout, key)
+                )
+        try:
+            unique = await asyncio.gather(*tasks.values())
+        except BaseException:
+            for task in tasks.values():
+                task.cancel()
+            raise
+        by_index = dict(zip(tasks, unique))
+        results: list[Any] = []
+        for i, key in enumerate(keys):
+            orig = by_index[first_of[jobs.digest(key)]]
+            if orig.index == i:
+                results.append(orig)
+                continue
+            dup = _as_dedup(orig, i)
+            results.append(dup)
+            self.telemetry.incr("aio_requests")
+            self.telemetry.incr(f"aio_source_{dup.source}")
+        self.telemetry.incr(jobs.batches)
+        self.telemetry.observe(jobs.batch, time.perf_counter() - t_batch)
+        return results
+
+    async def _run_one(
+        self,
+        jobs: _Jobs,
+        req: Any,
+        index: int,
+        timeout: float | None,
+        key: Any = None,
+    ) -> Any:
+        """One request: fair slot, cache, single-flight compute, telemetry."""
+        if timeout is None:
+            timeout = self.default_timeout
+        async with self._slot(estimate_cost(req.graph.n_vertices)):
+            if key is None:
+                key = jobs.key(req)
+            with span("cache.get") as csp:
+                value = await _cache_call(jobs.cache, jobs.get, req, key)
+                csp.set("hit", value is not None)
+            if value is not None:
+                result = jobs.result(index, key, req.router, value, 0.0, "cache")
+            else:
+                result = await self._single_flight(jobs, req, key, index, timeout)
+        self.telemetry.incr("aio_requests")
+        self.telemetry.incr(f"aio_source_{result.source}")
+        if result.source == "computed":
+            self.telemetry.observe(jobs.latency, result.seconds)
+        return result
+
     @contextlib.asynccontextmanager
     async def _slot(self, cost: float = 1.0) -> AsyncIterator[None]:
         """Acquire one weighted-fair slot for the ambient tenant.
@@ -269,6 +506,122 @@ class AsyncRoutingService:
         async with self.scheduler.slot(tenant, cost):
             yield
 
+    async def _single_flight(
+        self,
+        jobs: _Jobs,
+        req: Any,
+        key: Any,
+        index: int,
+        timeout: float | None,
+    ) -> Any:
+        """Compute a miss, coalescing concurrent identical requests.
+
+        The first caller for a digest computes and publishes its result
+        on an in-flight future; concurrent callers for the same digest
+        await that future instead of racing a redundant computation
+        (they report ``source == "dedup"``, like in-batch duplicates).
+        A follower computes for itself when the leader cannot speak for
+        it: the leader was cancelled, or the leader's own timeout
+        budget expired (this follower may have a longer one).
+        """
+        digest = jobs.digest(key)
+        leader_fut = self._inflight.get(digest)
+        if leader_fut is None:
+            fut: asyncio.Future = asyncio.get_running_loop().create_future()
+            self._inflight[digest] = fut
+            try:
+                result = await self._compute(jobs, req, key, index, timeout)
+                fut.set_result(result)
+                return result
+            finally:
+                if self._inflight.get(digest) is fut:
+                    del self._inflight[digest]
+                if not fut.done():
+                    fut.cancel()  # leader failed: wake followers to retry
+        try:
+            orig = await asyncio.wait_for(asyncio.shield(leader_fut), timeout)
+        except asyncio.TimeoutError:
+            self.telemetry.incr("aio_timeouts")
+            message = f"TimeoutError: request exceeded {timeout}s"
+            return jobs.result(index, key, req.router, None, 0.0, "error", message)
+        except asyncio.CancelledError:
+            if not leader_fut.cancelled():
+                raise  # this follower was cancelled, not the leader
+            return await self._compute(jobs, req, key, index, timeout)
+        if not orig.ok and orig.error and orig.error.startswith("TimeoutError"):
+            # The leader ran out of *its* budget — not a property of the
+            # instance. Compute under this request's own timeout.
+            return await self._compute(jobs, req, key, index, timeout)
+        self.telemetry.incr("aio_coalesced")
+        return _as_dedup(orig, index)
+
+    async def _compute(
+        self,
+        jobs: _Jobs,
+        req: Any,
+        key: Any,
+        index: int,
+        timeout: float | None,
+    ) -> Any:
+        """Compute one miss on the workers, then cache its value."""
+        t0 = time.perf_counter()
+        try:
+            with span("compute", router=req.router) as csp:
+                raw = await self._await_job(
+                    jobs.worker,
+                    jobs.payload(req, key),
+                    timeout,
+                    salvage=functools.partial(self._salvage, jobs, key),
+                )
+                _digest, status, body, seconds, stages = raw
+                csp.set("status", status)
+                if status == "ok":
+                    record_stage_spans(stages)
+                    # Aggregated on /metrics as
+                    # repro_stage_seconds{router=...,stage=...}.
+                    for stage, info in stages.items():
+                        name = f"stage.{req.router}.{stage}"
+                        self.telemetry.observe(name, float(info.get("seconds", 0.0)))
+                    jobs.computed(body)
+        except asyncio.TimeoutError:
+            self.telemetry.incr("aio_timeouts")
+            elapsed = time.perf_counter() - t0
+            message = f"TimeoutError: request exceeded {timeout}s"
+            return jobs.result(index, key, req.router, None, elapsed, "error", message)
+        except ServiceClosedError:
+            raise
+        except Exception as exc:  # noqa: BLE001 - pool died twice; isolate
+            elapsed = time.perf_counter() - t0
+            message = f"{type(exc).__name__}: {exc}"
+            return jobs.result(index, key, req.router, None, elapsed, "error", message)
+        if status != "ok":
+            error = str(body)
+            return jobs.result(index, key, req.router, None, seconds, "error", error)
+        try:
+            value = jobs.value(body)
+        except Exception as exc:  # noqa: BLE001 - isolate per request
+            message = f"{type(exc).__name__}: {exc}"
+            return jobs.result(index, key, req.router, None, seconds, "error", message)
+        with span("cache.put"):
+            await _cache_call(jobs.cache, jobs.put, key, value, seconds)
+        return jobs.result(index, key, req.router, value, seconds, "computed")
+
+    def _salvage(self, jobs: _Jobs, key: Any, future: Any) -> None:
+        """Done-callback caching the result of a timed-out job.
+
+        Runs on an executor thread after the abandoned job finishes —
+        the caches and telemetry are thread-safe, so the work a client
+        gave up on still warms the cache for the next one. A route
+        worker verified its schedule before returning it.
+        """
+        try:
+            _digest, status, body, seconds, _stages = future.result()
+            if status == "ok":
+                jobs.put(key, jobs.value(body), seconds)
+                self.telemetry.incr("aio_salvaged")
+        except Exception:  # noqa: BLE001 - salvage is best-effort
+            pass
+
     async def _await_job(
         self,
         fn: Any,
@@ -278,12 +631,12 @@ class AsyncRoutingService:
     ) -> Any:
         """Ship one payload to the executor and await its future.
 
-        Mirrors ``run_jobs``' recovery guarantee: a pool that dies at
-        await time (e.g. a worker OOM-killed mid-request) is reset and
-        the payload retried once — on the respawned pool or the thread
-        fallback — instead of turning every in-flight request into an
-        error result. The retry runs on the *remaining* timeout budget,
-        so the per-request deadline holds across the recovery.
+        A pool that dies at await time (e.g. a worker OOM-killed
+        mid-request) is reset and the payload retried once — on the
+        respawned pool or the compute thread — instead of turning every
+        in-flight request into an error result. The retry runs on the
+        *remaining* timeout budget, so the per-request deadline holds
+        across the recovery.
         """
         t0 = time.perf_counter()
         try:
@@ -333,424 +686,6 @@ class AsyncRoutingService:
             if not future.cancel():
                 wrapped.add_done_callback(_consume_outcome)
             raise
-
-    # ------------------------------------------------------------------
-    # routing
-    # ------------------------------------------------------------------
-    async def submit_async(
-        self,
-        graph: Graph,
-        perm: Permutation,
-        router: str | None = None,
-        *,
-        timeout: float | None = None,
-        **options: Any,
-    ) -> RouteResult:
-        """Route one instance without blocking the event loop.
-
-        Mirrors :meth:`RoutingService.submit`: served from the schedule
-        cache when possible, computed on the worker pool otherwise. A
-        timeout (argument or ``default_timeout``) turns an overdue
-        request into an error result rather than an exception.
-        """
-        req = RouteRequest(graph, perm, router or self.service.default_router, options)
-        return await self._submit_one(req, index=0, timeout=timeout)
-
-    async def submit_batch_async(
-        self,
-        requests: Sequence[RouteRequest | Mapping[str, Any] | tuple],
-        *,
-        timeout: float | None = None,
-    ) -> list[RouteResult]:
-        """Route a batch concurrently; results are index-aligned.
-
-        Accepts the same entry shapes as
-        :meth:`RoutingService.submit_batch`. Unique requests run
-        concurrently under the semaphore; in-batch duplicates are
-        deduplicated exactly like the sync executor (``source ==
-        "dedup"``). ``timeout`` applies per request, not to the batch.
-        """
-        t_batch = time.perf_counter()
-        reqs = [self.service._coerce(r) for r in requests]
-        keys = [r.key() for r in reqs]
-        first_of: dict[str, int] = {}
-        tasks: dict[int, asyncio.Task[RouteResult]] = {}
-        for i, (req, key) in enumerate(zip(reqs, keys)):
-            if key.digest not in first_of:
-                first_of[key.digest] = i
-                tasks[i] = asyncio.ensure_future(
-                    self._submit_one(req, index=i, timeout=timeout, key=key)
-                )
-        try:
-            unique = await asyncio.gather(*tasks.values())
-        except BaseException:
-            for task in tasks.values():
-                task.cancel()
-            raise
-        by_index = {res.index: res for res in unique}
-        results: list[RouteResult] = []
-        for i, key in enumerate(keys):
-            orig = by_index[first_of[key.digest]]
-            if orig.index == i:
-                results.append(orig)
-                continue
-            results.append(_as_dedup_route(orig, i, key, reqs[i].router))
-            self.telemetry.incr("aio_requests")
-            source = "dedup" if orig.ok else "error"
-            self.telemetry.incr(f"aio_source_{source}")
-        self.telemetry.incr("aio_batches")
-        self.telemetry.observe("aio_batch", time.perf_counter() - t_batch)
-        return results
-
-    async def _submit_one(
-        self,
-        req: RouteRequest,
-        index: int,
-        timeout: float | None = None,
-        key: RequestKey | None = None,
-    ) -> RouteResult:
-        if timeout is None:
-            timeout = self.default_timeout
-        async with self._slot(estimate_cost(req.graph.n_vertices)):
-            if key is None:
-                key = req.key()
-            with span("cache.get") as csp:
-                cached = await self._cache_get(key.digest, req.check)
-                csp.set("hit", cached is not None)
-            if cached is not None:
-                result = RouteResult(
-                    index=index,
-                    key=key,
-                    router=req.router,
-                    schedule=cached,
-                    seconds=0.0,
-                    source="cache",
-                )
-            else:
-                result = await self._miss_single_flight(req, key, index, timeout)
-        self.telemetry.incr("aio_requests")
-        self.telemetry.incr(f"aio_source_{result.source}")
-        if result.source == "computed":
-            self.telemetry.observe("aio_route", result.seconds)
-        return result
-
-    async def _miss_single_flight(
-        self,
-        req: RouteRequest,
-        key: RequestKey,
-        index: int,
-        timeout: float | None,
-    ) -> RouteResult:
-        """Compute a miss, coalescing concurrent identical requests.
-
-        The first caller for a digest computes and publishes its result
-        on an in-flight future; concurrent callers for the same digest
-        await that future instead of racing a redundant computation
-        (they report ``source == "dedup"``, like in-batch duplicates).
-        A follower computes for itself when the leader cannot speak for
-        it: the leader was cancelled, or the leader's own timeout
-        budget expired (this follower may have a longer one).
-        """
-        leader_fut = self._inflight.get(key.digest)
-        if leader_fut is None:
-            fut: asyncio.Future = asyncio.get_running_loop().create_future()
-            self._inflight[key.digest] = fut
-            try:
-                result = await self._route_miss(req, key, index, timeout)
-            except BaseException:
-                raise
-            else:
-                fut.set_result(result)
-                return result
-            finally:
-                if self._inflight.get(key.digest) is fut:
-                    del self._inflight[key.digest]
-                if not fut.done():
-                    fut.cancel()  # leader failed: wake followers to retry
-        try:
-            orig = await asyncio.wait_for(asyncio.shield(leader_fut), timeout)
-        except asyncio.TimeoutError:
-            self.telemetry.incr("aio_timeouts")
-            message = f"TimeoutError: request exceeded {timeout}s"
-            return _route_error(index, key, req.router, 0.0, message)
-        except asyncio.CancelledError:
-            if not leader_fut.cancelled():
-                raise  # this follower was cancelled, not the leader
-            return await self._route_miss(req, key, index, timeout)
-        if not orig.ok and orig.error and orig.error.startswith("TimeoutError"):
-            # The leader ran out of *its* budget — not a property of the
-            # instance. Compute under this request's own timeout.
-            return await self._route_miss(req, key, index, timeout)
-        self.telemetry.incr("aio_coalesced")
-        return _as_dedup_route(orig, index, key, req.router)
-
-    async def _route_miss(
-        self,
-        req: RouteRequest,
-        key: RequestKey,
-        index: int,
-        timeout: float | None,
-    ) -> RouteResult:
-        payload = (
-            key.digest,
-            graph_spec(req.graph),
-            req.perm.targets.tolist(),
-            req.router,
-            dict(req.options),
-        )
-        t0 = time.perf_counter()
-        try:
-            with span("compute", router=req.router) as csp:
-                raw = await self._await_job(
-                    _route_in_worker,
-                    payload,
-                    timeout,
-                    salvage=self._route_salvager(key),
-                )
-                _digest, status, body, seconds, stages = raw
-                csp.set("status", status)
-                if status == "ok":
-                    record_stage_spans(stages)
-                    record_stage_telemetry(self.telemetry, req.router, stages)
-                    verified = {"verify": {"seconds": body[1], "count": 1}}
-                    record_stage_spans(verified, prefix="schedule.", tier="worker")
-        except asyncio.TimeoutError:
-            self.telemetry.incr("aio_timeouts")
-            elapsed = time.perf_counter() - t0
-            message = f"TimeoutError: request exceeded {timeout}s"
-            return _route_error(index, key, req.router, elapsed, message)
-        except (asyncio.CancelledError, ServiceClosedError):
-            raise
-        except Exception as exc:  # noqa: BLE001 - pool died twice; isolate
-            elapsed = time.perf_counter() - t0
-            message = f"{type(exc).__name__}: {exc}"
-            return _route_error(index, key, req.router, elapsed, message)
-        if status != "ok":
-            return _route_error(index, key, req.router, seconds, str(body))
-        try:
-            schedule = _worker_schedule(body)
-        except Exception as exc:  # noqa: BLE001 - isolate per request
-            message = f"{type(exc).__name__}: {exc}"
-            return _route_error(index, key, req.router, seconds, message)
-        with span("cache.put"):
-            await self._cache_put(key.digest, schedule, seconds)
-        return RouteResult(
-            index=index,
-            key=key,
-            router=req.router,
-            schedule=schedule,
-            seconds=seconds,
-            source="computed",
-        )
-
-    @staticmethod
-    def _cache_blocks(cache: Any) -> bool:
-        """Whether cache operations may block (disk tier or remote shards).
-
-        A cluster cache advertises network I/O via its ``remote``
-        property (true exactly while the current topology has peers);
-        a disk-backed cache may read/parse files. Either way the
-        operation belongs on a worker thread, not the event loop.
-        """
-        return (
-            getattr(cache, "disk_dir", None) is not None
-            or bool(getattr(cache, "remote", False))
-        )
-
-    async def _cache_get(self, digest: str, check: Check) -> Schedule | None:
-        """Probe the schedule cache without stalling the event loop.
-
-        ``check`` is the request's verifier, applied by the cache to
-        what enters from disk or a peer. A memory-only cache answers
-        synchronously (an OrderedDict probe under a lock — cheaper than
-        a thread hop; only a peer's unverified push is checked there,
-        once); a cache with a disk tier or remote cluster shards may do
-        I/O on a miss, so it runs on a worker thread.
-        """
-        cache = self.service.cache
-        if not self._cache_blocks(cache):
-            return cache.get(digest, check)
-        loop = asyncio.get_running_loop()
-        # run_in_executor does not propagate contextvars; carry the
-        # trace context across the thread hop so spans opened inside the
-        # cluster cache (remote probes, read repair) join this request's
-        # trace.
-        ctx = contextvars.copy_context()
-        return await loop.run_in_executor(
-            None, lambda: ctx.run(cache.get, digest, check)
-        )
-
-    async def _cache_put(
-        self, digest: str, schedule: Schedule, cost: float
-    ) -> None:
-        """Store a schedule; disk/remote writes go to a worker thread."""
-        cache = self.service.cache
-        if not self._cache_blocks(cache):
-            cache.put(digest, schedule, cost=cost)
-            return
-        loop = asyncio.get_running_loop()
-        ctx = contextvars.copy_context()
-        await loop.run_in_executor(
-            None,
-            lambda: ctx.run(
-                functools.partial(cache.put, digest, schedule, cost=cost)
-            ),
-        )
-
-    def _route_salvager(self, key: RequestKey) -> Any:
-        """A done-callback caching the result of a timed-out route job.
-
-        Runs on an executor thread after the abandoned job finishes —
-        the caches and telemetry are thread-safe, so the work a client
-        gave up on still warms the cache for the next one. The worker
-        verified the schedule before returning it.
-        """
-
-        def _salvage(future: Any) -> None:
-            try:
-                _digest, status, body, seconds, _stages = future.result()
-                if status != "ok":
-                    return
-                schedule = _worker_schedule(body)
-                self.service.cache.put(key.digest, schedule, cost=seconds)
-                self.telemetry.incr("aio_salvaged")
-            except Exception:  # noqa: BLE001 - salvage is best-effort
-                pass
-
-        return _salvage
-
-    # ------------------------------------------------------------------
-    # transpilation
-    # ------------------------------------------------------------------
-    async def transpile_batch_async(
-        self,
-        requests: Sequence[TranspileRequest],
-        include_qasm: bool = False,
-        *,
-        timeout: float | None = None,
-    ) -> list[TranspileOutcome]:
-        """Transpile circuits concurrently; semantics mirror the sync path.
-
-        Outcomes are index-aligned, duplicates computed once, cache
-        consulted, failures isolated; ``timeout`` applies per request.
-        """
-        t_batch = time.perf_counter()
-        digests = [r.digest(include_qasm_out=include_qasm) for r in requests]
-        first_of: dict[str, int] = {}
-        tasks: dict[int, asyncio.Task[TranspileOutcome]] = {}
-        for i, (req, digest) in enumerate(zip(requests, digests)):
-            if digest not in first_of:
-                first_of[digest] = i
-                tasks[i] = asyncio.ensure_future(
-                    self._transpile_one(req, digest, i, include_qasm, timeout)
-                )
-        try:
-            unique = await asyncio.gather(*tasks.values())
-        except BaseException:
-            for task in tasks.values():
-                task.cancel()
-            raise
-        by_index = {out.index: out for out in unique}
-        outcomes: list[TranspileOutcome] = []
-        for i, digest in enumerate(digests):
-            orig = by_index[first_of[digest]]
-            if orig.index == i:
-                outcomes.append(orig)
-                continue
-            outcomes.append(
-                _as_dedup_transpile(orig, i, digest, requests[i].router)
-            )
-        self.telemetry.incr("aio_transpile_batches")
-        self.telemetry.observe("aio_transpile_batch", time.perf_counter() - t_batch)
-        return outcomes
-
-    async def _transpile_one(
-        self,
-        req: TranspileRequest,
-        digest: str,
-        index: int,
-        include_qasm: bool,
-        timeout: float | None,
-    ) -> TranspileOutcome:
-        if timeout is None:
-            timeout = self.default_timeout
-        async with self._slot(estimate_cost(req.graph.n_vertices)):
-            with span("cache.get") as csp:
-                cached = self.service.transpile_cache.get(digest)
-                csp.set("hit", cached is not None)
-            if cached is not None:
-                return TranspileOutcome(
-                    index=index,
-                    digest=digest,
-                    router=req.router,
-                    metrics=cached["metrics"],
-                    physical_qasm=cached["physical_qasm"],
-                    seconds=0.0,
-                    source="cache",
-                )
-            payload = (
-                digest,
-                req.qasm,
-                graph_spec(req.graph),
-                req.router,
-                req.mapping,
-                req.seed,
-                req.completion,
-                dict(req.options),
-                include_qasm,
-            )
-            t0 = time.perf_counter()
-            try:
-                with span("compute", router=req.router) as csp:
-                    raw = await self._await_job(
-                        _transpile_in_worker,
-                        payload,
-                        timeout,
-                        salvage=self._transpile_salvager(digest),
-                    )
-                    _digest, status, body, seconds, stages = raw
-                    csp.set("status", status)
-                    if status == "ok":
-                        record_stage_spans(stages)
-                        record_stage_telemetry(self.telemetry, req.router, stages)
-            except asyncio.TimeoutError:
-                self.telemetry.incr("aio_timeouts")
-                elapsed = time.perf_counter() - t0
-                message = f"TimeoutError: request exceeded {timeout}s"
-                return _transpile_error(index, digest, req.router, elapsed, message)
-            except (asyncio.CancelledError, ServiceClosedError):
-                raise
-            except Exception as exc:  # noqa: BLE001 - pool died twice; isolate
-                elapsed = time.perf_counter() - t0
-                message = f"{type(exc).__name__}: {exc}"
-                return _transpile_error(index, digest, req.router, elapsed, message)
-            if status != "ok":
-                return _transpile_error(index, digest, req.router, seconds, str(body))
-            self.service.transpile_cache.put(digest, body)
-            return TranspileOutcome(
-                index=index,
-                digest=digest,
-                router=req.router,
-                metrics=body["metrics"],
-                physical_qasm=body["physical_qasm"],
-                seconds=seconds,
-                source="computed",
-            )
-
-    def _transpile_salvager(self, digest: str) -> Any:
-        """A done-callback caching the result of a timed-out transpile."""
-
-        def _salvage(future: Any) -> None:
-            try:
-                _digest, status, body, seconds, _stages = future.result()
-                if status != "ok":
-                    return
-                self.service.transpile_cache.put(digest, body)
-                self.telemetry.incr("aio_salvaged")
-            except Exception:  # noqa: BLE001 - salvage is best-effort
-                pass
-
-        return _salvage
 
     # ------------------------------------------------------------------
     # stats

@@ -69,11 +69,10 @@ HTTP ``/metrics`` endpoint.
 
 from __future__ import annotations
 
-import asyncio
 import base64
 import binascii
 import functools
-from typing import Any, Mapping, Sequence
+from typing import Any, Awaitable, Callable, Mapping, Sequence
 
 from .. import __version__
 from ..errors import ReproError, ScheduleError, StaleEpochError
@@ -81,17 +80,18 @@ from ..graphs.grid import GridGraph
 from ..perm.generators import make_workload
 from ..perm.permutation import Permutation
 from ..routing.codec import CODEC_VERSION, decode_schedule, encode_schedule
-from .aio import AsyncRoutingService
-from .executor import RouteRequest
+from .aio import AsyncRoutingService, _cache_call
+from .executor import RouteRequest, RouteResult
 from .service import (
+    TranspileOutcome,
     TranspileRequest,
     route_result_to_dict,
     transpile_outcome_to_dict,
 )
 from .tracing import TraceBuffer, span
 
-#: Ops that open a trace per request. Introspection ops (``ping``,
-#: ``stats``, ``metrics``, ``trace_get`` itself, topology reads) are
+#: Ops that open a trace per request. Introspection (``/healthz``,
+#: ``/stats``, ``/metrics``, ``trace_get`` itself, topology reads) is
 #: excluded so health probes and scrapers never pollute the trace ring.
 TRACED_OPS = frozenset({"route", "transpile", "cache_get", "cache_put"})
 
@@ -258,7 +258,7 @@ class RequestHandler:
         return str(getattr(cache, "node_id", "") or "")
 
     def health_info(self) -> dict[str, Any]:
-        """Identity fields shared by ``ping`` and HTTP ``/healthz``.
+        """Identity fields of the HTTP ``/healthz`` answer.
 
         Reports the package ``version`` always, plus ``node_id`` and the
         topology ``epoch`` when the daemon runs in cluster mode — enough
@@ -358,39 +358,62 @@ class RequestHandler:
         }
 
     # ------------------------------------------------------------------
-    # single-request ops
+    # work ops: route and transpile, single and batched
     # ------------------------------------------------------------------
     async def route_doc(self, doc: Mapping[str, Any]) -> dict[str, Any]:
         """Route one request document into one response document.
 
-        Raises :class:`ReproError` on a malformed document (callers go
-        through :meth:`dispatch` or catch it themselves); routing
-        failures come back as ``"ok": false`` result documents.
+        The request built from the document goes to the lifecycle as
+        is, so its ``options`` reach the router untouched. Raises
+        :class:`ReproError` on a malformed document (callers go through
+        :meth:`dispatch` or catch it themselves); routing failures come
+        back as ``"ok": false`` result documents.
         """
         req = request_from_doc(doc)
-        result = await self.service.submit_async(
-            req.graph,
-            req.perm,
-            router=req.router,
-            timeout=_timeout_from_doc(doc),
-            **dict(req.options),
-        )
-        resp = route_result_to_dict(
-            result, include_schedule=bool(doc.get("include_schedule"))
-        )
-        resp["op"] = "route"
-        return _attach_result_code(resp, "route_error")
+        timeout = _timeout_from_doc(doc)
+        result = await self.service.route_async(req, timeout=timeout)
+        return _route_result_doc(result, bool(doc.get("include_schedule")))
 
     async def transpile_doc(self, doc: Mapping[str, Any]) -> dict[str, Any]:
         """Transpile one request document into one response document."""
         req = transpile_request_from_doc(doc)
+        timeout = _timeout_from_doc(doc)
         include_qasm = bool(doc.get("include_qasm"))
-        outcomes = await self.service.transpile_batch_async(
-            [req], include_qasm=include_qasm, timeout=_timeout_from_doc(doc)
+        outcome = await self.service.transpile_async(
+            req, include_qasm, timeout=timeout
         )
-        resp = transpile_outcome_to_dict(outcomes[0])
-        resp["op"] = "transpile"
-        return _attach_result_code(resp, "transpile_error")
+        return _transpile_result_doc(outcome)
+
+    async def route_batch_docs(
+        self,
+        docs: Sequence[Any],
+        include_schedule: bool = False,
+        timeout: float | None = None,
+    ) -> list[dict[str, Any]]:
+        """Route many request documents; results are index-aligned.
+
+        A malformed entry yields a ``bad_request`` document in its slot
+        — the rest of the batch still routes (error isolation).
+        """
+        run = functools.partial(self.service.submit_batch_async, timeout=timeout)
+        encode = functools.partial(_route_result_doc, include_schedule=include_schedule)
+        return await _isolated_batch(docs, "route", request_from_doc, run, encode)
+
+    async def transpile_batch_docs(
+        self,
+        docs: Sequence[Any],
+        include_qasm: bool = False,
+        timeout: float | None = None,
+    ) -> list[dict[str, Any]]:
+        """Transpile many request documents; semantics mirror routing."""
+        run = functools.partial(
+            self.service.transpile_batch_async,
+            include_qasm=include_qasm,
+            timeout=timeout,
+        )
+        return await _isolated_batch(
+            docs, "transpile", transpile_request_from_doc, run, _transpile_result_doc
+        )
 
     # ------------------------------------------------------------------
     # remote-shard cache ops (the cluster protocol)
@@ -404,19 +427,6 @@ class RequestHandler:
         """
         cache = self.service.service.cache
         return getattr(cache, "local", cache)
-
-    async def _cache_call(self, fn, *args):
-        """Run a local-tier cache operation without stalling the event loop.
-
-        Memory-only tiers answer synchronously; a disk-backed tier may
-        touch files, so it hops to a worker thread (the same rule
-        :class:`AsyncRoutingService` applies on the routing path).
-        """
-        cache = self._local_cache()
-        if getattr(cache, "disk_dir", None) is None:
-            return fn(*args)
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(None, fn, *args)
 
     @staticmethod
     def _digest_from_doc(doc: Mapping[str, Any]) -> str:
@@ -437,7 +447,7 @@ class RequestHandler:
         """
         digest = self._digest_from_doc(doc)
         cache = self._local_cache()
-        schedule = await self._cache_call(cache.get, digest)
+        schedule = await _cache_call(cache, cache.get, digest)
         resp: dict[str, Any] = {
             "ok": True,
             "op": "cache_get",
@@ -484,11 +494,8 @@ class RequestHandler:
             except (TypeError, ValueError):
                 raise ReproError(f"'cost' must be a number, got {cost!r}") from None
         cache = self._local_cache()
-        await self._cache_call(
-            functools.partial(
-                cache.put, digest, schedule, cost=cost, unverified="pushed"
-            )
-        )
+        put = functools.partial(cache.put, cost=cost, unverified="pushed")
+        await _cache_call(cache, put, digest, schedule)
         self.telemetry.incr("cache_put_ops")
         return {
             "ok": True,
@@ -577,67 +584,6 @@ class RequestHandler:
         return {"ok": True, "op": "gossip", **node.handle(doc)}
 
     # ------------------------------------------------------------------
-    # batch ops (the HTTP surface)
-    # ------------------------------------------------------------------
-    async def route_batch_docs(
-        self,
-        docs: Sequence[Any],
-        include_schedule: bool = False,
-        timeout: float | None = None,
-    ) -> list[dict[str, Any]]:
-        """Route many request documents; results are index-aligned.
-
-        A malformed entry yields a ``bad_request`` document in its slot
-        — the rest of the batch still routes (error isolation).
-        """
-        entries: list[dict[str, Any] | None] = [None] * len(docs)
-        requests: list[RouteRequest] = []
-        positions: list[int] = []
-        for i, doc in enumerate(docs):
-            try:
-                requests.append(request_from_doc(doc))
-                positions.append(i)
-            except Exception as exc:  # noqa: BLE001 - isolate per entry
-                entries[i] = _entry_error(i, exc, op="route")
-        if requests:
-            results = await self.service.submit_batch_async(
-                requests, timeout=timeout
-            )
-            for i, result in zip(positions, results):
-                resp = route_result_to_dict(
-                    result, include_schedule=include_schedule
-                )
-                resp["op"] = "route"
-                entries[i] = _attach_result_code(resp, "route_error")
-        return [entry for entry in entries if entry is not None]
-
-    async def transpile_batch_docs(
-        self,
-        docs: Sequence[Any],
-        include_qasm: bool = False,
-        timeout: float | None = None,
-    ) -> list[dict[str, Any]]:
-        """Transpile many request documents; semantics mirror routing."""
-        entries: list[dict[str, Any] | None] = [None] * len(docs)
-        requests: list[TranspileRequest] = []
-        positions: list[int] = []
-        for i, doc in enumerate(docs):
-            try:
-                requests.append(transpile_request_from_doc(doc))
-                positions.append(i)
-            except Exception as exc:  # noqa: BLE001 - isolate per entry
-                entries[i] = _entry_error(i, exc, op="transpile")
-        if requests:
-            outcomes = await self.service.transpile_batch_async(
-                requests, include_qasm=include_qasm, timeout=timeout
-            )
-            for i, outcome in zip(positions, outcomes):
-                resp = transpile_outcome_to_dict(outcome)
-                resp["op"] = "transpile"
-                entries[i] = _attach_result_code(resp, "transpile_error")
-        return [entry for entry in entries if entry is not None]
-
-    # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
     def stats(self) -> dict[str, Any]:
@@ -659,11 +605,49 @@ def _entry_error(index: int, exc: Exception, op: str) -> dict[str, Any]:
     )
 
 
-def _attach_result_code(resp: dict[str, Any], failure_code: str) -> dict[str, Any]:
-    """Stamp a stable error code onto a failed per-request result doc."""
-    if not resp.get("ok"):
-        error = resp.get("error") or ""
-        resp["code"] = "timeout" if error.startswith("TimeoutError") else failure_code
+async def _isolated_batch(
+    docs: Sequence[Any],
+    op: str,
+    parse: Callable[[Any], Any],
+    run: Callable[[list[Any]], Awaitable[list[Any]]],
+    encode: Callable[[Any], dict[str, Any]],
+) -> list[dict[str, Any]]:
+    """Parse each document, ``run`` the valid ones as one batch, and
+    ``encode`` each result into its slot; a document ``parse`` rejects
+    gets an :func:`_entry_error` in its slot instead."""
+    entries: list[dict[str, Any] | None] = [None] * len(docs)
+    requests: list[Any] = []
+    positions: list[int] = []
+    for i, doc in enumerate(docs):
+        try:
+            requests.append(parse(doc))
+            positions.append(i)
+        except Exception as exc:  # noqa: BLE001 - isolate per entry
+            entries[i] = _entry_error(i, exc, op=op)
+    if requests:
+        for i, result in zip(positions, await run(requests)):
+            entries[i] = encode(result)
+    return [entry for entry in entries if entry is not None]
+
+
+def _route_result_doc(result: RouteResult, include_schedule: bool) -> dict[str, Any]:
+    """One route result as a response document."""
+    resp = route_result_to_dict(result, include_schedule=include_schedule)
+    return _attach_result_code(resp, "route")
+
+
+def _transpile_result_doc(outcome: TranspileOutcome) -> dict[str, Any]:
+    """One transpile outcome as a response document."""
+    return _attach_result_code(transpile_outcome_to_dict(outcome), "transpile")
+
+
+def _attach_result_code(resp: dict[str, Any], op: str) -> dict[str, Any]:
+    """Stamp ``op`` and, on a failed result, a stable code: ``timeout``,
+    else ``route_error`` / ``transpile_error``."""
+    resp["op"] = op
+    if not resp["ok"]:
+        timed_out = (resp["error"] or "").startswith("TimeoutError")
+        resp["code"] = "timeout" if timed_out else f"{op}_error"
     return resp
 
 

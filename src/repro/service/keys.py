@@ -33,6 +33,7 @@ import numpy as np
 
 from ..errors import GraphError
 from ..graphs.base import Graph
+from ..graphs.cartesian import CartesianProduct
 from ..graphs.grid import GridGraph
 from ..perm.permutation import Permutation
 
@@ -196,11 +197,17 @@ def graph_spec(graph: Graph) -> dict[str, Any]:
     """A JSON-able description sufficient to rebuild ``graph``.
 
     Grid graphs are described by their shape (compact, and the rebuilt
-    object keeps the grid's O(1) Manhattan metric); anything else falls
-    back to the explicit edge list.
+    object keeps the grid's O(1) Manhattan metric); a Cartesian product
+    by the specs of its two factors, so the rebuilt graph is again a
+    :class:`~repro.graphs.cartesian.CartesianProduct` (the ``cartesian``
+    router needs the factors); anything else falls back to the explicit
+    edge list.
     """
     if isinstance(graph, GridGraph):
         return {"kind": "grid", "rows": graph.n_rows, "cols": graph.n_cols}
+    if isinstance(graph, CartesianProduct):
+        g1, g2 = graph_spec(graph.g1), graph_spec(graph.g2)
+        return {"kind": "product", "g1": g1, "g2": g2}
     return {
         "kind": "generic",
         "n_vertices": graph.n_vertices,
@@ -221,6 +228,10 @@ def graph_from_spec(spec: Mapping[str, Any]) -> Graph:
         kind = spec["kind"]
         if kind == "grid":
             return GridGraph(int(spec["rows"]), int(spec["cols"]))
+        if kind == "product":
+            return CartesianProduct(
+                graph_from_spec(spec["g1"]), graph_from_spec(spec["g2"])
+            )
         if kind == "generic":
             return Graph(
                 int(spec["n_vertices"]),

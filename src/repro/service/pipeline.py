@@ -51,11 +51,11 @@ import math
 import time
 import urllib.parse
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Awaitable, Callable, Mapping
 
 from ..errors import AuthenticationError, RateLimitedError, ReproError
 from .aio import AsyncRoutingService
-from .handler import TRACED_OPS, RequestHandler, error_doc
+from .handler import TRACED_OPS, RequestHandler, _timeout_from_doc, error_doc
 from .logging import get_logger
 from .tenancy import SYSTEM_TENANT, Tenant, bind_tenant, estimate_doc_cost
 from .tracing import record_stage_spans, span, start_trace
@@ -342,26 +342,16 @@ class RequestPipeline:
         live on :class:`RequestHandler`.
         """
         handler = self.handler
-        if op == "ping":
-            return {"ok": True, "op": "ping", **handler.health_info()}
-        if op == "stats":
-            return {"ok": True, "op": "stats", "stats": handler.stats()}
-        if op == "metrics":
-            return {
-                "ok": True,
-                "op": "metrics",
-                "metrics": handler.prometheus_metrics(),
-            }
-        if op == "shutdown":
-            return {"ok": True, "op": "shutdown"}
         if op == "route":
             return await handler.route_doc(doc)
         if op == "transpile":
             return await handler.transpile_doc(doc)
         if op == "route_batch":
-            return await self._batch_doc(doc, transpile=False)
+            run = handler.route_batch_docs
+            return await self._batch_doc(op, doc, run, "include_schedule")
         if op == "transpile_batch":
-            return await self._batch_doc(doc, transpile=True)
+            run = handler.transpile_batch_docs
+            return await self._batch_doc(op, doc, run, "include_qasm")
         if op == "cache_get":
             return await handler.cache_get_doc(doc)
         if op == "cache_put":
@@ -386,42 +376,27 @@ class RequestPipeline:
         return error_doc("unknown_op", f"unknown op {op!r}")
 
     async def _batch_doc(
-        self, doc: Mapping[str, Any], transpile: bool
+        self,
+        op: str,
+        doc: Mapping[str, Any],
+        run: Callable[..., Awaitable[list[dict[str, Any]]]],
+        include_field: str,
     ) -> dict[str, Any]:
         """One ``route_batch`` / ``transpile_batch`` op document.
 
         ``{"requests": [...], "timeout": null, "include_schedule":
-        false}`` (or ``include_qasm`` for transpile) — per-entry errors
-        are isolated into their result slots, exactly like the batch
-        CLI. Raises :class:`ReproError` on a malformed envelope.
+        false}`` (``include_field`` is ``include_qasm`` for transpile).
+        ``run`` is the handler's ``route_batch_docs`` or
+        ``transpile_batch_docs``, which isolates per-entry errors into
+        their result slots, exactly like the batch CLI. Raises
+        :class:`ReproError` on a malformed envelope.
         """
         docs = doc.get("requests")
         if not isinstance(docs, list):
             raise ReproError("'requests' must be a JSON array")
-        try:
-            timeout = (
-                float(doc["timeout"]) if doc.get("timeout") is not None else None
-            )
-        except (TypeError, ValueError):
-            raise ReproError("'timeout' must be a number") from None
-        if transpile:
-            results = await self.handler.transpile_batch_docs(
-                docs, include_qasm=bool(doc.get("include_qasm")), timeout=timeout
-            )
-            batch_op = "transpile_batch"
-        else:
-            results = await self.handler.route_batch_docs(
-                docs,
-                include_schedule=bool(doc.get("include_schedule")),
-                timeout=timeout,
-            )
-            batch_op = "route_batch"
-        return {
-            "ok": True,
-            "op": batch_op,
-            "count": len(results),
-            "results": results,
-        }
+        timeout = _timeout_from_doc(doc)
+        results = await run(docs, bool(doc.get(include_field)), timeout)
+        return {"ok": True, "op": op, "count": len(results), "results": results}
 
     # ------------------------------------------------------------------
     # HTTP entry point (the endpoint table)

@@ -1,6 +1,6 @@
 """The :class:`RoutingService` facade: one object, the whole front end.
 
-Wraps the schedule cache, the batch executor and the telemetry registry
+Wraps the schedule cache, the worker pool and the telemetry registry
 behind the five calls a client needs:
 
 * :meth:`RoutingService.submit` — one routing instance, cache-aware;
@@ -13,6 +13,13 @@ behind the five calls a client needs:
 * :meth:`RoutingService.stats` — cache counters, latency histograms
   and worker configuration as one JSON-ready dict.
 
+The work calls are thin sync wrappers: each is one ``asyncio.run``
+call into an :class:`~repro.service.aio.AsyncRoutingService` that
+borrows this service, so the library, ``repro batch`` and the daemon
+share one request lifecycle. They cannot be called from inside a
+running event loop; async code uses the
+:class:`~repro.service.aio.AsyncRoutingService` coroutines instead.
+
 This module also owns the result-encoding helpers
 (:func:`route_result_to_dict`, :func:`transpile_metrics`,
 :func:`transpile_outcome_to_dict`) shared by the service's JSONL output
@@ -22,13 +29,14 @@ the same shape.
 
 from __future__ import annotations
 
+import asyncio
 import json
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 
-from ..errors import ReproError
+from ..errors import ReproError, ServiceClosedError
 from ..graphs.base import Graph
 from ..graphs.grid import GridGraph
 from ..perm.generators import WORKLOADS, make_workload
@@ -42,22 +50,19 @@ from .cluster import (
     ClusterTopology,
     RemoteShardClient,
 )
-from .executor import (
-    BatchExecutor,
-    RouteRequest,
-    RouteResult,
-    record_stage_telemetry,
-)
+from .executor import BatchExecutor, RouteRequest, RouteResult
 from .keys import (
     _h,
     graph_fingerprint,
     graph_from_spec,
-    graph_spec,
     canonical_options,
     text_fingerprint,
 )
 from .telemetry import Telemetry
 from .tracing import TraceBuffer
+
+if TYPE_CHECKING:
+    from .aio import AsyncRoutingService
 
 __all__ = [
     "RoutingService",
@@ -286,15 +291,21 @@ class RoutingService:
         emitted through the structured logger (``--trace-slow``;
         ``0`` logs nothing).
     max_workers:
-        Process-pool size for batch misses. The default ``1`` computes
-        inline (deterministic, no subprocess spawn); pass ``None`` for
-        ``os.cpu_count()`` or an explicit count for a fixed pool.
+        Process-pool size for misses. ``0`` or the default ``1``
+        computes on one thread in this process (deterministic, no
+        subprocess spawn); pass ``None`` for ``os.cpu_count()`` or an
+        explicit count for a fixed pool.
     default_router:
         Router used when a request does not name one.
 
     Every schedule the service returns has been verified against its
     request once: where it was computed, or where it entered the cache
     from disk or a peer.
+
+    :meth:`submit`, :meth:`submit_batch`, :meth:`transpile_batch` and
+    :meth:`warm_cache` each run one ``asyncio.run`` of the async
+    lifecycle (:class:`~repro.service.aio.AsyncRoutingService`), so
+    they raise ``RuntimeError`` when called from a running event loop.
 
     Examples
     --------
@@ -364,11 +375,7 @@ class RoutingService:
         self.gossip: Any = None
         self.cache = cache
         self.transpile_cache = LRUCache(maxsize=max(cache_size // 4, 16))
-        self.executor = BatchExecutor(
-            cache=self.cache,
-            max_workers=max_workers,
-            telemetry=self.telemetry,
-        )
+        self.executor = BatchExecutor(max_workers=max_workers, telemetry=self.telemetry)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -396,6 +403,25 @@ class RoutingService:
     def __exit__(self, *exc_info: object) -> None:
         self.close()
 
+    def _lifecycle(self) -> "AsyncRoutingService":
+        """An async lifecycle borrowing this service, for one sync call.
+
+        A fresh one per call: its fair scheduler binds to the event loop
+        of that call's ``asyncio.run``, so sync callers on different
+        threads never share one.
+
+        Raises
+        ------
+        ServiceClosedError
+            Once :meth:`close` was called — before any work, so even a
+            request the cache could answer is refused.
+        """
+        if self.closed:
+            raise ServiceClosedError("service is closed; create a new RoutingService")
+        from .aio import AsyncRoutingService  # aio imports this module
+
+        return AsyncRoutingService(self)
+
     # ------------------------------------------------------------------
     # routing
     # ------------------------------------------------------------------
@@ -408,7 +434,7 @@ class RoutingService:
     ) -> RouteResult:
         """Route one instance (served from cache when possible)."""
         req = RouteRequest(graph, perm, router or self.default_router, options)
-        return self.executor.execute([req])[0]
+        return asyncio.run(self._lifecycle().route_async(req))
 
     def submit_batch(
         self,
@@ -419,6 +445,8 @@ class RoutingService:
         Each entry may be a :class:`RouteRequest`, a ``(graph, perm)`` /
         ``(graph, perm, router)`` tuple, or a mapping with keys
         ``graph``, ``perm`` and optionally ``router`` / ``options``.
+        Identical requests are computed once (``source == "dedup"``),
+        and one failing instance yields an error result in its slot.
 
         Raises
         ------
@@ -426,7 +454,7 @@ class RoutingService:
             On an entry that cannot be coerced into a request (batch
         error isolation covers *routing* failures, not malformed calls).
         """
-        return self.executor.execute([self._coerce(r) for r in requests])
+        return asyncio.run(self._lifecycle().submit_batch_async(requests))
 
     def _coerce(self, entry: RouteRequest | Mapping[str, Any] | tuple) -> RouteRequest:
         if isinstance(entry, RouteRequest):
@@ -463,92 +491,9 @@ class RoutingService:
         index-aligned, identical requests are computed once, previously
         seen requests are served from the (in-memory) transpile cache,
         and one failing circuit does not affect the others.
-
-        The dedup -> cache -> fan-out -> resolve pipeline below
-        deliberately parallels :meth:`BatchExecutor.execute`; when
-        changing the semantics of one (e.g. how dedup-of-error
-        resolves), change both.
         """
-        t_batch = time.perf_counter()
-        outcomes: list[TranspileOutcome | None] = [None] * len(requests)
-        first_of: dict[str, int] = {}
-        misses: list[int] = []
-        miss_digests: dict[int, str] = {}  # reuse phase-1 fingerprints
-        for i, req in enumerate(requests):
-            digest = req.digest(include_qasm_out=include_qasm)
-            if digest in first_of:
-                outcomes[i] = TranspileOutcome(
-                    index=i, digest=digest, router=req.router, metrics=None,
-                    physical_qasm=None, seconds=0.0, source="dedup",
-                )
-                continue
-            first_of[digest] = i
-            cached = self.transpile_cache.get(digest)
-            if cached is not None:
-                outcomes[i] = TranspileOutcome(
-                    index=i, digest=digest, router=req.router,
-                    metrics=cached["metrics"],
-                    physical_qasm=cached["physical_qasm"],
-                    seconds=0.0, source="cache",
-                )
-            else:
-                misses.append(i)
-                miss_digests[i] = digest
-
-        if misses:
-            payloads = []
-            for i in misses:
-                req = requests[i]
-                payloads.append((
-                    miss_digests[i],
-                    req.qasm,
-                    graph_spec(req.graph),
-                    req.router,
-                    req.mapping,
-                    req.seed,
-                    req.completion,
-                    dict(req.options),
-                    include_qasm,
-                ))
-            raw = self.executor.run_jobs(_transpile_in_worker, payloads)
-            for i, (digest, status, body, seconds, stages) in zip(misses, raw):
-                req = requests[i]
-                if status == "ok":
-                    record_stage_telemetry(self.telemetry, req.router, stages)
-                    self.transpile_cache.put(digest, body)
-                    outcomes[i] = TranspileOutcome(
-                        index=i, digest=digest, router=req.router,
-                        metrics=body["metrics"],
-                        physical_qasm=body["physical_qasm"],
-                        seconds=seconds, source="computed",
-                    )
-                else:
-                    outcomes[i] = TranspileOutcome(
-                        index=i, digest=digest, router=req.router,
-                        metrics=None, physical_qasm=None, seconds=seconds,
-                        source="error", error=str(body),
-                    )
-
-        for i, out in enumerate(outcomes):
-            if out is not None and out.source == "dedup":
-                orig = outcomes[first_of[out.digest]]
-                outcomes[i] = TranspileOutcome(
-                    index=i, digest=out.digest, router=out.router,
-                    metrics=orig.metrics, physical_qasm=orig.physical_qasm,
-                    seconds=0.0,
-                    source="dedup" if orig.ok else "error",
-                    error=orig.error,
-                )
-
-        final = [o for o in outcomes if o is not None]
-        self.telemetry.incr("transpile_batches")
-        self.telemetry.observe("transpile_batch", time.perf_counter() - t_batch)
-        for o in final:
-            self.telemetry.incr("transpile_requests")
-            self.telemetry.incr(f"transpile_source_{o.source}")
-            if o.source == "computed":
-                self.telemetry.observe("transpile", o.seconds)
-        return final
+        aio = self._lifecycle()
+        return asyncio.run(aio.transpile_batch_async(requests, include_qasm))
 
     # ------------------------------------------------------------------
     # warming and stats
@@ -579,7 +524,7 @@ class RoutingService:
                     perm = make_workload(workload, grid, seed=seed)
                     for router in router_names:
                         requests.append(RouteRequest(grid, perm, router))
-        results = self.executor.execute(requests)
+        results = self.submit_batch(requests)
         self.telemetry.incr("warmups")
         return sum(1 for r in results if r.source == "computed")
 

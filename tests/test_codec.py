@@ -455,14 +455,14 @@ class TestWireFields:
         assert "not a schedule frame" in put["error"]
 
     def test_crafted_frame_put_is_bad_request(self):
-        put, ping = _dispatch_all([
+        put, stats = _dispatch_all([
             {"op": "cache_put", "digest": "d4",
              "schedule_b64": _b64(_raw_frame(4, WRAPPING_COUNTS, [0], [1]))},
-            {"op": "ping"},
+            {"op": "cache_stats"},
         ])
         assert not put["ok"] and put["code"] == "bad_request"
         assert "layer count" in put["error"]
-        assert ping["ok"]
+        assert stats["ok"]
 
 
 # ----------------------------------------------------------------------

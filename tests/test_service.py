@@ -81,9 +81,9 @@ class TestRoutingService:
         stats = svc.stats()
         assert stats["schedule_cache"]["entries"] == 1
         assert stats["schedule_cache"]["maxsize"] == 8
-        assert stats["telemetry"]["counters"]["requests"] == 1
-        assert stats["telemetry"]["counters"]["source_computed"] == 1
-        assert "route" in stats["telemetry"]["latency"]
+        assert stats["telemetry"]["counters"]["aio_requests"] == 1
+        assert stats["telemetry"]["counters"]["aio_source_computed"] == 1
+        assert "aio_route" in stats["telemetry"]["latency"]
         assert stats["max_workers"] == 1
         json.dumps(stats)  # must be JSON-ready
 

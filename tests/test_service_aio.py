@@ -1,9 +1,10 @@
-"""Tests for the asyncio front end (repro.service.aio).
+"""Tests for the asyncio request lifecycle (repro.service.aio).
 
-The load-bearing properties: async batches are observably identical to
-sync batches (order, dedup, caching, error isolation); timeouts become
-error results instead of exceptions; cancellation releases the
-concurrency slot; and the semaphore genuinely bounds in-flight work.
+The load-bearing properties: batches match direct ``route()`` /
+``transpile()`` calls (order, dedup, caching, error isolation);
+timeouts become error results instead of exceptions; cancellation
+releases the concurrency slot; and the scheduler genuinely bounds
+in-flight work.
 
 The tests drive coroutines with ``asyncio.run`` directly so they run
 with or without the pytest-asyncio plugin.
@@ -20,8 +21,10 @@ import pytest
 from repro.errors import ServiceClosedError
 from repro.graphs import GridGraph
 from repro.perm import Permutation, random_permutation
+from repro.routing import route
 from repro.service import AsyncRoutingService, RouteRequest, RoutingService
-from repro.service.service import TranspileRequest
+from repro.service.service import TranspileRequest, transpile_metrics
+from repro.transpile import transpile
 
 
 def _batch(grid, seeds, router="local"):
@@ -57,24 +60,20 @@ class TestSubmitAsync:
         res = asyncio.run(run())
         assert res.ok and res.router == "naive"
 
-    def test_matches_sync_service(self):
+    def test_matches_direct_route(self):
         grid = GridGraph(4, 4)
         requests = _batch(grid, range(4)) + _batch(grid, range(2), "naive")
-
-        with RoutingService(cache_size=32) as svc:
-            sync_results = svc.submit_batch(requests)
 
         async def run():
             async with AsyncRoutingService(cache_size=32) as asvc:
                 return await asvc.submit_batch_async(requests)
 
         async_results = asyncio.run(run())
-        assert len(async_results) == len(sync_results)
-        for s, a in zip(sync_results, async_results):
-            assert a.index == s.index
-            assert a.key.digest == s.key.digest
-            assert a.ok and s.ok
-            assert a.depth == s.depth and a.size == s.size
+        assert [a.index for a in async_results] == list(range(len(requests)))
+        for req, a in zip(requests, async_results):
+            assert a.ok and a.key.digest == req.key().digest
+            direct = route(req.graph, req.perm, method=req.router)
+            assert a.depth == direct.depth and a.size == direct.size
 
     def test_rejects_bad_construction(self):
         with pytest.raises(ValueError):
@@ -287,6 +286,9 @@ class TestCancellation:
 
 class TestSemaphoreBounds:
     def test_inflight_never_exceeds_max_concurrency(self):
+        # A job counts from its submission to its completion, queued or
+        # running: the one compute thread runs one job at a time, so
+        # counting only running jobs could never exceed the bound.
         state = {"active": 0, "peak": 0}
         lock = threading.Lock()
 
@@ -297,21 +299,23 @@ class TestSemaphoreBounds:
                 ex = svc.service.executor
                 real_submit = ex.submit_job
 
+                def done(_future):
+                    with lock:
+                        state["active"] -= 1
+
                 def counting_submit(fn, payload):
                     def wrapped(p):
-                        with lock:
-                            state["active"] += 1
-                            state["peak"] = max(state["peak"], state["active"])
-                        try:
-                            time.sleep(0.01)
-                            return fn(p)
-                        finally:
-                            with lock:
-                                state["active"] -= 1
+                        time.sleep(0.01)
+                        return fn(p)
 
+                    with lock:
+                        state["active"] += 1
+                        state["peak"] = max(state["peak"], state["active"])
                     # The wrapped closure is unpicklable, which is fine:
-                    # the inline executor dispatches to its thread pool.
-                    return real_submit(wrapped, payload)
+                    # the inline executor runs it on its compute thread.
+                    future = real_submit(wrapped, payload)
+                    future.add_done_callback(done)
+                    return future
 
                 ex.submit_job = counting_submit
                 grid = GridGraph(4, 4)
@@ -322,7 +326,8 @@ class TestSemaphoreBounds:
 
         results = asyncio.run(run())
         assert all(r.ok for r in results)
-        assert 1 <= state["peak"] <= 2, state
+        assert state["peak"] == 2, state  # the bound is reached, never passed
+        assert state["active"] == 0
 
     def test_queue_depth_counters_return_to_zero(self):
         async def run():
@@ -377,6 +382,39 @@ class TestSingleFlightCoalescing:
         assert counters["aio_coalesced"] == 4
         depths = {r.depth for r in results}
         assert len(depths) == 1  # everyone shares the leader's schedule
+
+    def test_concurrent_identical_transpiles_compute_once(self):
+        from repro.circuit import ghz
+        from repro.circuit.qasm import dumps
+
+        computes = {"n": 0}
+        lock = threading.Lock()
+
+        async def run():
+            async with AsyncRoutingService(cache_size=16, max_concurrency=8) as svc:
+                ex = svc.service.executor
+                real_submit = ex.submit_job
+
+                def counting_submit(fn, payload):
+                    def wrapped(p):
+                        with lock:
+                            computes["n"] += 1
+                        time.sleep(0.05)  # hold the leader in flight
+                        return fn(p)
+
+                    return real_submit(wrapped, payload)
+
+                ex.submit_job = counting_submit
+                req = TranspileRequest(qasm=dumps(ghz(6)), graph=GridGraph(2, 3))
+                batches = await asyncio.gather(
+                    svc.transpile_batch_async([req]), svc.transpile_batch_async([req])
+                )
+                return [outcome for (outcome,) in batches]
+
+        outcomes = asyncio.run(run())
+        assert sorted(o.source for o in outcomes) == ["computed", "dedup"]
+        assert computes["n"] == 1
+        assert outcomes[0].metrics == outcomes[1].metrics
 
     def test_leader_timeout_does_not_poison_patient_followers(self):
         # The leader's short budget expires mid-compute; a follower
@@ -512,20 +550,14 @@ class TestDiskTierOffload:
 
 
 class TestTranspileAsync:
-    def test_matches_sync_transpile_batch(self):
+    def test_matches_direct_transpile(self):
         from repro.circuit import ghz, qft
         from repro.circuit.qasm import dumps
 
         grid = GridGraph(2, 3)
-        reqs = [
-            TranspileRequest(qasm=dumps(ghz(6)), graph=grid),
-            TranspileRequest(qasm=dumps(qft(6)), graph=grid),
-            TranspileRequest(qasm=dumps(ghz(6)), graph=grid),  # duplicate
-            TranspileRequest(qasm="not qasm", graph=grid),  # error
-        ]
-
-        with RoutingService(cache_size=8) as svc:
-            sync_outs = svc.transpile_batch(reqs)
+        circuits = [ghz(6), qft(6), ghz(6)]  # the third duplicates the first
+        reqs = [TranspileRequest(qasm=dumps(c), graph=grid) for c in circuits]
+        reqs.append(TranspileRequest(qasm="not qasm", graph=grid))  # error
 
         async def run():
             async with AsyncRoutingService(cache_size=8) as asvc:
@@ -535,11 +567,11 @@ class TestTranspileAsync:
         assert [o.source for o in async_outs] == [
             "computed", "computed", "dedup", "error",
         ]
-        for s, a in zip(sync_outs, async_outs):
-            assert a.ok == s.ok
-            if s.ok:
-                assert a.metrics["physical_depth"] == s.metrics["physical_depth"]
-                assert a.metrics["n_swaps"] == s.metrics["n_swaps"]
+        for circuit, a in zip(circuits, async_outs):
+            direct = transpile_metrics(transpile(circuit, grid, router="local"))
+            assert a.metrics["physical_depth"] == direct["physical_depth"]
+            assert a.metrics["n_swaps"] == direct["n_swaps"]
+        assert not async_outs[3].ok and async_outs[3].error
 
     def test_transpile_cache_hit_on_second_batch(self):
         from repro.circuit import ghz

@@ -54,18 +54,23 @@ class TestDispatch:
         async def run():
             async with AsyncRoutingService(cache_size=16, max_workers=1) as svc:
                 handler = RequestHandler(svc)
-                bad = await handler._get_pipeline().process_http(
+                pipeline = handler._get_pipeline()
+                bad = await pipeline.process_http(
                     "POST", "/v1/route", "", {}, b"{definitely not json"
                 )
                 assert bad.status == 400
                 assert not bad.payload["ok"] and bad.payload["code"] == "bad_json"
                 unknown = await handler.dispatch({"op": "frobnicate"})
                 assert unknown["code"] == "unknown_op"
+                for op in ("ping", "stats", "metrics", "shutdown"):
+                    gone = await handler.dispatch({"op": op})
+                    assert gone["code"] == "unknown_op", op  # HTTP endpoints
                 invalid = await handler.dispatch({"op": "route", "rows": 3})
                 assert invalid["code"] == "bad_request" and invalid["op"] == "route"
-                ping = await handler.dispatch({"op": "ping", "id": 5})
-                assert ping["ok"] and ping["op"] == "ping" and ping["id"] == 5
-                assert ping["version"]
+                cache_stats = await handler.dispatch({"op": "cache_stats", "id": 5})
+                assert cache_stats["ok"] and cache_stats["id"] == 5
+                health = await pipeline.process_http("GET", "/healthz", "", {}, b"")
+                assert health.status == 200 and health.payload["version"]
                 route = await handler.dispatch(
                     {"rows": 3, "cols": 3, "workload": "random", "seed": 0}
                 )
@@ -75,18 +80,62 @@ class TestDispatch:
                     {"op": "transpile", "qasm": QASM, "rows": 2, "cols": 2}
                 )
                 assert transpiled["ok"] and transpiled["op"] == "transpile"
-                stats = await handler.dispatch({"op": "stats"})
-                assert stats["ok"] and "telemetry" in stats["stats"]
-                metrics = await handler.dispatch({"op": "metrics"})
-                assert metrics["ok"]
-                assert "repro_counter_total" in metrics["metrics"]
+                stats = await pipeline.process_http("GET", "/stats", "", {}, b"")
+                assert stats.payload["ok"] and "telemetry" in stats.payload["stats"]
+                metrics = await pipeline.process_http("GET", "/metrics", "", {}, b"")
+                assert "repro_counter_total" in metrics.payload
+                # An option named like a call parameter reaches the router
+                # factory, which refuses it: a routing error, not internal.
                 collision = await handler.dispatch({
                     "op": "route", "rows": 3, "cols": 3,
                     "workload": "random", "options": {"router": "naive"},
                 })
-                assert not collision["ok"] and collision["code"] == "internal"
+                assert not collision["ok"] and collision["code"] == "route_error"
 
         asyncio.run(run())
+
+    def test_single_ops_run_without_a_batch(self):
+        async def run():
+            async with AsyncRoutingService(cache_size=16, max_workers=1) as svc:
+                handler = RequestHandler(svc)
+                route = await handler.dispatch(
+                    {"rows": 3, "cols": 3, "workload": "random", "seed": 0}
+                )
+                transpiled = await handler.dispatch(
+                    {"op": "transpile", "qasm": QASM, "rows": 2, "cols": 2}
+                )
+                assert route["ok"] and transpiled["ok"]
+                singles = svc.telemetry.snapshot()["counters"]
+                await handler.dispatch({"op": "route_batch", "requests": [
+                    {"rows": 3, "cols": 3, "workload": "random", "seed": 1},
+                ]})
+                await handler.dispatch({"op": "transpile_batch", "requests": [
+                    {"qasm": QASM, "rows": 2, "cols": 2, "seed": 1},
+                ]})
+                return singles, svc.telemetry.snapshot()["counters"]
+
+        singles, batches = asyncio.run(run())
+        assert singles["aio_requests"] == 2
+        assert "aio_batches" not in singles
+        assert "aio_transpile_batches" not in singles
+        assert batches["aio_batches"] == 1
+        assert batches["aio_transpile_batches"] == 1
+
+    def test_unexpected_failure_is_internal(self, monkeypatch):
+        async def boom(self, doc):
+            raise RuntimeError("kaboom")
+
+        monkeypatch.setattr(RequestHandler, "route_doc", boom)
+
+        async def run():
+            async with AsyncRoutingService(cache_size=16, max_workers=1) as svc:
+                return await RequestHandler(svc).dispatch({
+                    "op": "route", "rows": 3, "cols": 3, "workload": "random",
+                })
+
+        resp = asyncio.run(run())
+        assert not resp["ok"] and resp["code"] == "internal"
+        assert resp["error"] == "RuntimeError: kaboom"
 
     def test_timeout_results_carry_timeout_code(self):
         async def run():

@@ -150,6 +150,25 @@ class TestEndpoints:
         finally:
             _shutdown(base, thread)
 
+    def test_route_options_named_like_call_parameters(self):
+        # Router options reach the router factory untouched, whatever
+        # their names: the single op answers what the batch op answers.
+        server, base, thread = _start_http()
+        try:
+            for name in ("timeout", "router", "graph", "perm"):
+                doc = {
+                    "rows": 3, "cols": 3, "workload": "random",
+                    "options": {name: 1},
+                }
+                status, single = http_request(base, "/v1/route", doc)
+                assert status == 200, (name, single)
+                assert single["code"] == "route_error", single
+                assert f"'{name}'" in single["error"]
+                _, batch = http_request(base, "/v1/route_batch", {"requests": [doc]})
+                assert batch["results"][0]["code"] == single["code"]
+        finally:
+            _shutdown(base, thread)
+
     def test_transpile_batch(self):
         server, base, thread = _start_http()
         try:

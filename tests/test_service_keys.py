@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from repro.errors import GraphError
 from repro.graphs import Graph, GridGraph, cycle_graph
+from repro.graphs.cartesian import CartesianProduct, cylinder_graph, torus_graph
 from repro.perm import Permutation
 from repro.service import (
     graph_fingerprint,
@@ -132,10 +133,20 @@ class TestGraphSpec:
         rebuilt = graph_from_spec(spec)
         assert rebuilt == g
 
+    def test_product_roundtrip_keeps_factors(self):
+        for g in (torus_graph(3, 4), cylinder_graph(2, 5)):
+            spec = graph_spec(g)
+            assert spec["kind"] == "product"
+            rebuilt = graph_from_spec(spec)
+            assert isinstance(rebuilt, CartesianProduct)
+            assert rebuilt == g
+            assert rebuilt.g1 == g.g1 and rebuilt.g2 == g.g2
+            assert graph_fingerprint(rebuilt) == graph_fingerprint(g)
+
     def test_spec_is_jsonable(self):
         import json
 
-        for g in (GridGraph(2, 4), cycle_graph(5)):
+        for g in (GridGraph(2, 4), cycle_graph(5), torus_graph(3, 3)):
             rebuilt = graph_from_spec(json.loads(json.dumps(graph_spec(g))))
             assert rebuilt == g
 
@@ -146,3 +157,5 @@ class TestGraphSpec:
             graph_from_spec({"kind": "grid", "rows": "x", "cols": 2})
         with pytest.raises(GraphError):
             graph_from_spec({"kind": "generic", "edges": [[0, 1]]})
+        with pytest.raises(GraphError):
+            graph_from_spec({"kind": "product", "g1": {"kind": "nope"}})

@@ -403,9 +403,13 @@ class TestHandlerTracing:
         handler, svc = self._handler()
 
         async def run():
-            for op in ("ping", "stats", "cache_stats", "trace_get"):
+            for op in ("cache_stats", "trace_get"):
                 resp = await handler.dispatch({"op": op})
                 assert resp["ok"]
+            pipeline = handler._get_pipeline()
+            for path in ("/healthz", "/stats", "/metrics"):
+                answer = await pipeline.process_http("GET", path, "", {}, b"")
+                assert answer.status == 200, path
             got = await handler.dispatch({"op": "trace_get"})
             await svc.aclose()
             return got
@@ -460,9 +464,10 @@ class TestHandlerTracing:
         handler, svc = self._handler()
 
         async def run():
-            resp = await handler.dispatch({"op": "ping"})
+            pipeline = handler._get_pipeline()
+            resp = await pipeline.process_http("GET", "/healthz", "", {}, b"")
             await svc.aclose()
-            return resp
+            return resp.payload
 
         resp = asyncio.run(run())
         assert resp["ok"] and resp["version"]

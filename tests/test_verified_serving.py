@@ -1,7 +1,7 @@
 """Every served schedule is verified against its request exactly once.
 
-A schedule is checked where it is computed (pool worker, thread or
-inline), or where it enters the cache: loaded from disk, answered by a
+A schedule is checked where it is computed (a pool worker or the
+compute thread), or where it enters the cache: loaded from disk, answered by a
 peer's ``cache_get``, or pushed by a peer's ``cache_put`` (stored
 unverified and checked on its first read). These tests plant
 well-formed schedules that route the *wrong* permutation at each of
@@ -23,11 +23,11 @@ from repro.routing.codec import encode_schedule
 from repro.routing.grid_local import LocalGridRouter
 from repro.service import (
     AsyncRoutingService,
-    BatchExecutor,
     ClusterScheduleCache,
     InProcessShardClient,
     RemoteShardClient,
     RouteRequest,
+    RoutingService,
     ScheduleCache,
 )
 from repro.service.handler import RequestHandler
@@ -110,8 +110,9 @@ class TestPushed:
             local_a, {"b": InProcessShardClient(local_b)}, node_id="a"
         )
         try:
-            with BatchExecutor(cache=node_a, max_workers=1) as ex:
-                (result,) = ex.execute([req])
+            with RoutingService(max_workers=1) as svc:
+                svc.cache = node_a
+                (result,) = svc.submit_batch([req])
             _assert_routes(result, req)
             # a's pushed copy failed first; b's copy, asked next, too.
             assert local_a.rejected == {"disk": 0, "remote": 1, "pushed": 1}
@@ -157,17 +158,16 @@ class TestDisk:
 
     def test_service_recomputes_after_a_rejected_file(self, tmp_path):
         req_a, req_b = _request(1), _request(2)
-        with BatchExecutor(ScheduleCache(disk_dir=tmp_path)) as ex:
-            ex.execute([req_a, req_b])
+        with RoutingService(cache_dir=tmp_path) as svc:
+            svc.submit_batch([req_a, req_b])
         shutil.copyfile(
             tmp_path / f"{req_a.key().digest}.rsc",
             tmp_path / f"{req_b.key().digest}.rsc",
         )
-        cache = ScheduleCache(disk_dir=tmp_path)
-        with BatchExecutor(cache) as ex:
-            (result,) = ex.execute([req_b])
+        with RoutingService(cache_dir=tmp_path) as svc:
+            (result,) = svc.submit_batch([req_b])
         _assert_routes(result, req_b)
-        assert cache.rejected["disk"] == 1
+        assert svc.cache.rejected["disk"] == 1
 
 
 class TestRemote:
@@ -182,8 +182,9 @@ class TestRemote:
             assert cache.cluster_stats.remote_errors == 1
             assert cache.cluster_stats.remote_hits == 0
             assert cache.local.rejected["remote"] == 1
-            with BatchExecutor(cache=cache, max_workers=1) as ex:
-                (result,) = ex.execute([req])
+            with RoutingService(max_workers=1) as svc:
+                svc.cache = cache
+                (result,) = svc.submit_batch([req])
             _assert_routes(result, req)
         finally:
             cache.close()
@@ -211,14 +212,14 @@ def wrong_router(monkeypatch):
 
 class TestComputed:
     def test_inline_path(self, wrong_router):
-        with BatchExecutor(max_workers=1) as ex:
-            (result,) = ex.execute([_request()])
+        with RoutingService(max_workers=1) as svc:
+            (result,) = svc.submit_batch([_request()])
         assert not result.ok and result.source == "error"
         assert "ScheduleError" in result.error and "wrong permutation" in result.error
 
     def test_pool_path(self, wrong_router):
-        with BatchExecutor(max_workers=2) as ex:
-            results = ex.execute([_request(1), _request(2)])
+        with RoutingService(max_workers=2) as svc:
+            results = svc.submit_batch([_request(1), _request(2)])
         assert [r.ok for r in results] == [False, False]
         assert all("wrong permutation" in r.error for r in results)
 
