@@ -23,11 +23,11 @@ Vectorization strategy per kernel:
 * **Odd–even transposition** — delegates to the already-vectorized
   :func:`repro.routing.path_oet.oet_rounds_batched` and maps rounds to
   vertex-id swap arrays with array arithmetic.
-* **Schedule assembly** — canonicalization, validation (range,
-  self-swap, per-layer vertex-disjointness via one offset ``bincount``)
-  and the ASAP re-timing all operate on flat swap arrays; within a
-  layer swaps touch disjoint vertices, so the ASAP level
-  ``t = max(avail[lo], avail[hi])`` is a gather/scatter per layer.
+* **Schedule assembly** — the OET rounds are concatenated into flat
+  swap arrays and handed to
+  :func:`~repro.routing.schedule.build_schedule`, which validates,
+  ASAP-compacts (a gather/scatter per layer) and sorts them; the
+  serial-swap compaction is a plain loop feeding the same builder.
 
 Small instances short-circuit to the reference implementation (same
 results, less array overhead).
@@ -59,13 +59,16 @@ phase the DFS stack always holds one vertex per depth and
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 import numpy as np
 
 from ..errors import ScheduleError
 from ..profiling import stage
 from .base import KernelBackend
+
+if TYPE_CHECKING:
+    from ..routing.schedule import Schedule
 
 __all__ = ["NumpyKernelBackend"]
 
@@ -790,15 +793,11 @@ class NumpyKernelBackend(KernelBackend):
         n_vertices: int,
         swap_layers: Sequence[tuple[Any, Any]],
         compact: bool = True,
-    ) -> Any:
-        from ..routing.schedule import FlatLayers
+    ) -> "Schedule":
+        from ..routing.schedule import build_schedule
 
-        n = int(n_vertices)
-        if n <= 0:
-            raise ScheduleError(f"n_vertices must be positive, got {n}")
         us: list[np.ndarray] = []
         vs: list[np.ndarray] = []
-        sizes: list[int] = []
         for u, v in swap_layers:
             ua = np.asarray(u, dtype=np.int64).ravel()
             va = np.asarray(v, dtype=np.int64).ravel()
@@ -806,81 +805,26 @@ class NumpyKernelBackend(KernelBackend):
                 raise ScheduleError("swap layer endpoint arrays differ in length")
             us.append(ua)
             vs.append(va)
-            sizes.append(int(ua.size))
-        n_layers = len(sizes)
-        if n_layers == 0:
-            return ()
-        U = np.concatenate(us)
-        V = np.concatenate(vs)
-        lo = np.minimum(U, V)
-        hi = np.maximum(U, V)
-        if U.size:
-            if int(lo.min()) < 0 or int(hi.max()) >= n:
-                raise ScheduleError("swap out of range")
-            if bool((lo == hi).any()):
-                raise ScheduleError("self-swap in layer")
-            lid = np.repeat(np.arange(n_layers, dtype=np.int64), sizes)
-            # Disjointness within each layer: any duplicate (layer, vertex)
-            # key is adjacent after a sort (cheaper than a bincount over
-            # the full n_layers * n key space).
-            keys = np.sort(np.concatenate([lid * n + lo, lid * n + hi]))
-            if keys.size > 1 and bool((keys[1:] == keys[:-1]).any()):
-                raise ScheduleError("vertex reuse within a layer")
-        else:
-            lid = np.zeros(0, dtype=np.int64)
-
-        if compact:
-            if U.size == 0:
-                return ()
-            avail = np.zeros(n, dtype=np.int64)
-            t = np.empty(U.size, dtype=np.int64)
-            pos = 0
-            for s in sizes:
-                if s:
-                    sl = slice(pos, pos + s)
-                    los, his = lo[sl], hi[sl]
-                    tt = np.maximum(avail[los], avail[his])
-                    t[sl] = tt
-                    avail[los] = tt + 1
-                    avail[his] = tt + 1
-                pos += s
-            group, n_groups = t, int(t.max()) + 1
-        else:
-            group, n_groups = lid, n_layers
-            if U.size == 0:
-                return tuple(() for _ in range(n_groups))
-
-        # Within a group swaps are vertex-disjoint, so (group, lo) is
-        # unique: pack (group, lo, hi) into one int64 key and use a single
-        # non-stable argsort instead of a 3-key lexsort (~3x faster).
-        if n_groups * n * n < 2**62:
-            order = np.argsort((group * n + lo) * n + hi)
-        else:  # pragma: no cover - astronomically large schedules
-            order = np.lexsort((hi, lo, group))
-        counts = np.bincount(group, minlength=n_groups)
-        # Return the flat payload directly: Schedule materializes nested
-        # tuples lazily, so losing best-of candidates never build them.
-        return FlatLayers(lo[order], hi[order], counts)
+        counts = np.fromiter(map(len, us), dtype=np.int64, count=len(us))
+        return build_schedule(n_vertices, _cat(us), _cat(vs), counts, compact=compact)
 
     def compact_serial_swaps(
         self, n_vertices: int, swaps: Sequence[tuple[int, int]]
-    ) -> tuple[tuple[tuple[int, int], ...], ...]:
+    ) -> "Schedule":
+        from ..routing.schedule import build_schedule
+
         # Inherently sequential (each swap's level depends on the previous
-        # one's); a plain loop over int lists is the fast implementation.
-        n = int(n_vertices)
-        avail = [0] * n
-        new_layers: list[list[tuple[int, int]]] = []
+        # one's); a plain loop over ints is the fast implementation. The
+        # builder validates the swaps afterwards, so the loop keys a dict
+        # (never indexes a list) by whatever ids it is given.
+        avail: dict[Any, int] = {}
+        levels: list[int] = []
         for u, v in swaps:
-            u, v = int(u), int(v)
-            if u == v:
-                raise ScheduleError(f"self-swap on vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ScheduleError(f"swap ({u}, {v}) out of range")
-            if u > v:
-                u, v = v, u
-            t = avail[u] if avail[u] >= avail[v] else avail[v]
-            if t == len(new_layers):
-                new_layers.append([])
-            new_layers[t].append((u, v))
+            a, b = avail.get(u, 0), avail.get(v, 0)
+            t = a if a >= b else b
             avail[u] = avail[v] = t + 1
-        return tuple(tuple(sorted(layer)) for layer in new_layers)
+            levels.append(t)
+        level = np.asarray(levels, dtype=np.int64)
+        # Group the swaps by level; the builder sorts within each.
+        ends = np.asarray(swaps).reshape(-1, 2)[np.argsort(level, kind="stable")]
+        return build_schedule(n_vertices, ends[:, 0], ends[:, 1], np.bincount(level))

@@ -6,7 +6,8 @@ token displacement accounting and swap-schedule assembly — behind one
 interface. The product implementation is the vectorized numpy kernels
 (:mod:`repro.kernels._numpy`: batched BFS layering, frontier-batched
 Hopcroft–Karp augmentation that advances every augmenting path one level
-per array pass, array reductions, fancy-indexed schedule assembly).
+per array pass, array reductions, schedule assembly through the
+validating builder in :mod:`repro.routing.schedule`).
 
 **Equivalence contract.** The kernels must produce *identical* outputs
 to the pure-python reference oracle kept in the test suite
@@ -20,7 +21,10 @@ every router with a vectorized path, and per-primitive agreement.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
+
+if TYPE_CHECKING:
+    from ..routing.schedule import Schedule
 
 __all__ = ["KernelBackend"]
 
@@ -144,19 +148,13 @@ class KernelBackend(ABC):
         n_vertices: int,
         swap_layers: Sequence[tuple[Any, Any]],
         compact: bool = True,
-    ) -> Any:
+    ) -> "Schedule":
         """Validate + canonicalize swap layers, optionally ASAP-compacted.
 
         ``swap_layers`` holds ``(u_seq, v_seq)`` pairs as produced by
         :meth:`oet_swap_layers` (concatenated across routing phases).
-        The result is a canonical-layer payload accepted by
-        ``Schedule._from_canonical``: either nested tuples — per layer,
-        ``(min, max)`` swaps sorted ascending — or an equivalent
-        :class:`~repro.routing.schedule.FlatLayers` array bundle (the
-        numpy kernels' choice; the Schedule materializes tuples
-        lazily). Either way the resulting schedule must equal what
-        ``Schedule(n, layers)`` (plus ``.compact()`` when requested)
-        would produce.
+        Returns the :class:`~repro.routing.schedule.Schedule` equal to
+        ``Schedule(n, layers)`` (plus ``.compact()`` when requested).
 
         Raises
         ------
@@ -168,9 +166,10 @@ class KernelBackend(ABC):
     @abstractmethod
     def compact_serial_swaps(
         self, n_vertices: int, swaps: Sequence[tuple[int, int]]
-    ) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """ASAP-parallelize a serial swap list into canonical layers.
+    ) -> "Schedule":
+        """ASAP-parallelize a serial swap list into a schedule.
 
-        Equivalent to
-        ``Schedule.from_serial_swaps(n, swaps).compact().layers``.
+        Returns the :class:`~repro.routing.schedule.Schedule` that
+        :meth:`~repro.routing.schedule.Schedule.compact` makes of the
+        one-swap-per-layer ``Schedule.from_serial_swaps(n, swaps)``.
         """

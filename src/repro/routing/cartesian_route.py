@@ -155,9 +155,10 @@ class GenericFactorRouter(FactorRouter):
 
     def route_destinations(self, dest: np.ndarray) -> list[list[tuple[int, int]]]:
         from ..token_swap.ats import approximate_token_swapping
+        from ..token_swap.parallel import parallelize_swaps
 
         swaps = approximate_token_swapping(self.graph, Permutation(dest))
-        sched = Schedule.from_serial_swaps(self.graph.n_vertices, swaps).compact()
+        sched = parallelize_swaps(self.graph.n_vertices, swaps)
         return [list(layer) for layer in sched.layers if layer]
 
 
@@ -316,8 +317,7 @@ class CartesianRouter(Router):
         # Layers from _merge_rounds are never empty, so the (u_seq, v_seq)
         # form assemble_layers expects loses nothing.
         swap_layers = [tuple(zip(*layer)) for layer in layers]
-        canon = kb.assemble_layers(N, swap_layers, compact=self.compact)
-        return Schedule._from_canonical(N, canon)
+        return kb.assemble_layers(N, swap_layers, compact=self.compact)
 
     def route(self, graph: Graph, perm: Permutation) -> Schedule:
         self._check_sizes(graph, perm)

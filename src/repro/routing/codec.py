@@ -5,9 +5,10 @@ self-describing, diffable. This module is the binary alternative for
 the paths where both ends are ``repro``: the disk tier of the schedule
 cache, the pool boundary, and the cluster ``cache_get``/``cache_put``
 ops. A frame is a fixed little-endian header followed by the
-:class:`~repro.routing.schedule.FlatLayers` arrays in the narrowest
-integer width that holds every vertex id, so a 64x64 grid schedule
-takes about a quarter of the bytes an ``int64`` frame would.
+schedule's three arrays (layer counts, ``lo`` and ``hi`` endpoints; see
+:mod:`repro.routing.schedule`) in the narrowest integer width that
+holds every vertex id, so a 64x64 grid schedule takes about a quarter
+of the bytes an ``int64`` frame would.
 
 Wire layout, version 2 (all integers little-endian)::
 
@@ -28,10 +29,11 @@ field for it: ``int16`` (w = 2) when ``n_vertices <= 32767``, else
 the counts fit the same width.
 
 Decoding widens the three arrays to ``int64`` (one copy each, so no
-later arithmetic can overflow) and re-validates every invariant the
-public ``Schedule`` constructor enforces (range, canonical ``lo < hi``
-order, per-layer vertex-disjointness, ``(layer, lo, hi)`` sort order)
-with vectorized checks whose extra memory is bounded. Any malformation
+later arithmetic can overflow) and hands them to
+:func:`~repro.routing.schedule.check_canonical`, which checks every
+schedule invariant (range, canonical ``lo < hi`` order, per-layer
+vertex-disjointness, ``(layer, lo, hi)`` sort order) with vectorized
+checks whose extra memory is bounded, and never re-sorts. Any malformation
 — a version-1 frame included — raises
 :class:`~repro.errors.ScheduleError`; callers on the cache path turn
 that into a miss. Decoding proves a frame is *a* schedule, not that it
@@ -47,7 +49,7 @@ import struct
 import numpy as np
 
 from ..errors import ScheduleError
-from .schedule import FlatLayers, Schedule
+from .schedule import Schedule, check_canonical
 
 __all__ = [
     "CODEC_VERSION",
@@ -70,10 +72,6 @@ MAX_VERTICES = 2**31 - 1
 
 #: Largest ``n_vertices`` whose ids are stored as ``int16``.
 _INT16_MAX_VERTICES = 2**15 - 1
-
-#: Above this many ``n_layers * n_vertices`` counters the per-layer
-#: vertex-reuse check sorts the endpoints instead of counting them.
-_BINCOUNT_MAX = 1 << 22
 
 _HEADER = struct.Struct("<8sqqqq")  # magic, n_vertices, n_layers, n_swaps, meta_len
 
@@ -99,19 +97,19 @@ def encode_schedule(schedule: Schedule) -> bytes:
         raise ScheduleError(
             f"cannot encode a schedule on {n} vertices (max {MAX_VERTICES})"
         )
-    flat = schedule._flat_view()
+    counts, lo, hi = schedule._counts, schedule._lo, schedule._hi
     width = _id_dtype(n)
     meta = (
         json.dumps(schedule.metadata, separators=(",", ":")).encode("utf-8")
         if schedule.metadata
         else b""
     )
-    header = _HEADER.pack(MAGIC, n, flat.counts.size, flat.lo.size, len(meta))
+    header = _HEADER.pack(MAGIC, n, counts.size, lo.size, len(meta))
     return b"".join((
         header,
-        flat.counts.astype(width).tobytes(),
-        flat.lo.astype(width).tobytes(),
-        flat.hi.astype(width).tobytes(),
+        counts.astype(width).tobytes(),
+        lo.astype(width).tobytes(),
+        hi.astype(width).tobytes(),
         meta,
     ))
 
@@ -119,8 +117,8 @@ def encode_schedule(schedule: Schedule) -> bytes:
 def decode_schedule(data: bytes | bytearray | memoryview) -> Schedule:
     """Parse a frame produced by :func:`encode_schedule`.
 
-    The three arrays are widened to ``int64`` and become the schedule's
-    ``FlatLayers`` payload directly.
+    The three arrays are widened to ``int64``, checked, and become the
+    schedule's arrays directly.
 
     Raises
     ------
@@ -169,58 +167,4 @@ def decode_schedule(data: bytes | bytearray | memoryview) -> Schedule:
             raise ScheduleError(f"corrupt schedule metadata: {exc}") from exc
         if not isinstance(metadata, dict):
             raise ScheduleError("schedule metadata must be a JSON object")
-    _validate_flat(n, counts, lo, hi)
-    flat = FlatLayers(counts=counts, lo=lo, hi=hi)
-    return Schedule._from_canonical(n, flat, metadata)
-
-
-def _validate_flat(
-    n: int, counts: np.ndarray, lo: np.ndarray, hi: np.ndarray
-) -> None:
-    """Vectorized re-validation of the canonical-layers invariants.
-
-    Mirrors what the public ``Schedule`` constructor checks swap by swap:
-    every endpoint in range, no self-swaps (implied by ``lo < hi``),
-    per-layer vertex-disjointness, and the canonical sort order the
-    trusted ``_from_canonical`` path assumes. The arrays are ``int64``
-    widened from at most ``int32``, so no sum or key below can overflow.
-    """
-    # Bound every count by the swap count before summing, so the sum
-    # is exact and ``np.repeat`` never sees a negative count.
-    if counts.size and (int(counts.min()) < 0 or int(counts.max()) > lo.size):
-        raise ScheduleError("corrupt schedule frame: layer count out of range")
-    if int(counts.sum()) != lo.size:
-        raise ScheduleError(
-            "corrupt schedule frame: layer counts do not sum to the swap count"
-        )
-    if lo.size == 0:
-        return
-    if int(lo.min()) < 0 or int(hi.max()) >= n:
-        raise ScheduleError("corrupt schedule frame: swap endpoint out of range")
-    if not bool(np.all(lo < hi)):
-        raise ScheduleError("corrupt schedule frame: non-canonical swap order")
-    lid = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
-    if counts.size * n * n < 2**62:
-        key = (lid * n + lo) * n + hi
-        if not bool(np.all(key[1:] > key[:-1])):
-            raise ScheduleError(
-                "corrupt schedule frame: layers not sorted canonically"
-            )
-    else:  # pragma: no cover - astronomically large schedules
-        order = np.lexsort((hi, lo, lid))
-        if not bool(np.all(order == np.arange(order.size))):
-            raise ScheduleError(
-                "corrupt schedule frame: layers not sorted canonically"
-            )
-    # Each (layer, vertex) pair may occur once. Counting needs one
-    # counter per (layer, vertex); past _BINCOUNT_MAX counters a sort of
-    # the 2 * n_swaps endpoints keeps the extra memory O(n_swaps). Its
-    # first half is already sorted, which a stable (merging) sort exploits.
-    ends = np.concatenate((lid * n + lo, lid * n + hi))
-    if counts.size * n <= _BINCOUNT_MAX:
-        reused = int(np.bincount(ends).max()) > 1
-    else:
-        ends.sort(kind="stable")
-        reused = bool(np.any(ends[1:] == ends[:-1]))
-    if reused:
-        raise ScheduleError("corrupt schedule frame: vertex reuse inside a layer")
+    return check_canonical(n, counts, lo, hi, metadata)

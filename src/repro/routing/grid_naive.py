@@ -194,8 +194,7 @@ def grid_route_with_sigmas(
     if validate and not np.array_equal(dst[occ2d.ravel()], np.arange(N)):
         raise RoutingError("grid routing realized the wrong permutation")
 
-    layers = kb.assemble_layers(N, swap_layers, compact=compact)
-    return Schedule._from_canonical(N, layers)
+    return kb.assemble_layers(N, swap_layers, compact=compact)
 
 
 def route_both_orientations(

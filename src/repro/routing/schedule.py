@@ -10,6 +10,13 @@ non-empty layers) is the quantity the paper's Figure 4 plots; the **size**
 package, so the benchmark harness and the transpiler treat the paper's
 algorithm, the ACG baseline and the ATS baseline uniformly.
 
+A schedule stores three ``int64`` arrays and nothing else: ``lo``/``hi``
+hold the ``(min, max)`` endpoints of every swap sorted by ``(layer, lo,
+hi)``, and ``counts[t]`` is the number of swaps in layer ``t``. Every
+invariant is checked in this module, by :func:`build_schedule` (swap
+arrays in any order) or :func:`check_canonical` (arrays that claim
+canonical form, such as a decoded codec frame).
+
 Key operations
 --------------
 * :meth:`Schedule.simulate` — the permutation a schedule actually realizes.
@@ -18,9 +25,10 @@ Key operations
 * :meth:`Schedule.compact` — ASAP re-timing: every swap moves to the
   earliest layer after the last use of either of its endpoints. This
   preserves the per-vertex order of swaps (hence the realized permutation)
-  and never increases depth. It is how a serial ATS swap list becomes a
-  parallel schedule, and how the three phases of grid routing are allowed
-  to overlap at their boundaries.
+  and never increases depth. It is how the three phases of grid routing
+  are allowed to overlap at their boundaries; a serial swap list is
+  parallelized the same way by
+  :func:`~repro.token_swap.parallel.parallelize_swaps`.
 """
 
 from __future__ import annotations
@@ -30,31 +38,15 @@ from typing import Any, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from ..errors import ScheduleError
-from ..graphs.base import Graph, canonical_edge
+from ..graphs.base import Graph
 from ..perm.permutation import Permutation
 
-__all__ = ["Schedule"]
+__all__ = ["Schedule", "build_schedule", "check_canonical"]
 
-
-class FlatLayers:
-    """Canonical layers as flat arrays (internal, numpy-kernel payload).
-
-    ``lo``/``hi`` hold the canonical ``(min, max)`` endpoints of every swap,
-    concatenated across layers and sorted by ``(layer, lo, hi)``;
-    ``counts[t]`` is the number of swaps in layer ``t``. Producers (the
-    numpy kernels, :meth:`Schedule.relabel`) guarantee the same
-    invariants the public :class:`Schedule` constructor enforces; the
-    nested-tuple view is materialized lazily on first structural access,
-    so schedules that are only compared by depth/size (e.g. the losing
-    orientation candidate in a best-of race) never pay for tuple-building.
-    """
-
-    __slots__ = ("lo", "hi", "counts")
-
-    def __init__(self, lo: np.ndarray, hi: np.ndarray, counts: np.ndarray) -> None:
-        self.lo = lo
-        self.hi = hi
-        self.counts = counts
+#: Above this many ``n_layers * n_vertices`` flags the per-layer
+#: vertex-reuse check sorts the endpoints instead of marking them, so
+#: its extra memory stays O(n_swaps).
+_MARK_MAX = 1 << 22
 
 
 class Schedule:
@@ -63,12 +55,13 @@ class Schedule:
     Parameters
     ----------
     n_vertices:
-        Size of the vertex set the schedule acts on.
+        Size of the vertex set the schedule acts on (a positive integer).
     layers:
-        Iterable of layers; each layer is an iterable of ``(u, v)`` swaps.
-        Swaps are canonicalized to ``(min, max)``. Layers are validated to
-        be vertex-disjoint within themselves (edge membership in a graph
-        is checked separately by :meth:`check_against`/:meth:`verify`).
+        Iterable of layers; each layer is an iterable of ``(u, v)`` swaps
+        with integer endpoints. Swaps are canonicalized to ``(min, max)``.
+        Layers are validated to be vertex-disjoint within themselves (edge
+        membership in a graph is checked separately by
+        :meth:`check_against`/:meth:`verify`).
     metadata:
         Optional provenance annotations (JSON-ready entries). Excluded
         from equality and hashing; preserved by the transformation
@@ -77,10 +70,11 @@ class Schedule:
     Raises
     ------
     ScheduleError
-        If a layer reuses a vertex or a swap is out of range / a self-loop.
+        If ``n_vertices`` or an endpoint is not an integer, a layer reuses
+        a vertex, or a swap is out of range / a self-loop.
     """
 
-    __slots__ = ("_n", "_layers", "_flat", "_meta")
+    __slots__ = ("_n", "_counts", "_lo", "_hi", "_meta")
 
     def __init__(
         self,
@@ -88,31 +82,20 @@ class Schedule:
         layers: Iterable[Iterable[tuple[int, int]]] = (),
         metadata: Mapping[str, Any] | None = None,
     ) -> None:
-        if n_vertices <= 0:
-            raise ScheduleError(f"n_vertices must be positive, got {n_vertices}")
-        self._n = int(n_vertices)
-        built: list[tuple[tuple[int, int], ...]] = []
-        for li, layer in enumerate(layers):
-            seen: set[int] = set()
-            canon: list[tuple[int, int]] = []
+        n = _vertex_count(n_vertices)
+        ends: list[Any] = []
+        counts: list[int] = []
+        for layer in layers:
+            start = len(ends)
             for u, v in layer:
-                u, v = int(u), int(v)
-                if u == v:
-                    raise ScheduleError(f"layer {li}: self-swap on vertex {u}")
-                if not (0 <= u < self._n and 0 <= v < self._n):
-                    raise ScheduleError(
-                        f"layer {li}: swap ({u}, {v}) out of range"
-                    )
-                if u in seen or v in seen:
-                    raise ScheduleError(
-                        f"layer {li}: vertex reuse in swap ({u}, {v})"
-                    )
-                seen.add(u)
-                seen.add(v)
-                canon.append(canonical_edge(u, v))
-            built.append(tuple(sorted(canon)))
-        self._layers: tuple[tuple[tuple[int, int], ...], ...] | None = tuple(built)
-        self._flat: FlatLayers | None = None
+                ends.append(u)
+                ends.append(v)
+            counts.append((len(ends) - start) // 2)
+        pairs = _id_array(ends).reshape(-1, 2)
+        self._n = n
+        self._counts, self._lo, self._hi = _canonical_arrays(
+            n, pairs[:, 0], pairs[:, 1], counts, compact=False
+        )
         self._meta: dict[str, Any] = dict(metadata) if metadata else {}
 
     # ------------------------------------------------------------------
@@ -127,24 +110,22 @@ class Schedule:
     def _from_canonical(
         cls,
         n_vertices: int,
-        layers: tuple[tuple[tuple[int, int], ...], ...] | FlatLayers,
+        counts: np.ndarray,
+        lo: np.ndarray,
+        hi: np.ndarray,
         metadata: Mapping[str, Any] | None = None,
     ) -> "Schedule":
-        """Trusted constructor: ``layers`` must already be canonical.
+        """Trusted constructor: the arrays already satisfy every invariant.
 
-        Callers (the kernels, :meth:`relabel`) guarantee the payload —
-        nested tuples or a :class:`FlatLayers` array bundle — is validated,
-        ``(min, max)``-canonical and sorted by ``(layer, lo, hi)``: the
-        invariants the public constructor would otherwise re-establish.
+        Only this module calls it: :func:`build_schedule` and
+        :func:`check_canonical` after their checks, and the transforms
+        whose output is canonical by construction.
         """
         sched = object.__new__(cls)
         sched._n = int(n_vertices)
-        if isinstance(layers, FlatLayers):
-            sched._layers = None
-            sched._flat = layers
-        else:
-            sched._layers = layers
-            sched._flat = None
+        sched._counts = counts
+        sched._lo = lo
+        sched._hi = hi
         sched._meta = dict(metadata) if metadata else {}
         return sched
 
@@ -152,7 +133,12 @@ class Schedule:
     def from_serial_swaps(
         cls, n_vertices: int, swaps: Sequence[tuple[int, int]]
     ) -> "Schedule":
-        """One swap per layer, in order (use :meth:`compact` to parallelize)."""
+        """One swap per layer, in order.
+
+        To parallelize a serial list use
+        :func:`~repro.token_swap.parallel.parallelize_swaps`, which equals
+        ``compact()`` of this schedule in one pass over the swaps.
+        """
         return cls(n_vertices, ([s] for s in swaps))
 
     # ------------------------------------------------------------------
@@ -163,49 +149,19 @@ class Schedule:
         """Vertex-set size."""
         return self._n
 
-    def _flat_view(self) -> FlatLayers:
-        """The canonical flat arrays, built once from the tuples if needed.
-
-        The one tuple-to-array conversion: the codec, the simulation
-        sweep, :meth:`verify` and :meth:`relabel` all read these arrays.
-        """
-        flat = self._flat
-        if flat is None:
-            layers = self._layers
-            assert layers is not None
-            counts = np.fromiter(map(len, layers), dtype=np.int64, count=len(layers))
-            pairs = np.fromiter(
-                (x for layer in layers for swap in layer for x in swap),
-                dtype=np.int64,
-                count=2 * int(counts.sum()),
-            ).reshape(-1, 2)
-            flat = self._flat = FlatLayers(
-                np.ascontiguousarray(pairs[:, 0]),
-                np.ascontiguousarray(pairs[:, 1]),
-                counts,
-            )
-        return flat
-
-    def _materialize(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Nested-tuple layers, built (once) from the flat arrays on demand."""
-        layers = self._layers
-        if layers is None:
-            fl = self._flat
-            assert fl is not None
-            lo = fl.lo.tolist()
-            hi = fl.hi.tolist()
-            out: list[tuple[tuple[int, int], ...]] = []
-            pos = 0
-            for c in fl.counts.tolist():
-                out.append(tuple(zip(lo[pos : pos + c], hi[pos : pos + c])))
-                pos += c
-            layers = self._layers = tuple(out)
-        return layers
-
     @property
     def layers(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """The layers, each a sorted tuple of canonical swaps."""
-        return self._materialize()
+        """The layers, each a sorted tuple of canonical swaps.
+
+        Built from the arrays on every access; nothing keeps them.
+        """
+        pairs = list(zip(self._lo.tolist(), self._hi.tolist()))
+        out: list[tuple[tuple[int, int], ...]] = []
+        pos = 0
+        for c in self._counts.tolist():
+            out.append(tuple(pairs[pos : pos + c]))
+            pos += c
+        return tuple(out)
 
     @property
     def metadata(self) -> dict[str, Any]:
@@ -220,67 +176,55 @@ class Schedule:
         """Copy (sharing layers) with ``entries`` merged into the metadata."""
         merged = dict(self._meta)
         merged.update(entries)
-        sched = object.__new__(Schedule)
-        sched._n = self._n
-        sched._layers = self._layers
-        sched._flat = self._flat
-        sched._meta = merged
-        return sched
+        return Schedule._from_canonical(
+            self._n, self._counts, self._lo, self._hi, merged
+        )
 
     @property
     def depth(self) -> int:
         """Number of non-empty layers (the paper's depth objective)."""
-        if self._layers is None:
-            assert self._flat is not None
-            return int(np.count_nonzero(self._flat.counts))
-        return sum(1 for layer in self._layers if layer)
+        return int(np.count_nonzero(self._counts))
 
     @property
     def n_layers(self) -> int:
         """Total number of layers including empty ones."""
-        if self._layers is None:
-            assert self._flat is not None
-            return len(self._flat.counts)
-        return len(self._layers)
+        return int(self._counts.size)
 
     @property
     def size(self) -> int:
         """Total number of swaps (the serial token-swapping objective)."""
-        if self._layers is None:
-            assert self._flat is not None
-            return int(self._flat.lo.size)
-        return sum(len(layer) for layer in self._layers)
+        return int(self._lo.size)
 
     def serial_swaps(self) -> list[tuple[int, int]]:
         """All swaps flattened in layer order (within-layer order arbitrary
         but fixed; within-layer swaps commute since they are disjoint)."""
-        if self._layers is None:
-            assert self._flat is not None
-            return list(zip(self._flat.lo.tolist(), self._flat.hi.tolist()))
-        return [s for layer in self._layers for s in layer]
+        return list(zip(self._lo.tolist(), self._hi.tolist()))
 
     def __len__(self) -> int:
         return self.n_layers
 
     def __iter__(self) -> Iterator[tuple[tuple[int, int], ...]]:
-        return iter(self._materialize())
+        return iter(self.layers)
 
     def __getitem__(self, i: int) -> tuple[tuple[int, int], ...]:
-        return self._materialize()[i]
+        t = range(self._counts.size)[i]  # negative indices, IndexError
+        start = int(self._counts[:t].sum())
+        stop = start + int(self._counts[t])
+        return tuple(
+            zip(self._lo[start:stop].tolist(), self._hi[start:stop].tolist())
+        )
 
     # ------------------------------------------------------------------
     # semantics
     # ------------------------------------------------------------------
     def _sweep_occupancy(self, occ: np.ndarray) -> None:
         """Apply every layer to ``occ`` in place (layers are matchings, so
-        each layer's swaps are disjoint and apply in one vectorized step
-        on the flat representation)."""
-        fl = self._flat_view()
+        each layer's swaps are disjoint and apply in one vectorized step)."""
         pos = 0
-        for c in fl.counts.tolist():
+        for c in self._counts.tolist():
             if c:
-                los = fl.lo[pos : pos + c]
-                his = fl.hi[pos : pos + c]
+                los = self._lo[pos : pos + c]
+                his = self._hi[pos : pos + c]
                 tmp = occ[los]
                 occ[los] = occ[his]
                 occ[his] = tmp
@@ -319,13 +263,12 @@ class Schedule:
             raise ScheduleError(
                 f"schedule on {self._n} vertices vs graph on {graph.n_vertices}"
             )
-        fl = self._flat_view()
-        ok = graph.has_edges(fl.lo, fl.hi)
+        ok = graph.has_edges(self._lo, self._hi)
         if not ok.all():
             k = int(np.argmin(ok))
-            layer = int(np.searchsorted(np.cumsum(fl.counts), k, side="right"))
             raise ScheduleError(
-                f"layer {layer}: swap ({int(fl.lo[k])}, {int(fl.hi[k])}) "
+                f"layer {_layer_of(self._counts, k)}: swap "
+                f"({int(self._lo[k])}, {int(self._hi[k])}) "
                 f"is not an edge of {graph.name}"
             )
 
@@ -360,57 +303,23 @@ class Schedule:
     # ------------------------------------------------------------------
     def trimmed(self) -> "Schedule":
         """Copy with empty layers removed."""
-        if self._layers is None:
-            assert self._flat is not None
-            fl = self._flat
-            kept = fl.counts[fl.counts > 0]
-            return Schedule._from_canonical(
-                self._n, FlatLayers(fl.lo, fl.hi, kept), self._meta
-            )
         return Schedule._from_canonical(
-            self._n, tuple(l for l in self._layers if l), self._meta
+            self._n, self._counts[self._counts > 0], self._lo, self._hi, self._meta
         )
 
     def compact(self) -> "Schedule":
         """ASAP re-timing (see module docstring). Depth never increases."""
-        if self._layers is None:
-            assert self._flat is not None
-            fl = self._flat
-            if fl.lo.size == 0:
-                return Schedule(self._n, (), metadata=self._meta)
-            avail = np.zeros(self._n, dtype=np.int64)
-            t = np.empty(fl.lo.size, dtype=np.int64)
-            pos = 0
-            for c in fl.counts.tolist():
-                if c:
-                    sl = slice(pos, pos + c)
-                    los, his = fl.lo[sl], fl.hi[sl]
-                    tt = np.maximum(avail[los], avail[his])
-                    t[sl] = tt
-                    avail[los] = tt + 1
-                    avail[his] = tt + 1
-                pos += c
-            order = np.lexsort((fl.hi, fl.lo, t))
-            counts = np.bincount(t, minlength=int(t.max()) + 1)
-            return Schedule._from_canonical(
-                self._n,
-                FlatLayers(fl.lo[order], fl.hi[order], counts),
-                self._meta,
-            )
-        avail = np.zeros(self._n, dtype=np.int64)  # earliest free layer per vertex
-        new_layers: list[list[tuple[int, int]]] = []
-        for layer in self._layers:
-            for u, v in layer:
-                t2 = int(max(avail[u], avail[v]))
-                while len(new_layers) <= t2:
-                    new_layers.append([])
-                new_layers[t2].append((u, v))
-                avail[u] = avail[v] = t2 + 1
-        return Schedule(self._n, new_layers, metadata=self._meta)
+        return build_schedule(
+            self._n, self._lo, self._hi, self._counts,
+            compact=True, metadata=self._meta,
+        )
 
     def inverse(self) -> "Schedule":
         """Layers reversed; realizes the inverse permutation."""
-        return Schedule(self._n, reversed(self._materialize()), metadata=self._meta)
+        order = np.argsort(-_layer_ids(self._counts), kind="stable")
+        return Schedule._from_canonical(
+            self._n, self._counts[::-1], self._lo[order], self._hi[order], self._meta
+        )
 
     def concat(self, other: "Schedule") -> "Schedule":
         """This schedule followed by ``other`` (metadata is not carried:
@@ -418,7 +327,10 @@ class Schedule:
         if other._n != self._n:
             raise ScheduleError("cannot concatenate schedules of different sizes")
         return Schedule._from_canonical(
-            self._n, self._materialize() + other._materialize()
+            self._n,
+            np.concatenate((self._counts, other._counts)),
+            np.concatenate((self._lo, other._lo)),
+            np.concatenate((self._hi, other._hi)),
         )
 
     def __add__(self, other: "Schedule") -> "Schedule":
@@ -427,39 +339,17 @@ class Schedule:
     def relabel(self, mapping: Sequence[int] | np.ndarray) -> "Schedule":
         """Rename vertices: swap ``(u, v)`` becomes ``(mapping[u], mapping[v])``.
 
-        Used to pull a schedule computed on the transposed grid back to the
+        ``mapping`` must be a permutation of ``range(n_vertices)``. Used to
+        pull a schedule computed on the transposed grid back to the
         original grid's vertex ids.
         """
-        m = np.asarray(mapping, dtype=np.int64)
+        m = _id_array(mapping)
         if m.shape != (self._n,):
             raise ScheduleError("relabel mapping has wrong size")
-        if np.unique(m).size != self._n:
-            raise ScheduleError("relabel mapping is not a bijection")
-        fl = self._flat_view()
-        counts = fl.counts
-        a = m[fl.lo]
-        b = m[fl.hi]
-        lo = np.minimum(a, b)
-        hi = np.maximum(a, b)
-        if lo.size == 0:
-            return Schedule._from_canonical(
-                self._n, FlatLayers(lo, hi, counts), self._meta
-            )
-        if int(lo.min()) < 0 or int(hi.max()) >= self._n:
-            raise ScheduleError("relabel mapping leaves the vertex range")
-        # A bijection preserves self-swap-freeness and per-layer vertex
-        # disjointness, so only canonical form must be re-established:
-        # sort within each layer by (lo, hi). Disjointness makes
-        # (layer, lo) unique, so when the packed (layer, lo, hi) key
-        # fits in int64 a single non-stable argsort replaces the
-        # 3-key lexsort.
-        lid = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
-        if counts.size * self._n * self._n < 2**62:
-            order = np.argsort((lid * self._n + lo) * self._n + hi)
-        else:  # pragma: no cover - astronomically large schedules
-            order = np.lexsort((hi, lo, lid))
-        return Schedule._from_canonical(
-            self._n, FlatLayers(lo[order], hi[order], counts), self._meta
+        if not np.array_equal(np.sort(m), np.arange(self._n)):
+            raise ScheduleError("relabel mapping is not a permutation of the vertices")
+        return build_schedule(
+            self._n, m[self._lo], m[self._hi], self._counts, metadata=self._meta
         )
 
     # ------------------------------------------------------------------
@@ -468,23 +358,211 @@ class Schedule:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Schedule):
             return NotImplemented
-        if self._n != other._n:
-            return False
-        if self._layers is None and other._layers is None:
-            a, b = self._flat, other._flat
-            assert a is not None and b is not None
-            return (
-                np.array_equal(a.counts, b.counts)
-                and np.array_equal(a.lo, b.lo)
-                and np.array_equal(a.hi, b.hi)
-            )
-        return self._materialize() == other._materialize()
+        return (
+            self._n == other._n
+            and np.array_equal(self._counts, other._counts)
+            and np.array_equal(self._lo, other._lo)
+            and np.array_equal(self._hi, other._hi)
+        )
 
     def __hash__(self) -> int:
-        return hash((self._n, self._materialize()))
+        arrays = (self._counts, self._lo, self._hi)
+        return hash((self._n, *(a.tobytes() for a in arrays)))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"Schedule(n_vertices={self._n}, depth={self.depth}, "
             f"size={self.size})"
         )
+
+
+# ----------------------------------------------------------------------
+# the builder and the checker
+# ----------------------------------------------------------------------
+def build_schedule(
+    n_vertices: int,
+    u: Any,
+    v: Any,
+    counts: Any,
+    *,
+    compact: bool = False,
+    metadata: Mapping[str, Any] | None = None,
+) -> Schedule:
+    """The validating constructor over flat swap arrays.
+
+    Swap ``k`` is ``(u[k], v[k])``; the first ``counts[0]`` swaps make
+    up layer 0, and so on. The swaps are canonicalized to ``(min, max)``
+    and validated (integer ids in range, no self-swap, no vertex twice
+    in a layer), ASAP re-timed with ``compact``, and sorted by
+    ``(layer, lo, hi)``.
+
+    Raises
+    ------
+    ScheduleError
+        On any violated invariant.
+    """
+    n = _vertex_count(n_vertices)
+    return Schedule._from_canonical(
+        n, *_canonical_arrays(n, u, v, counts, compact), metadata
+    )
+
+
+def check_canonical(
+    n_vertices: int,
+    counts: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    metadata: Mapping[str, Any] | None = None,
+) -> Schedule:
+    """Wrap ``int64`` arrays that claim canonical form, after checking it.
+
+    The checks are those of :func:`build_schedule` plus the layer counts
+    (each in ``[0, n_swaps]``, summing to ``n_swaps``), ``lo < hi`` and
+    the ``(layer, lo, hi)`` order, tested in one linear pass: unsorted
+    arrays are refused, never re-sorted.
+
+    Raises
+    ------
+    ScheduleError
+        On any violated invariant.
+    """
+    n = _vertex_count(n_vertices)
+    # Bound every count by the swap count before summing, so the sum
+    # is exact and ``np.repeat`` never sees a negative count.
+    if counts.size and (int(counts.min()) < 0 or int(counts.max()) > lo.size):
+        raise ScheduleError("schedule arrays: layer count out of range")
+    if int(counts.sum()) != lo.size or hi.size != lo.size:
+        raise ScheduleError(
+            "schedule arrays: layer counts do not sum to the swap count"
+        )
+    if lo.size:
+        if not bool(np.all(lo < hi)):
+            raise ScheduleError("schedule arrays: non-canonical swap order")
+        lid, kn, klo, khi = _check_swaps(n, counts, lo, hi)
+        key = (lid * kn + klo) * kn + khi
+        if not bool(np.all(key[1:] > key[:-1])):
+            raise ScheduleError("schedule arrays: layers not sorted canonically")
+    return Schedule._from_canonical(n, counts, lo, hi, metadata)
+
+
+def _canonical_arrays(
+    n: int, u: Any, v: Any, counts: Any, compact: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The builder's work: validated, optionally compacted, sorted arrays."""
+    u = _id_array(u)
+    v = _id_array(v)
+    counts = np.asarray(counts, dtype=np.int64)
+    lo = np.minimum(u, v)
+    hi = np.maximum(u, v)
+    if lo.size == 0:
+        return (counts[:0] if compact else counts), lo, hi
+    lid, kn, klo, khi = _check_swaps(n, counts, lo, hi)
+    if compact:
+        lid = _asap_levels(kn, counts, klo, khi)
+        counts = np.bincount(lid)
+    # Within a layer swaps are vertex-disjoint, so (layer, lo) is unique
+    # and one non-stable argsort of the packed key is deterministic.
+    order = np.argsort((lid * kn + klo) * kn + khi)
+    return counts, lo[order], hi[order]
+
+
+def _vertex_count(n: Any) -> int:
+    """``n_vertices`` as a positive int; bools, floats and strings are refused."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise ScheduleError(f"n_vertices must be an integer, got {n!r}")
+    if n <= 0:
+        raise ScheduleError(f"n_vertices must be positive, got {n}")
+    return int(n)
+
+
+def _id_array(values: Any) -> np.ndarray:
+    """Vertex ids as ``int64``; anything but integers is refused."""
+    ids = np.asarray(values)
+    if ids.size and ids.dtype.kind not in "iu":
+        raise ScheduleError(
+            f"vertex ids must be integers in the int64 range, got {ids.dtype}"
+        )
+    return ids.astype(np.int64, copy=False)
+
+
+def _layer_ids(counts: np.ndarray) -> np.ndarray:
+    """The layer index of every swap."""
+    return np.repeat(np.arange(counts.size, dtype=np.int64), counts)
+
+
+def _layer_of(counts: np.ndarray, k: int) -> int:
+    """The layer holding swap ``k``."""
+    return int(np.searchsorted(np.cumsum(counts), k, side="right"))
+
+
+def _check_swaps(
+    n: int, counts: np.ndarray, lo: np.ndarray, hi: np.ndarray
+) -> tuple[np.ndarray, int, np.ndarray, np.ndarray]:
+    """Range, self-swap and per-layer reuse checks on ``lo <= hi`` swaps.
+
+    Returns each swap's layer and the ``(n, lo, hi)`` to pack into keys:
+    the arguments themselves whenever ``n_layers * n * n`` fits in int64,
+    else an order-preserving renumbering of the touched ids, so no key
+    overflows and no per-vertex array is sized by a huge ``n``.
+    """
+    if int(lo.min()) < 0 or int(hi.max()) >= n or bool(np.any(lo == hi)):
+        k = int(np.argmax((lo < 0) | (hi >= n) | (lo == hi)))
+        a, b = int(lo[k]), int(hi[k])
+        bad = f"self-swap on vertex {a}" if a == b else f"swap ({a}, {b}) out of range"
+        raise ScheduleError(f"layer {_layer_of(counts, k)}: {bad}")
+    lid = _layer_ids(counts)
+    if counts.size * n * n < 2**62:
+        kn, klo, khi = n, lo, hi
+    else:
+        ids, inv = np.unique(np.concatenate((lo, hi)), return_inverse=True)
+        kn, klo, khi = int(ids.size), inv[: lo.size], inv[lo.size :]
+    _refuse_reuse(kn, counts.size, lid, klo, khi)
+    return lid, kn, klo, khi
+
+
+def _refuse_reuse(
+    n: int, n_layers: int, lid: np.ndarray, lo: np.ndarray, hi: np.ndarray
+) -> None:
+    """Raise when a ``(layer, vertex)`` pair occurs twice.
+
+    One flag per pair marks them up to :data:`_MARK_MAX` pairs; past
+    it, and to name the layer of a reuse, a stable (merging) sort of
+    the ``2 * n_swaps`` keys keeps the extra memory O(n_swaps).
+    """
+    base = lid * n
+    if n_layers * n <= _MARK_MAX:
+        seen = np.zeros(n_layers * n, dtype=bool)
+        seen[base + lo] = True
+        seen[base + hi] = True
+        if np.count_nonzero(seen) == 2 * lo.size:
+            return
+    ends = np.concatenate((base + lo, base + hi))
+    ends.sort(kind="stable")
+    dup = np.flatnonzero(ends[1:] == ends[:-1])
+    if dup.size:
+        layer = int(ends[dup[0]]) // n
+        raise ScheduleError(f"layer {layer}: vertex reuse inside a layer")
+
+
+def _asap_levels(
+    n: int, counts: np.ndarray, lo: np.ndarray, hi: np.ndarray
+) -> np.ndarray:
+    """The ASAP layer of every swap, taking layers in order.
+
+    A swap lands one layer after the last use of either endpoint. Swaps
+    within an input layer are disjoint, so each layer is one gather and
+    one scatter.
+    """
+    avail = np.zeros(n, dtype=np.int64)  # earliest free layer per vertex
+    t = np.empty(lo.size, dtype=np.int64)
+    pos = 0
+    for c in counts.tolist():
+        if c:
+            sl = slice(pos, pos + c)
+            los, his = lo[sl], hi[sl]
+            tt = np.maximum(avail[los], avail[his])
+            t[sl] = tt
+            avail[los] = tt + 1
+            avail[his] = tt + 1
+            pos += c
+    return t

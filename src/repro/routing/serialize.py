@@ -9,19 +9,25 @@ frames).
 This is the *interchange* format: text, self-describing, stable. The
 serving hot path (disk cache tier, pool-boundary crossings, cluster
 ``cache_get``/``cache_put``) uses the binary :mod:`repro.routing.codec`
-frames instead, which decode zero-copy into the flat schedule
-representation; both formats round-trip the same schedules exactly.
+frames instead; both formats round-trip the same schedules exactly.
+:func:`schedule_to_dict` renders the document's layers straight from
+the schedule's arrays, so a response that embeds a schedule (the
+service's ``include_schedule``) is dumped to text once.
 """
 
 from __future__ import annotations
 
 import json
+from typing import Any
+
+import numpy as np
 
 from ..errors import ScheduleError
 from ..graphs.grid import GridGraph
 from .schedule import Schedule
 
 __all__ = [
+    "schedule_to_dict",
     "schedule_to_json",
     "schedule_from_json",
     "render_grid_layer",
@@ -31,23 +37,37 @@ __all__ = [
 _FORMAT_VERSION = 1
 
 
-def schedule_to_json(schedule: Schedule, indent: int | None = None) -> str:
-    """Serialize a schedule to a JSON document.
+def schedule_to_dict(schedule: Schedule) -> dict[str, Any]:
+    """The JSON document of a schedule, as plain dicts, lists and ints.
 
     The document records the format version, vertex count and layers
     (plus the provenance metadata, when present — an optional key, so
-    version 1 readers remain compatible); round-trips exactly through
-    :func:`schedule_from_json`.
+    version 1 readers remain compatible). The layers are rendered from
+    the schedule's arrays without building the tuple view.
     """
-    doc = {
+    pairs = np.column_stack((schedule._lo, schedule._hi)).tolist()
+    layers = []
+    pos = 0
+    for count in schedule._counts.tolist():
+        layers.append(pairs[pos : pos + count])
+        pos += count
+    doc: dict[str, Any] = {
         "format": "repro.schedule",
         "version": _FORMAT_VERSION,
         "n_vertices": schedule.n_vertices,
-        "layers": [[[u, v] for (u, v) in layer] for layer in schedule],
+        "layers": layers,
     }
     if schedule.metadata:
         doc["metadata"] = dict(schedule.metadata)
-    return json.dumps(doc, indent=indent)
+    return doc
+
+
+def schedule_to_json(schedule: Schedule, indent: int | None = None) -> str:
+    """Serialize a schedule to a JSON document (:func:`schedule_to_dict`).
+
+    Round-trips exactly through :func:`schedule_from_json`.
+    """
+    return json.dumps(schedule_to_dict(schedule), indent=indent)
 
 
 def schedule_from_json(text: str) -> Schedule:
@@ -56,9 +76,10 @@ def schedule_from_json(text: str) -> Schedule:
     Raises
     ------
     ScheduleError
-        On malformed documents or unsupported versions (the payload is
+        On malformed documents or unsupported versions. The payload is
         re-validated by the :class:`~repro.routing.schedule.Schedule`
-        constructor, so corrupt layers are rejected too).
+        constructor, so corrupt layers and non-integer vertex counts or
+        ids are rejected too.
     """
     try:
         doc = json.loads(text)
@@ -70,17 +91,13 @@ def schedule_from_json(text: str) -> Schedule:
         raise ScheduleError(
             f"unsupported schedule format version {doc.get('version')!r}"
         )
-    try:
-        n = int(doc["n_vertices"])
-        layers = [
-            [(int(u), int(v)) for (u, v) in layer] for layer in doc["layers"]
-        ]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ScheduleError(f"malformed schedule document: {exc}") from exc
     meta = doc.get("metadata")
     if meta is not None and not isinstance(meta, dict):
         raise ScheduleError("malformed schedule document: metadata must be an object")
-    return Schedule(n, layers, metadata=meta)
+    try:
+        return Schedule(doc["n_vertices"], doc["layers"], metadata=meta)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ScheduleError(f"malformed schedule document: {exc}") from exc
 
 
 def render_grid_layer(grid: GridGraph, layer) -> str:

@@ -21,6 +21,7 @@ from ..errors import RoutingError
 from ..graphs.base import Graph
 from ..perm.permutation import Permutation
 from ..token_swap.ats import approximate_token_swapping
+from ..token_swap.parallel import parallelize_swaps
 from .base import Router, register_router
 from .schedule import Schedule
 
@@ -61,7 +62,7 @@ class TreeRouter(Router):
         swaps = approximate_token_swapping(
             graph, perm, trials=self.trials, seed=self.seed
         )
-        sched = Schedule.from_serial_swaps(n, swaps).compact()
+        sched = parallelize_swaps(n, swaps)
         if self.validate:
             sched.verify(graph, perm)
         return sched

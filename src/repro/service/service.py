@@ -30,7 +30,6 @@ the same shape.
 from __future__ import annotations
 
 import asyncio
-import json
 import os
 import time
 from dataclasses import dataclass, field
@@ -41,7 +40,7 @@ from ..graphs.base import Graph
 from ..graphs.grid import GridGraph
 from ..perm.generators import WORKLOADS, make_workload
 from ..perm.permutation import Permutation
-from ..routing.serialize import schedule_to_json
+from ..routing.serialize import schedule_to_dict
 from .cache import LRUCache, ScheduleCache
 from .cluster import (
     DEFAULT_HANDOFF_RATE,
@@ -210,7 +209,7 @@ def route_result_to_dict(
         "error": result.error,
     }
     if include_schedule and result.schedule is not None:
-        doc["schedule"] = json.loads(schedule_to_json(result.schedule))
+        doc["schedule"] = schedule_to_dict(result.schedule)
     doc.update(extra)
     return doc
 

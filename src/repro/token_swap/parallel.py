@@ -28,8 +28,7 @@ __all__ = ["parallelize_swaps", "TokenSwapRouter"]
 
 def parallelize_swaps(n_vertices: int, swaps: Sequence[tuple[int, int]]) -> Schedule:
     """ASAP-parallelize a serial swap list into a matching schedule."""
-    layers = kernels.ACTIVE.compact_serial_swaps(n_vertices, swaps)
-    return Schedule._from_canonical(n_vertices, layers)
+    return kernels.ACTIVE.compact_serial_swaps(n_vertices, swaps)
 
 
 @register_router("ats", families=("any_connected",))

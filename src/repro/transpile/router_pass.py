@@ -220,10 +220,11 @@ def route_circuit(
         partial = PartialPermutation(n_phys, move)
         t0 = time.perf_counter()
         if completion == "partial-ats":
+            from ..token_swap.parallel import parallelize_swaps
             from ..token_swap.partial_ats import partial_token_swapping
 
             swaps, final = partial_token_swapping(graph, partial)
-            sched = Schedule.from_serial_swaps(n_phys, swaps).compact()
+            sched = parallelize_swaps(n_phys, swaps)
             perm = Permutation(final)
         else:
             perm = complete_partial(partial, graph, strategy=completion)

@@ -1,12 +1,15 @@
 """The pure-python kernel oracle and the context manager that installs it.
 
 Semantic ground truth for :mod:`repro.kernels`: these kernels either
-delegate to the original reference modules (Hopcroft–Karp,
-:class:`~repro.routing.schedule.Schedule` construction) or are direct
-loop transcriptions of the routers' original code paths. The numpy
-kernels are pinned to this oracle by ``test_kernels_equiv.py`` and by
-``benchmarks/bench_core.py``, so a behavioural change here is a semantic
-change of the contract.
+delegate to the original reference module (Hopcroft–Karp) or are direct
+loop transcriptions of the routers' original code paths. Schedule
+assembly validates, canonicalizes and ASAP-compacts nested tuples
+swap by swap (:func:`canonical_layers`, :func:`asap_layers`), never
+through :class:`~repro.routing.schedule.Schedule`'s array code, which
+``test_kernels_equiv.py`` also checks against these tuple functions.
+The numpy kernels are pinned to this oracle by ``test_kernels_equiv.py``
+and by ``benchmarks/bench_core.py``, so a behavioural change here is a
+semantic change of the contract.
 
 Array arguments are converted to plain lists at the boundary; all inner
 loops are numpy-free. :func:`oracle_kernels` swaps the oracle in for the
@@ -17,14 +20,20 @@ in this process only.
 from __future__ import annotations
 
 import contextlib
-from typing import Any, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 import repro.kernels
+from repro.errors import ScheduleError
 from repro.kernels import KernelBackend
 from repro.matching.hopcroft_karp import hopcroft_karp
 from repro.routing.schedule import Schedule
 
-__all__ = ["PythonKernelBackend", "oracle_kernels"]
+__all__ = [
+    "PythonKernelBackend",
+    "asap_layers",
+    "canonical_layers",
+    "oracle_kernels",
+]
 
 
 def _as_int_list(seq: Any) -> list[int]:
@@ -193,21 +202,66 @@ class PythonKernelBackend(KernelBackend):
         n_vertices: int,
         swap_layers: Sequence[tuple[Any, Any]],
         compact: bool = True,
-    ) -> tuple[tuple[tuple[int, int], ...], ...]:
-        # Validation and canonicalization are exactly the reference
-        # Schedule constructor; compaction the reference ASAP pass.
-        sched = Schedule(
+    ) -> Schedule:
+        layers = canonical_layers(
             n_vertices,
             (zip(_as_int_list(u), _as_int_list(v)) for u, v in swap_layers),
         )
         if compact:
-            sched = sched.compact()
-        return sched.layers
+            layers = asap_layers(layers)
+        return Schedule(n_vertices, layers)
 
     def compact_serial_swaps(
         self, n_vertices: int, swaps: Sequence[tuple[int, int]]
-    ) -> tuple[tuple[tuple[int, int], ...], ...]:
-        return Schedule.from_serial_swaps(n_vertices, swaps).compact().layers
+    ) -> Schedule:
+        serial = canonical_layers(n_vertices, ([s] for s in swaps))
+        return Schedule(n_vertices, asap_layers(serial))
+
+
+# ----------------------------------------------------------------------
+# schedules as nested tuples (the reference for Schedule's array code)
+# ----------------------------------------------------------------------
+Layers = tuple[tuple[tuple[int, int], ...], ...]
+
+
+def canonical_layers(n: int, layers: Iterable[Iterable[tuple[int, int]]]) -> Layers:
+    """Validate and canonicalize layers swap by swap.
+
+    Each swap becomes ``(min, max)`` and each layer a sorted tuple;
+    raises :class:`ScheduleError` on a self-swap, an endpoint outside
+    ``range(n)`` or a vertex used twice in one layer.
+    """
+    built: list[tuple[tuple[int, int], ...]] = []
+    for li, layer in enumerate(layers):
+        seen: set[int] = set()
+        canon: list[tuple[int, int]] = []
+        for u, v in layer:
+            u, v = int(u), int(v)
+            if u == v:
+                raise ScheduleError(f"layer {li}: self-swap on vertex {u}")
+            if not (0 <= u < n and 0 <= v < n):
+                raise ScheduleError(f"layer {li}: swap ({u}, {v}) out of range")
+            if u in seen or v in seen:
+                raise ScheduleError(f"layer {li}: vertex reuse in swap ({u}, {v})")
+            seen.update((u, v))
+            canon.append((min(u, v), max(u, v)))
+        built.append(tuple(sorted(canon)))
+    return tuple(built)
+
+
+def asap_layers(layers: Layers) -> Layers:
+    """ASAP re-timing: each swap one layer after the last use of either
+    endpoint, taking the layers in order."""
+    avail: dict[int, int] = {}
+    out: list[list[tuple[int, int]]] = []
+    for layer in layers:
+        for u, v in layer:
+            t = max(avail.get(u, 0), avail.get(v, 0))
+            if t == len(out):
+                out.append([])
+            out[t].append((u, v))
+            avail[u] = avail[v] = t + 1
+    return tuple(tuple(sorted(layer)) for layer in out)
 
 
 @contextlib.contextmanager

@@ -1,8 +1,8 @@
 """Tests for the binary schedule codec, its cache tier and its wire use.
 
 Covers hypothesis round-trips (``decode(encode(s)) == s``
-byte-identically, from both the flat-array and the nested-tuple
-schedule representations, at both id widths), a fuzzer proving that
+byte-identically, for schedules from the numpy kernels and from the
+oracle, at both id widths), a fuzzer proving that
 :func:`decode_schedule` raises nothing but :class:`ScheduleError` on
 any bytes, corrupt frames surfacing as cache misses or ``bad_request``
 — never crashes — the ``cache_get``/``cache_put`` wire fields, and the
@@ -87,14 +87,6 @@ class TestRoundTrip:
         assert d.n_layers == s.n_layers
         assert d.metadata == s.metadata
 
-    def test_decode_is_lazy(self):
-        s = Schedule(8, [[(0, 1), (2, 3)], [(4, 5)]])
-        d = decode_schedule(encode_schedule(s))
-        assert d._layers is None  # flat until structurally accessed
-        assert d.depth == 2 and d.size == 3  # flat fast paths
-        assert d._layers is None
-        assert d.layers == s.layers  # materializes once, identically
-
     def test_empty_schedule(self):
         e = Schedule.empty(5)
         assert decode_schedule(encode_schedule(e)) == e
@@ -107,15 +99,12 @@ class TestRoundTrip:
     def test_both_backends_encode_identically(self):
         grid = GridGraph(6, 6)
         perm = random_permutation(grid, seed=7)
-        flat = make_router("local").route(grid, perm)
+        product = make_router("local").route(grid, perm)
         with oracle_kernels():
-            tup = make_router("local").route(grid, perm)
-        # The numpy kernels' schedule lives as FlatLayers arrays, the
-        # oracle's as nested tuples; frames and decodes agree exactly.
-        assert flat._flat is not None and tup._flat is None
-        assert encode_schedule(flat) == encode_schedule(tup)
-        assert decode_schedule(encode_schedule(flat)) == tup
-        assert decode_schedule(encode_schedule(flat)).layers == tup.layers
+            oracle = make_router("local").route(grid, perm)
+        assert encode_schedule(product) == encode_schedule(oracle)
+        assert decode_schedule(encode_schedule(product)) == oracle
+        assert decode_schedule(encode_schedule(product)).layers == oracle.layers
 
     @pytest.mark.parametrize("n, width", [(32767, 2), (32768, 4)])
     def test_id_width_follows_n(self, n, width):
@@ -129,6 +118,17 @@ class TestRoundTrip:
             encode_schedule(Schedule(MAX_VERTICES + 1))
         with pytest.raises(ScheduleError, match="header"):
             decode_schedule(_raw_frame(MAX_VERTICES + 1, [], [], []))
+
+    def test_largest_vertex_count_round_trips(self):
+        # Two layers on MAX_VERTICES: the (layer, lo, hi) keys no longer
+        # fit int64, so the checks run on renumbered ids.
+        n = MAX_VERTICES
+        s = Schedule(n, [[(0, n - 1), (2, 3)], [(1, n - 1)]])
+        assert decode_schedule(encode_schedule(s)) == s
+        with pytest.raises(ScheduleError, match="sorted canonically"):
+            decode_schedule(_raw_frame(n, [2], [2, 0], [3, n - 1]))
+        with pytest.raises(ScheduleError, match="vertex reuse"):
+            decode_schedule(_raw_frame(n, [1, 2], [0, 0, 1], [1, n - 1, n - 1]))
 
     def test_64x64_frame_is_small(self):
         grid = GridGraph(64, 64)
@@ -171,11 +171,12 @@ def _raw_frame(
 
 def _v1_frame(s: Schedule) -> bytes:
     """The version-1 frame of ``s``: version byte 1 and int64 arrays."""
-    flat = s._flat_view()
+    counts = [len(layer) for layer in s.layers]
+    lo, hi = zip(*s.serial_swaps()) if s.size else ((), ())
     header = struct.pack(
-        "<8sqqqq", b"reproSC\x01", s.n_vertices, flat.counts.size, flat.lo.size, 0
+        "<8sqqqq", b"reproSC\x01", s.n_vertices, len(counts), s.size, 0
     )
-    body = [a.astype("<i8").tobytes() for a in (flat.counts, flat.lo, flat.hi)]
+    body = [np.array(a, dtype="<i8").tobytes() for a in (counts, lo, hi)]
     return header + b"".join(body)
 
 

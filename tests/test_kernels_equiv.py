@@ -13,11 +13,12 @@ identical schedules. This suite pins them together in two tiers:
   kernel that caused it rather than surfacing as a schedule diff three
   layers up.
 
-A third tier covers the lazy ``FlatLayers`` schedule representation the
-numpy kernels return: every ``Schedule`` transform must give the same
-answer whether the layers live as arrays or as materialized tuples. A
-fourth pins the frontier-batched Hopcroft–Karp augmentation to the
-reference on adversarial and contended instances.
+A third tier checks :class:`Schedule`'s array code: every transform
+(compaction, trimming, inversion, relabelling, concatenation,
+simulation, equality, hashing, iteration, indexing) must agree with a
+pure-python reference acting on nested tuples. A fourth pins the
+frontier-batched Hopcroft–Karp augmentation to the reference on
+adversarial and contended instances.
 """
 
 from __future__ import annotations
@@ -26,7 +27,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from kernel_oracle import PythonKernelBackend, oracle_kernels
+from kernel_oracle import (
+    PythonKernelBackend,
+    asap_layers,
+    canonical_layers,
+    oracle_kernels,
+)
 
 from repro import CartesianProduct, GridGraph, Permutation, make_router
 from repro.graphs import cycle_graph, path_graph
@@ -233,8 +239,8 @@ class TestPrimitiveEquivalence:
             )
             for _ in range(data.draw(st.integers(0, 10)))
         ]
-        assert PY.compact_serial_swaps(n, swaps) == NP.compact_serial_swaps(
-            n, swaps
+        _assert_same_schedule(
+            PY.compact_serial_swaps(n, swaps), NP.compact_serial_swaps(n, swaps)
         )
 
     @given(data=st.data())
@@ -254,61 +260,121 @@ class TestPrimitiveEquivalence:
             vs = np.array(verts[1::2], dtype=np.int64)
             layers.append((us, vs))
         compact = data.draw(st.booleans())
-        a = Schedule._from_canonical(n, PY.assemble_layers(n, layers, compact))
-        b = Schedule._from_canonical(n, NP.assemble_layers(n, layers, compact))
+        a = PY.assemble_layers(n, layers, compact)
+        b = NP.assemble_layers(n, layers, compact)
         _assert_same_schedule(a, b)
 
 
 # ----------------------------------------------------------------------
-# tier 3: FlatLayers vs tuple Schedule transforms
+# tier 3: Schedule's array transforms vs the tuple reference
 # ----------------------------------------------------------------------
-def _flat_and_tuple(seed: int) -> tuple[Schedule, Schedule]:
-    """The same routed schedule as (numpy-flat, oracle-tuple) instances."""
+def _ref_simulate(n: int, layers) -> list[int]:
+    """Token start vertex -> final vertex, one swap at a time."""
+    occ = list(range(n))
+    for layer in layers:
+        for u, v in layer:
+            occ[u], occ[v] = occ[v], occ[u]
+    realized = [0] * n
+    for pos, token in enumerate(occ):
+        realized[token] = pos
+    return realized
+
+
+def _check_against_reference(s: Schedule, ref, mapping: list[int]) -> None:
+    """Every transform of ``s`` equals the tuple reference on ``ref``."""
+    n = s.n_vertices
+    assert s.layers == ref
+    assert s.compact().layers == asap_layers(ref)
+    assert s.trimmed().layers == tuple(layer for layer in ref if layer)
+    assert s.inverse().layers == tuple(reversed(ref))
+    renamed = (
+        [(mapping[u], mapping[v]) for u, v in layer] for layer in ref
+    )
+    assert s.relabel(mapping).layers == canonical_layers(n, renamed)
+    assert (s + s).layers == ref + ref
+    assert s.serial_swaps() == [swap for layer in ref for swap in layer]
+    assert s.simulate().targets.tolist() == _ref_simulate(n, ref)
+    assert s.depth == sum(1 for layer in ref if layer)
+    assert s.size == sum(len(layer) for layer in ref)
+    assert len(s) == len(ref) and list(s) == list(ref)
+    for i in range(-len(ref), len(ref)):
+        assert s[i] == ref[i]
+    with pytest.raises(IndexError):
+        s[len(ref)]
+    # Equal whichever way it was made, with equal hashes.
+    for twin in (
+        Schedule(n, ref),
+        s.inverse().inverse(),
+        s.relabel(list(range(n))),
+        s.with_metadata(note="x"),
+    ):
+        assert twin == s and hash(twin) == hash(s)
+    assert s != Schedule(n + 1, ref)
+
+
+def _routed(seed: int) -> Schedule:
     grid = GridGraph(5, 5)
     perm = Permutation(np.random.default_rng(seed).permutation(25))
-    flat = make_router("local").route(grid, perm)
-    tup = _on_oracle("local", grid, perm)
-    return flat, tup
+    return make_router("local").route(grid, perm)
+
+
+@st.composite
+def raw_layers(draw):
+    """Valid layers in any swap order and orientation, empty ones included."""
+    n = draw(st.integers(2, 10))
+    layers = []
+    for _ in range(draw(st.integers(0, 6))):
+        verts = draw(st.permutations(range(n)))[: draw(st.integers(0, n))]
+        layers.append(list(zip(verts[0::2], verts[1::2])))
+    mapping = list(draw(st.permutations(range(n))))
+    return n, layers, mapping
 
 
 class TestFlatLayersTransforms:
+    """The schedule's flat arrays against the pure-python tuple reference."""
+
     @pytest.mark.parametrize("seed", range(4))
     def test_transforms_agree(self, seed):
-        flat, tup = _flat_and_tuple(seed)
-        _assert_same_schedule(flat, tup)
-        _assert_same_schedule(flat.trimmed(), tup.trimmed())
-        _assert_same_schedule(flat.compact(), tup.compact())
-        _assert_same_schedule(flat.inverse(), tup.inverse())
-        relab = list(reversed(range(25)))
-        _assert_same_schedule(flat.relabel(relab), tup.relabel(relab))
-        assert flat.serial_swaps() == tup.serial_swaps()
-        assert flat.simulate() == tup.simulate()
-        assert hash(flat) == hash(tup)
-        assert len(flat) == len(tup)
-        assert list(flat) == list(tup)
-        if len(flat):
-            assert flat[0] == tup[0] and flat[-1] == tup[-1]
+        s = _routed(seed)
+        mapping = np.random.default_rng(seed).permutation(25).tolist()
+        _check_against_reference(s, s.layers, mapping)
+        _check_against_reference(s.compact(), asap_layers(s.layers), mapping)
+
+    @given(case=raw_layers())
+    @settings(max_examples=60, deadline=None)
+    def test_transforms_agree_on_random_layers(self, case):
+        n, layers, mapping = case
+        s = Schedule(n, layers)
+        _check_against_reference(s, canonical_layers(n, layers), mapping)
 
     def test_concat_mixed_representations(self):
-        flat, tup = _flat_and_tuple(9)
-        assert (flat + tup).layers == tup.layers + tup.layers
-        assert (tup + flat) == (flat + tup)
+        # A kernel-assembled schedule joined with a constructor-built one.
+        routed = _routed(9)
+        built = Schedule(25, [[], [(4, 3), (0, 1)]], metadata={"a": 1})
+        assert (routed + built).layers == routed.layers + built.layers
+        assert (built + routed).layers == built.layers + routed.layers
+        assert (routed + built).metadata == {}
 
     def test_occupancy_sweep(self):
-        flat, tup = _flat_and_tuple(2)
-        a = np.arange(25, dtype=np.int64)
-        b = np.arange(25, dtype=np.int64)
-        flat.apply_to_occupancy(a)
-        tup.apply_to_occupancy(b)
-        np.testing.assert_array_equal(a, b)
+        s = _routed(2)
+        occ = np.arange(25, dtype=np.int64)
+        s.apply_to_occupancy(occ)
+        expected = list(range(25))
+        for layer in s.layers:
+            for u, v in layer:
+                expected[u], expected[v] = expected[v], expected[u]
+        assert occ.tolist() == expected
 
     def test_empty_flat_schedule(self):
         grid = GridGraph(3, 3)
         ident = Permutation.identity(9)
-        flat = make_router("local").route(grid, ident)
-        assert flat.size == 0
-        assert flat.compact().layers == ()
-        assert flat.trimmed().depth == 0
+        s = make_router("local").route(grid, ident)
+        assert s.size == 0
+        assert s.compact().layers == ()
+        assert s.trimmed().depth == 0
+        _check_against_reference(s, s.layers, list(range(9))[::-1])
+
+
 # ----------------------------------------------------------------------
 # tier 4: frontier-batched Hopcroft–Karp augmentation
 # ----------------------------------------------------------------------

@@ -37,6 +37,22 @@ class TestConstruction:
         with pytest.raises(ScheduleError):
             Schedule(0, [])
 
+    @pytest.mark.parametrize("n", [0.5, 2.9, 3.0, True, "3", None])
+    def test_rejects_non_integral_size(self, n):
+        with pytest.raises(ScheduleError, match="must be an integer"):
+            Schedule(n)
+
+    @pytest.mark.parametrize(
+        "swap", [(0, 1.7), (0.0, 1.0), (True, False), ("0", "1")]
+    )
+    def test_rejects_non_integral_ids(self, swap):
+        with pytest.raises(ScheduleError, match="integers"):
+            Schedule(3, [[swap]])
+
+    def test_accepts_numpy_integers(self):
+        s = Schedule(np.int32(3), [[(np.int64(2), np.uint8(0))]])
+        assert s.n_vertices == 3 and s.layers == (((0, 2),),)
+
     def test_from_serial_swaps(self):
         s = Schedule.from_serial_swaps(3, [(0, 1), (1, 2)])
         assert s.n_layers == 2 and s.size == 2
@@ -99,16 +115,25 @@ class TestSemantics:
             layer = list(zip(verts[0::2].tolist(), verts[1::2].tolist()))
             s = Schedule(12, [layer])
             expected = all(graph.has_edge(u, v) for u, v in layer)
-            for candidate in (s, Schedule._from_canonical(12, s._flat_view())):
-                try:
-                    candidate.check_against(graph)
-                    ok = True
-                except ScheduleError:
-                    ok = False
-                assert ok == expected
+            try:
+                s.check_against(graph)
+                ok = True
+            except ScheduleError:
+                ok = False
+            assert ok == expected
 
 
 class TestTransformations:
+    def test_keys_wider_than_int64(self):
+        # n_layers * n * n overflows int64: keys fall back to a dense
+        # renumbering of the touched ids, and nothing is sized by n.
+        n = 10**12
+        s = Schedule(n, [[(n - 1, 5), (0, 1)], [(1, 3)], [(0, 2)]])
+        assert s.layers == (((0, 1), (5, n - 1)), ((1, 3),), ((0, 2),))
+        assert s.compact().layers == (((0, 1), (5, n - 1)), ((0, 2), (1, 3)))
+        with pytest.raises(ScheduleError, match="vertex reuse"):
+            Schedule(n, [[(n - 1, 5), (5, 1)]])
+
     def test_trimmed(self):
         s = Schedule(3, [[], [(0, 1)], []])
         assert s.n_layers == 3 and s.trimmed().n_layers == 1
@@ -159,6 +184,12 @@ class TestTransformations:
             s.relabel([0, 0, 1])
         with pytest.raises(ScheduleError):
             s.relabel([0, 1])
+        # Mappings that are injective but leave range(n) are refused, even
+        # where no swap touches the offending entry.
+        with pytest.raises(ScheduleError, match="permutation"):
+            Schedule(3, [[(0, 2)]]).relabel([0, 7, 2])
+        with pytest.raises(ScheduleError, match="permutation"):
+            Schedule(3, []).relabel([5, 6, 7])
 
     def test_serial_swaps_roundtrip(self):
         s = Schedule(4, [[(0, 1), (2, 3)], [(1, 2)]])

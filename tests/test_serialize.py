@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.errors import ScheduleError
@@ -12,6 +14,7 @@ from repro.routing.serialize import (
     render_grid_layer,
     render_grid_schedule,
     schedule_from_json,
+    schedule_to_dict,
     schedule_to_json,
 )
 
@@ -56,6 +59,35 @@ class TestJsonRoundTrip:
     def test_rejects_missing_fields(self):
         with pytest.raises(ScheduleError):
             schedule_from_json('{"format": "repro.schedule", "version": 1}')
+
+    @pytest.mark.parametrize(
+        "n, layers",
+        [
+            ('"3"', "[[[0, 1]]]"),
+            ("2.5", "[[[0, 1]]]"),
+            ("true", "[]"),
+            ("3", "[[[0, 1.7]]]"),
+            ("3", "[[[0.0, 1.0]]]"),
+            ("3", '[[["0", "1"]]]'),
+            ("3", "[[[0, 1, 2]]]"),
+            ("3", "[[5]]"),
+            ("3", "7"),
+        ],
+    )
+    def test_rejects_non_integral_sizes_and_ids(self, n, layers):
+        doc = (
+            '{"format": "repro.schedule", "version": 1, '
+            f'"n_vertices": {n}, "layers": {layers}}}'
+        )
+        with pytest.raises(ScheduleError):
+            schedule_from_json(doc)
+
+    def test_dict_is_the_parsed_json(self):
+        s = Schedule(5, [[], [(3, 1), (0, 2)], []], metadata={"router": "x"})
+        doc = schedule_to_dict(s)
+        assert doc == json.loads(schedule_to_json(s))
+        assert list(doc) == ["format", "version", "n_vertices", "layers", "metadata"]
+        assert "metadata" not in schedule_to_dict(Schedule.empty(2))
 
 
 class TestAsciiRendering:

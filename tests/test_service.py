@@ -11,11 +11,15 @@ from repro.circuit.qasm import dumps
 from repro.cli import main
 from repro.errors import ReproError
 from repro.graphs import GridGraph
-from repro.perm import random_permutation
+from repro.perm import Permutation, random_permutation
+from repro.routing import Schedule
+from repro.routing.serialize import schedule_to_json
 from repro.service import (
     RouteRequest,
+    RouteResult,
     RoutingService,
     TranspileRequest,
+    request_key,
     route_result_to_dict,
     transpile_metrics,
 )
@@ -204,6 +208,17 @@ class TestRouteResultEncoding:
         assert "schedule" not in doc
         with_sched = route_result_to_dict(res, include_schedule=True)
         assert with_sched["schedule"]["format"] == "repro.schedule"
+        assert with_sched["schedule"] == json.loads(schedule_to_json(res.schedule))
+
+    def test_schedule_document_matches_schedule_to_json(self):
+        # Metadata and empty layers, rendered without a JSON round trip.
+        sched = Schedule(5, [[], [(3, 1), (0, 2)], [], [(1, 4)]], metadata={"a": [1]})
+        key = request_key(GridGraph(1, 5), Permutation.identity(5), "local")
+        res = RouteResult(0, key, "local", sched, 0.0, "computed")
+        doc = route_result_to_dict(res, include_schedule=True)
+        assert doc["schedule"] == json.loads(schedule_to_json(sched))
+        assert doc["schedule"]["layers"] == [[], [[0, 2], [1, 3]], [], [[1, 4]]]
+        assert json.dumps(doc["schedule"]) == schedule_to_json(sched)
 
 
 class TestBatchCli:
