@@ -28,10 +28,10 @@ Timing notes:
 
 Run standalone (``python benchmarks/bench_core.py``) for the report and
 the gates, or under pytest for the assertions. ``--ci`` shrinks the
-grids (the hit row runs at 64x64) and fails only on crash
-(shared-runner timing is reported, not asserted; ``tools/check_bench.py``
-compares the ratios with the committed baseline); ``--out PATH`` writes
-the numbers as JSON for artifact upload.
+grids (the hit row runs at 64x64), prints the ratios without a PASS/FAIL
+verdict and fails only on crash (shared-runner timing is reported, not
+asserted; ``tools/check_bench.py`` compares the ratios with the committed
+baseline); ``--out PATH`` writes the numbers as JSON for artifact upload.
 """
 
 from __future__ import annotations
@@ -218,6 +218,18 @@ def main(argv: list[str] | None = None) -> int:
     gated = max(
         (r for r in runs if r["router"] == "local"), key=lambda r: r["size"]
     )
+    if args.ci:
+        # CI gates on the benchmark running (and schedules agreeing).
+        # SPEEDUP_GATE and HIT_GATE are sized for the standalone grids,
+        # so the shrunk run prints its ratios without a verdict, for
+        # tools/check_bench.py to compare with the committed baseline.
+        print(
+            f"\nlocal {gated['size']}x{gated['size']} speedup "
+            f"{gated['speedup']:.2f}x; {hit['size']}x{hit['size']} route / "
+            f"(decode + verify) {hit['ratio']:.1f}x "
+            "(gated by tools/check_bench.py against the baseline)"
+        )
+        return 0
     ok = gated["speedup"] >= SPEEDUP_GATE
     print(
         f"\nlocal {gated['size']}x{gated['size']} speedup "
@@ -230,12 +242,7 @@ def main(argv: list[str] | None = None) -> int:
         f"{hit['ratio']:.1f}x (>={HIT_GATE:.0f}x required): "
         f"{'PASS' if hit_ok else 'FAIL'}"
     )
-    if args.ci:
-        # CI gates on the benchmark running (and schedules agreeing),
-        # not on shared-runner timing.
-        return 0
     return 0 if ok and hit_ok else 1
-
 
 if __name__ == "__main__":
     raise SystemExit(main())

@@ -17,9 +17,10 @@ Vectorization strategy per kernel:
 * **Matching peel** — the best-token-per-column-pair reduction becomes a
   single ``lexsort`` by ``(pair, cost, token)``; the reference dict's
   insertion order (first occurrence of a pair in ascending token order)
-  is reconstructed from ``np.unique(..., return_index=True)`` so the
-  Hopcroft–Karp adjacency — and hence the peeled matching — is
-  byte-identical.
+  is the minimum array index of each sorted pair group
+  (``np.minimum.reduceat``), and one ``argsort`` groups the edges by
+  source column in that order, so the Hopcroft–Karp adjacency — and
+  hence the peeled matching — is byte-identical.
 * **Odd–even transposition** — delegates to the already-vectorized
   :func:`repro.routing.path_oet.oet_rounds_batched` and maps rounds to
   vertex-id swap arrays with array arithmetic.
@@ -630,6 +631,19 @@ def _hk_csr(
     return _hk_csr_batched(n_left, n_right, adj, indptr, indices)
 
 
+def _weights_by_counts(rows: np.ndarray, dist: np.ndarray) -> np.ndarray:
+    """``W[k, r] = sum_i dist[rows[k, i], r]`` as one matrix product.
+
+    ``counts[k, x]`` is how many of row ``k``'s entries equal ``x``
+    (``0 <= x < len(dist)``), and ``W = counts @ dist``, exact in int64,
+    cast to float — no ``(k, len(rows[k]), len(dist))`` tensor.
+    """
+    k, span = rows.shape[0], dist.shape[0]
+    keys = (np.arange(k, dtype=np.int64)[:, None] * span + rows).ravel()
+    counts = np.bincount(keys, minlength=k * span).reshape(k, span)
+    return (counts @ dist).astype(float)
+
+
 def _split_adj(indptr: np.ndarray, indices: np.ndarray) -> list[list[int]]:
     """Per-left-vertex adjacency lists out of a CSR layout.
 
@@ -649,15 +663,19 @@ class NumpyKernelBackend(KernelBackend):
     # ------------------------------------------------------------------
     def delta_weights(self, rows_used: Sequence[Any], n_rows: int) -> np.ndarray:
         rows = np.stack([np.asarray(ru, dtype=np.int64) for ru in rows_used])
-        r = np.arange(n_rows, dtype=np.int64)
-        return np.abs(rows[:, :, None] - r[None, None, :]).sum(axis=1).astype(float)
+        # Row values may fall outside [0, n_rows): count over their span.
+        lo = int(rows.min(initial=0))
+        x = np.arange(lo, int(rows.max(initial=n_rows - 1)) + 1, dtype=np.int64)
+        dist = np.abs(x[:, None] - np.arange(n_rows, dtype=np.int64))
+        return _weights_by_counts(rows - lo, dist)
 
     def factor_delta_weights(
         self, dist: Any, rows_used: Sequence[Any]
     ) -> np.ndarray:
         d = np.asarray(dist)
         rows = np.stack([np.asarray(ru, dtype=np.int64) for ru in rows_used])
-        return d[rows].sum(axis=1).astype(float)
+        # Index like ``d[rows]``: negative rows wrap, too-large ones raise.
+        return _weights_by_counts(np.arange(d.shape[0])[rows], d)
 
     # ------------------------------------------------------------------
     # bipartite matching
@@ -730,13 +748,13 @@ class NumpyKernelBackend(KernelBackend):
         rep_idx = order[starts]  # token-array index of each pair's representative
         rep_pair = sp[starts]  # ascending unique pair codes
         # Support-edge adjacency in the reference insertion order: first
-        # occurrence of each pair in ascending token order, grouped by
-        # source column (CSR), preserving that order within a column.
-        _, first_idx = np.unique(pair, return_index=True)
-        rank = np.empty(rep_pair.size, dtype=np.int64)
-        rank[np.argsort(first_idx, kind="stable")] = np.arange(rep_pair.size)
+        # occurrence of each pair (the smallest array index in its sorted
+        # group), grouped by source column (CSR). ``js`` is already
+        # non-decreasing, so one argsort of the packed (js, first) key
+        # orders the edges; the keys are unique, so any sort agrees.
+        first_idx = np.minimum.reduceat(order, starts)
         js = rep_pair // n
-        csr_order = np.lexsort((rank, js))
+        csr_order = np.argsort(js * tok.size + first_idx)
         indices = (rep_pair % n)[csr_order]
         indptr = np.concatenate(([0], np.cumsum(np.bincount(js, minlength=n))))
         match_l, _, size = _hk_csr(

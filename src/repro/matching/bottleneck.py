@@ -46,8 +46,8 @@ def bottleneck_assignment(
     refine:
         When True (default), among all assignments achieving the optimal
         bottleneck, return one minimizing the **total** weight
-        (lexicographic bottleneck-then-sum, via the Hungarian method when
-        scipy is available). Pure MCBBM fixes only the worst edge; once a
+        (lexicographic bottleneck-then-sum, via scipy's Hungarian
+        method). Pure MCBBM fixes only the worst edge; once a
         few unavoidably global matchings pin the bottleneck high, every
         other assignment would otherwise be unconstrained — refinement
         keeps the well-localized majority near their preferred rows. The
@@ -91,18 +91,16 @@ def bottleneck_assignment(
     bottleneck = float(values[hi])
 
     if refine and k > 1:
-        try:
-            from scipy.optimize import linear_sum_assignment
-        except ImportError:  # pragma: no cover - scipy present in CI
-            pass
-        else:
-            # Forbid edges above the bottleneck with a finite big-M: any
-            # feasible assignment costs <= bottleneck * k < big, so the
-            # optimum never uses a forbidden edge.
-            big = bottleneck * k + 1.0
-            masked = np.where(w <= bottleneck, w, big)
-            _, cols = linear_sum_assignment(masked)
-            return cols.astype(np.int64), bottleneck
+        # Imported here: scipy costs ~0.5 s to import, paid on first use.
+        from scipy.optimize import linear_sum_assignment
+
+        # Forbid edges above the bottleneck with a finite big-M: any
+        # feasible assignment costs <= bottleneck * k < big, so the
+        # optimum never uses a forbidden edge.
+        big = bottleneck * k + 1.0
+        masked = np.where(w <= bottleneck, w, big)
+        _, cols = linear_sum_assignment(masked)
+        return cols.astype(np.int64), bottleneck
 
     return np.asarray(best, dtype=np.int64), bottleneck
 

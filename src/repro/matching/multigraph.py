@@ -147,12 +147,9 @@ class ColumnMultigraph:
             raise MatchingError(f"unknown pick strategy {pick!r}")
 
         n = self.n
-        window = (
-            self._remaining
-            & (self.src_row >= row_lo)
-            & (self.src_row <= row_hi)
-        )
-        tokens = np.flatnonzero(window)
+        # Tokens are numbered row-major, so the window is one slice.
+        lo = row_lo * n
+        tokens = lo + np.flatnonzero(self._remaining[lo : (row_hi + 1) * n])
         if tokens.size < n:
             return None
 

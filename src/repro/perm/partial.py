@@ -12,8 +12,7 @@ Completion strategies
 ---------------------
 ``"optimal"``
     Minimum total-distance assignment of free sources to free destinations
-    (Hungarian method via :func:`scipy.optimize.linear_sum_assignment` when
-    scipy is available, otherwise falls back to ``"greedy"``).
+    (Hungarian method via :func:`scipy.optimize.linear_sum_assignment`).
 ``"greedy"``
     Repeatedly match the closest (source, destination) pair. ``O(k^2 log k)``
     for ``k`` don't-cares.
@@ -184,30 +183,24 @@ def complete_partial(
             [v for v in free_dst.tolist() if v not in stay], dtype=np.int64
         )
         if rem_src.size:
+            from scipy.optimize import linear_sum_assignment
+
             dist = graph.distance_matrix()
-            try:
-                from scipy.optimize import linear_sum_assignment
-            except ImportError:  # pragma: no cover - scipy present in CI
-                mapping.update(_greedy_assign(rem_src, rem_dst, dist))
-            else:
-                cost = dist[np.ix_(rem_src, rem_dst)]
-                rows, cols = linear_sum_assignment(cost)
-                for r, c in zip(rows, cols):
-                    mapping[int(rem_src[r])] = int(rem_dst[c])
+            cost = dist[np.ix_(rem_src, rem_dst)]
+            rows, cols = linear_sum_assignment(cost)
+            for r, c in zip(rows, cols):
+                mapping[int(rem_src[r])] = int(rem_dst[c])
         return Permutation.from_mapping(n, mapping)
 
     dist = graph.distance_matrix()
     if strategy == "optimal":
-        try:
-            from scipy.optimize import linear_sum_assignment
-        except ImportError:  # pragma: no cover - scipy is present in CI
-            strategy = "greedy"
-        else:
-            cost = dist[np.ix_(free_src, free_dst)]
-            rows, cols = linear_sum_assignment(cost)
-            for r, c in zip(rows, cols):
-                mapping[int(free_src[r])] = int(free_dst[c])
-            return Permutation.from_mapping(n, mapping)
+        from scipy.optimize import linear_sum_assignment
+
+        cost = dist[np.ix_(free_src, free_dst)]
+        rows, cols = linear_sum_assignment(cost)
+        for r, c in zip(rows, cols):
+            mapping[int(free_src[r])] = int(free_dst[c])
+        return Permutation.from_mapping(n, mapping)
 
     # greedy
     mapping.update(_greedy_assign(free_src, free_dst, dist))

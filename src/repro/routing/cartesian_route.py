@@ -40,7 +40,7 @@ from ..perm.permutation import Permutation
 from .base import Router, register_router
 from .complete_route import CompleteRouter
 from .cycle_route import CycleRouter, cycle_order
-from .grid_naive import sigmas_from_decomposition
+from .grid_naive import route_both_orientations, sigmas_from_decomposition
 from .path_oet import oet_rounds
 from .schedule import Schedule
 
@@ -232,20 +232,21 @@ class CartesianRouter(Router):
         self.validate = validate
 
     # ------------------------------------------------------------------
-    def _as_product(self, graph: Graph) -> CartesianProduct:
+    def _factors(self, graph: Graph) -> tuple[Graph, Graph]:
+        """The column and row factors ``(G1, G2)`` of ``graph``."""
         if isinstance(graph, CartesianProduct):
-            return graph
+            return graph.g1, graph.g2
         if isinstance(graph, GridGraph):
-            return CartesianProduct(
-                path_graph(graph.n_rows), path_graph(graph.n_cols)
-            )
+            return path_graph(graph.n_rows), path_graph(graph.n_cols)
         raise RoutingError(
             f"{self.name} router requires a CartesianProduct (or GridGraph), "
             f"got {type(graph).__name__}"
         )
 
-    def _route_oriented(self, prod: CartesianProduct, perm: Permutation) -> Schedule:
-        g1, g2 = prod.g1, prod.g2
+    def _route_oriented(
+        self, factors: tuple[Graph, Graph], perm: Permutation
+    ) -> Schedule:
+        g1, g2 = factors
         m, n = g1.n_vertices, g2.n_vertices
         N = m * n
 
@@ -321,21 +322,15 @@ class CartesianRouter(Router):
 
     def route(self, graph: Graph, perm: Permutation) -> Schedule:
         self._check_sizes(graph, perm)
-        prod = self._as_product(graph)
-        sched = self._route_oriented(prod, perm)
+        g1, g2 = self._factors(graph)
         if self.both_orientations:
-            N = prod.n_vertices
-            mapping = np.array(
-                [prod.swap_factors_vertex(v) for v in range(N)], dtype=np.int64
+            sched, _ = route_both_orientations(
+                lambda t, p: self._route_oriented((g2, g1) if t else (g1, g2), p),
+                (g1.n_vertices, g2.n_vertices),
+                perm,
             )
-            swapped = prod.swap_factors()
-            sched2 = self._route_oriented(swapped, perm.relabel(mapping))
-            back = np.array(
-                [swapped.swap_factors_vertex(v) for v in range(N)], dtype=np.int64
-            )
-            sched2 = sched2.relabel(back)
-            if sched2.depth < sched.depth:
-                sched = sched2
+        else:
+            sched = self._route_oriented((g1, g2), perm)
         if self.validate:
-            sched.verify(prod if not isinstance(graph, GridGraph) else graph, perm)
+            sched.verify(graph, perm)
         return sched

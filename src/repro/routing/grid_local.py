@@ -45,6 +45,7 @@ from .base import Router, register_router, stage
 from .grid_naive import (
     NaiveGridRouter,
     grid_route_with_sigmas,
+    route_both_orientations,
     sigmas_from_decomposition,
 )
 from .schedule import Schedule
@@ -163,24 +164,21 @@ class LocalGridRouter(Router):
 
     # ------------------------------------------------------------------
     def _route_oriented(
-        self, grid: GridGraph, perm: Permutation
+        self, shape: tuple[int, int], perm: Permutation
     ) -> tuple[Schedule, list[int], float]:
-        """LocalGridRoute on a fixed orientation.
+        """LocalGridRoute on a fixed orientation of an ``m x n`` grid.
 
         Returns (schedule, window widths, MCBBM bottleneck).
         """
-        m, _ = grid.shape
-        mg = ColumnMultigraph(grid.shape, perm)
+        m, _ = shape
+        mg = ColumnMultigraph(shape, perm)
         with stage("decomposition"):
             dec = windowed_decomposition(mg, growth=self.window_growth)
         with stage("bottleneck_assignment"):
             if self.assignment == "order":
                 assignment = np.arange(m)
                 bottleneck = float(
-                    max(
-                        float(np.abs(ru - r).sum())
-                        for r, ru in enumerate(dec.rows_used)
-                    )
+                    max(np.abs(ru - r).sum() for r, ru in enumerate(dec.rows_used))
                 )
             else:
                 weights = delta_weights(dec.rows_used, m)
@@ -188,9 +186,9 @@ class LocalGridRouter(Router):
                     weights, refine=self.refine_assignment
                 )
         with stage("swap_scheduling"):
-            sig = sigmas_from_decomposition(dec, assignment, grid.shape)
+            sig = sigmas_from_decomposition(dec, assignment, shape)
             sched = grid_route_with_sigmas(
-                grid,
+                shape,
                 perm,
                 sig,
                 optimize_parity=self.optimize_parity,
@@ -200,7 +198,7 @@ class LocalGridRouter(Router):
         return sched, dec.window_widths, bottleneck
 
     def route_with_info(
-        self, grid: GridGraph, perm: Permutation
+        self, grid: Graph, perm: Permutation
     ) -> tuple[Schedule, LocalRouteInfo]:
         """Route and return diagnostics (see :class:`LocalRouteInfo`)."""
         if not isinstance(grid, GridGraph):
@@ -208,29 +206,27 @@ class LocalGridRouter(Router):
                 f"{self.name} router requires a GridGraph, got {type(grid).__name__}"
             )
         self._check_sizes(grid, perm)
+        m, n = grid.shape
+        # Per orientation (keyed by ``transposed``): depth, widths, bottleneck.
+        runs: dict[bool, tuple[int, list[int], float]] = {}
 
-        sched_p, widths_p, bott_p = self._route_oriented(grid, perm)
-        depth_transposed = -1
-        sched, orientation, widths, bottleneck = sched_p, "primary", widths_p, bott_p
+        def oriented(transposed: bool, p: Permutation) -> Schedule:
+            sched, widths, bottleneck = self._route_oriented(
+                (n, m) if transposed else (m, n), p
+            )
+            runs[transposed] = (sched.depth, widths, bottleneck)
+            return sched
 
         if self.transpose_strategy:
-            n_total = grid.n_vertices
-            mapping = grid.transpose_vertices(np.arange(n_total))
-            grid_t = grid.transpose()
-            sched_tt, widths_t, bott_t = self._route_oriented(
-                grid_t, perm.relabel(mapping)
-            )
-            sched_t = sched_tt.relabel(grid_t.transpose_vertices(np.arange(n_total)))
-            depth_transposed = sched_t.depth
-            if sched_t.depth < sched_p.depth:
-                sched, orientation = sched_t, "transposed"
-                widths, bottleneck = widths_t, bott_t
-
+            sched, orientation = route_both_orientations(oriented, (m, n), perm)
+        else:
+            sched, orientation = oriented(False, perm), "primary"
+        _, widths, bottleneck = runs[orientation == "transposed"]
         info = LocalRouteInfo(
             orientation=orientation,
             depth=sched.depth,
-            depth_primary=sched_p.depth,
-            depth_transposed=depth_transposed,
+            depth_primary=runs[False][0],
+            depth_transposed=runs[True][0] if True in runs else -1,
             window_widths=widths,
             bottleneck=bottleneck,
         )
@@ -250,9 +246,5 @@ class LocalGridRouter(Router):
         return sched, info
 
     def route(self, graph: Graph, perm: Permutation) -> Schedule:
-        if not isinstance(graph, GridGraph):
-            raise RoutingError(
-                f"{self.name} router requires a GridGraph, got {type(graph).__name__}"
-            )
         sched, _ = self.route_with_info(graph, perm)
         return sched

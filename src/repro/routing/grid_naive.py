@@ -21,9 +21,9 @@ decomposition arbitrarily (the original [ACG94] choice) and assigns the
 locality-aware algorithm improves on.
 
 This module also hosts :func:`route_both_orientations`, the paper's
-Algorithm 1 wrapper: run a grid router in column–row–column orientation
-and again on the transposed grid (row–column–row), keep the shallower
-schedule.
+Algorithm 1 driver of every grid-like router: route column–row–column,
+again on the transposed instance (row–column–row, a closed-form vertex
+map, no second graph), and keep the shallower schedule.
 """
 
 from __future__ import annotations
@@ -95,7 +95,7 @@ def sigmas_from_decomposition(
 
 
 def grid_route_with_sigmas(
-    grid: GridGraph,
+    shape: tuple[int, int],
     perm: Permutation,
     sigmas: np.ndarray,
     *,
@@ -107,8 +107,8 @@ def grid_route_with_sigmas(
 
     Parameters
     ----------
-    grid:
-        The ``m x n`` grid.
+    shape:
+        ``(m, n)`` grid shape (vertices numbered row-major).
     perm:
         Permutation to route (token at ``v`` must reach ``perm(v)``).
     sigmas:
@@ -129,7 +129,7 @@ def grid_route_with_sigmas(
         On malformed ``sigmas`` or (with ``validate``) a semantic failure.
     """
     kb = kernels.ACTIVE
-    m, n = grid.shape
+    m, n = shape
     N = m * n
     if perm.size != N:
         raise RoutingError(f"permutation size {perm.size} != grid size {N}")
@@ -198,33 +198,30 @@ def grid_route_with_sigmas(
 
 
 def route_both_orientations(
-    oriented_route: Callable[[GridGraph, Permutation], Schedule],
-    grid: GridGraph,
+    oriented_route: Callable[[bool, Permutation], Schedule],
+    shape: tuple[int, int],
     perm: Permutation,
 ) -> tuple[Schedule, str]:
     """Algorithm 1: run both orientations, return the shallower schedule.
 
-    ``oriented_route`` is executed on ``(grid, perm)`` (column–row–column)
-    and on the transposed instance (equivalent to row–column–row on the
-    original grid); the transposed schedule is relabelled back to the
-    original grid's vertex ids.
+    ``oriented_route(transposed, perm)`` routes column–row–column on the
+    ``m x n`` instance of ``shape`` or on its ``n x m`` transpose, whose
+    vertex ``b*m + a`` is the original's ``a*n + b`` (row–column–row on
+    the original). Only a transposed schedule strictly shallower than the
+    primary one is relabelled back, so ties keep the primary.
 
     Returns
     -------
     (schedule, orientation):
         ``orientation`` is ``"primary"`` or ``"transposed"``.
     """
-    s1 = oriented_route(grid, perm)
-    N = grid.n_vertices
-    mapping = grid.transpose_vertices(np.arange(N))
-    perm_t = perm.relabel(mapping)
-    grid_t = grid.transpose()
-    s2_t = oriented_route(grid_t, perm_t)
-    back = grid_t.transpose_vertices(np.arange(N))
-    s2 = s2_t.relabel(back)
-    if s1.depth <= s2.depth:
-        return s1, "primary"
-    return s2, "transposed"
+    m, n = shape
+    ids = np.arange(m * n, dtype=np.int64)
+    primary = oriented_route(False, perm)
+    transposed = oriented_route(True, perm.relabel(ids.reshape(n, m).T.ravel()))
+    if transposed.depth < primary.depth:
+        return transposed.relabel(ids.reshape(m, n).T.ravel()), "transposed"
+    return primary, "primary"
 
 
 @register_router("naive", families=("grid",))
@@ -254,16 +251,14 @@ class NaiveGridRouter(Router):
         self.compact = compact
         self.validate = validate
 
-    def _route_oriented(self, grid: GridGraph, perm: Permutation) -> Schedule:
-        mg = ColumnMultigraph(grid.shape, perm)
+    def _route_oriented(self, shape: tuple[int, int], perm: Permutation) -> Schedule:
+        mg = ColumnMultigraph(shape, perm)
         with stage("decomposition"):
             dec = naive_decomposition(mg)
         with stage("swap_scheduling"):
-            sig = sigmas_from_decomposition(
-                dec, np.arange(grid.shape[0]), grid.shape
-            )
+            sig = sigmas_from_decomposition(dec, np.arange(shape[0]), shape)
             return grid_route_with_sigmas(
-                grid,
+                shape,
                 perm,
                 sig,
                 optimize_parity=self.optimize_parity,
@@ -277,7 +272,12 @@ class NaiveGridRouter(Router):
                 f"{self.name} router requires a GridGraph, got {type(graph).__name__}"
             )
         self._check_sizes(graph, perm)
+        m, n = graph.shape
         if self.transpose_strategy:
-            sched, _ = route_both_orientations(self._route_oriented, graph, perm)
+            sched, _ = route_both_orientations(
+                lambda t, p: self._route_oriented((n, m) if t else (m, n), p),
+                (m, n),
+                perm,
+            )
             return sched
-        return self._route_oriented(graph, perm)
+        return self._route_oriented((m, n), perm)

@@ -76,25 +76,29 @@ def oet_rounds_batched(
         _check_permutation_columns(D)
     if L <= 1 or k == 0:
         return []
-    target = np.arange(L)[:, None]
-    if (D == target).all():
-        return []
     D = D.copy()
+    buf = np.empty((L // 2, k), dtype=D.dtype)
     rounds: list[tuple[np.ndarray, np.ndarray]] = []
-    even_idx = np.arange(0, L - 1, 2)
-    odd_idx = np.arange(1, L - 1, 2)
+    idle = False
     for r in range(L + 1):
-        idx = even_idx if (r + start_parity) % 2 == 0 else odd_idx
-        if idx.size:
-            mask = D[idx] > D[idx + 1]
-            if mask.any():
-                ii, cc = np.nonzero(mask)
-                pos = idx[ii]
-                D[pos, cc], D[pos + 1, cc] = D[pos + 1, cc], D[pos, cc]
-                rounds.append((pos, cc))
-                if (D == target).all():
-                    return rounds
-    if not (D == target).all():  # pragma: no cover - defensive
+        # Compare-exchange the pairs (s + 2i, s + 2i + 1) of every path at
+        # once through strided views; record inversions row-major.
+        s = (r + start_parity) % 2
+        pairs = (L - s) // 2
+        lo, hi = D[s : s + 2 * pairs : 2], D[s + 1 : s + 2 * pairs : 2]
+        flat = np.flatnonzero(lo > hi)
+        if not flat.size:
+            if idle:  # no inversion at either parity: sorted
+                break
+            idle = True
+            continue
+        idle = False
+        i, c = np.divmod(flat, k)
+        rounds.append((s + 2 * i, c))
+        tmp = np.minimum(lo, hi, out=buf[:pairs])
+        np.maximum(lo, hi, out=hi)
+        lo[...] = tmp
+    if not (D == np.arange(L)[:, None]).all():
         raise RoutingError("odd-even transposition failed to converge")
     return rounds
 

@@ -43,10 +43,11 @@ from ..perm.permutation import Permutation
 
 __all__ = ["Schedule", "build_schedule", "check_canonical"]
 
-#: Above this many ``n_layers * n_vertices`` flags the per-layer
-#: vertex-reuse check sorts the endpoints instead of marking them, so
-#: its extra memory stays O(n_swaps).
+#: The vertex-reuse check marks ``(layer, vertex)`` flags, a block of whole
+#: layers (at most ``_MARK_MAX`` flags) at a time, while they number at most
+#: ``_MARK_MAX`` or ``_MARKS_PER_SWAP`` per swap; sparser ones sort instead.
 _MARK_MAX = 1 << 22
+_MARKS_PER_SWAP = 64
 
 
 class Schedule:
@@ -525,17 +526,25 @@ def _refuse_reuse(
 ) -> None:
     """Raise when a ``(layer, vertex)`` pair occurs twice.
 
-    One flag per pair marks them up to :data:`_MARK_MAX` pairs; past
-    it, and to name the layer of a reuse, a stable (merging) sort of
-    the ``2 * n_swaps`` keys keeps the extra memory O(n_swaps).
+    Marks flags (see :data:`_MARK_MAX`); past that bound, and to name
+    the layer of a reuse, sorts the ``2 * n_swaps`` keys (a stable merge).
     """
-    base = lid * n
-    if n_layers * n <= _MARK_MAX:
-        seen = np.zeros(n_layers * n, dtype=bool)
-        seen[base + lo] = True
-        seen[base + hi] = True
-        if np.count_nonzero(seen) == 2 * lo.size:
+    per = min(_MARK_MAX // n, n_layers)  # whole layers per block
+    if per and n_layers * n <= max(_MARK_MAX, _MARKS_PER_SWAP * lo.size):
+        seen = np.zeros(per * n, dtype=bool)
+        bounds = np.searchsorted(lid, range(0, n_layers + per, per)).tolist()
+        for first, a, b in zip(range(0, n_layers, per), bounds, bounds[1:]):
+            base = lid[a:b] * n
+            if first:  # a later block: block-relative keys, cleared marks
+                base -= first * n
+                seen[:] = False
+            seen[base + lo[a:b]] = True
+            seen[base + hi[a:b]] = True
+            if np.count_nonzero(seen) != 2 * (b - a):
+                break
+        else:
             return
+    base = lid * n
     ends = np.concatenate((base + lo, base + hi))
     ends.sort(kind="stable")
     dup = np.flatnonzero(ends[1:] == ends[:-1])

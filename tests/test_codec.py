@@ -16,6 +16,7 @@ import asyncio
 import base64
 import json
 import struct
+import time
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from kernel_oracle import oracle_kernels
 
+import repro.routing.schedule as schedule_module
 from repro import GridGraph, make_router, random_permutation
 from repro.errors import ClusterShardError, ScheduleError
 from repro.routing.codec import (
@@ -220,13 +222,42 @@ class TestCorruptFrames:
             decode_schedule(_raw_frame(6, [2], [0, 1], [1, 2]))
 
     def test_vertex_reuse_rejected_on_the_sort_path(self):
-        # 40000 vertices x 105 layers is past the bincount bound, so the
-        # reuse check sorts the endpoints instead.
+        # 40000 vertices x 105 layers is past the 4M-flag bound, with far
+        # more flags per swap than marking pays for, so the reuse check
+        # sorts the endpoints instead.
         n, empty = 40000, [0] * 104
-        with pytest.raises(ScheduleError, match="vertex reuse"):
+        with pytest.raises(ScheduleError, match="layer 104: vertex reuse"):
             decode_schedule(_raw_frame(n, empty + [2], [0, 1], [1, 2]))
         ok = decode_schedule(_raw_frame(n, empty + [2], [0, 2], [1, 3]))
         assert ok.layers[-1] == ((0, 1), (2, 3))
+
+    def test_reuse_marks_reset_between_blocks(self, monkeypatch):
+        # Blocks of two layers at n = 4: layer 2 opens the second block,
+        # whose block-relative keys are those of layer 0. Marks left over
+        # from layer 0 would make its reuse of vertex 2 look clean.
+        monkeypatch.setattr(schedule_module, "_MARK_MAX", 8)
+        with pytest.raises(ScheduleError, match="layer 2: vertex reuse"):
+            decode_schedule(_raw_frame(4, [1, 0, 2], [0, 1, 2], [1, 2, 3]))
+        ok = decode_schedule(_raw_frame(4, [1, 0, 1, 1, 1], [0, 0, 0, 2], [1, 1, 1, 3]))
+        assert ok.layers == (((0, 1),), (), ((0, 1),), ((0, 1),), ((2, 3),))
+
+    def test_sparse_layers_decode_quickly(self):
+        # 10**5 empty layers of 2**21 vertices and one swap: marking one
+        # flag per (layer, vertex) would walk 2 * 10**11 flags, so the
+        # reuse check sorts the two endpoints instead.
+        n, n_layers = 1 << 21, 10**5
+        frame = _raw_frame(n, [0] * (n_layers - 1) + [1], [0], [1])
+        t0 = time.perf_counter()
+        assert decode_schedule(frame).depth == 1
+        assert time.perf_counter() - t0 < 2.0
+
+    def test_vertex_reuse_rejected_in_a_layer_wider_than_the_marks(self):
+        # One layer of 2**23 vertices needs more flags than a block
+        # holds, so every key is sorted instead; nothing is sized by n.
+        n = 1 << 23
+        with pytest.raises(ScheduleError, match="layer 1: vertex reuse"):
+            decode_schedule(_raw_frame(n, [1, 2], [0, 0, 1], [1, 1, 2]))
+        assert decode_schedule(_raw_frame(n, [1, 1], [0, 0], [1, 1])).depth == 2
 
     def test_wrapping_layer_counts_rejected(self):
         # The int16 sum of these counts wraps to 1 == n_swaps; decoding

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import RoutingError
-from repro.graphs import GridGraph, path_graph
+from repro.graphs import CartesianProduct, GridGraph, cycle_graph, path_graph
 from repro.perm import (
     Permutation,
     block_local_permutation,
@@ -18,6 +18,7 @@ from repro.routing import (
     LocalGridRouter,
     NaiveGridRouter,
     Schedule,
+    make_router,
     delta_weights,
     grid_route_with_sigmas,
     route_both_orientations,
@@ -31,19 +32,21 @@ class TestGridRouteSubroutine:
     def test_identity_sigma_identity_perm(self):
         g = GridGraph(3, 3)
         sig = np.tile(np.arange(3)[:, None], (1, 3))
-        s = grid_route_with_sigmas(g, Permutation.identity(9), sig)
+        s = grid_route_with_sigmas(g.shape, Permutation.identity(9), sig)
         assert s.depth == 0
 
     def test_rejects_bad_sigma_shape(self):
         g = GridGraph(2, 3)
         with pytest.raises(RoutingError):
-            grid_route_with_sigmas(g, Permutation.identity(6), np.zeros((3, 2), int))
+            grid_route_with_sigmas(
+                g.shape, Permutation.identity(6), np.zeros((3, 2), int)
+            )
 
     def test_rejects_non_permutation_sigma_columns(self):
         g = GridGraph(2, 2)
         with pytest.raises(RoutingError):
             grid_route_with_sigmas(
-                g, Permutation.identity(4), np.zeros((2, 2), int)
+                g.shape, Permutation.identity(4), np.zeros((2, 2), int)
             )
 
     def test_rejects_invalid_decomposition_sigma(self):
@@ -53,14 +56,14 @@ class TestGridRouteSubroutine:
         # row-internal swaps: identity sigma is a valid decomposition here
         perm = Permutation([1, 0, 3, 2])
         ok = np.array([[0, 0], [1, 1]])
-        grid_route_with_sigmas(g, perm, ok).verify(g, perm)
+        grid_route_with_sigmas(g.shape, perm, ok).verify(g, perm)
         # perm2: tokens t0 (0,0)->(0,0) and t1 (0,1)->(1,0) share the
         # destination column 0; an identity sigma parks both in row 0,
         # violating the phase-2 precondition.
         perm2 = Permutation([0, 2, 1, 3])
         bad = np.array([[0, 0], [1, 1]])
         with pytest.raises(RoutingError):
-            grid_route_with_sigmas(g, perm2, bad)
+            grid_route_with_sigmas(g.shape, perm2, bad)
 
 
 class TestSigmasFromDecomposition:
@@ -136,11 +139,69 @@ class TestTransposeStrategy:
         g = GridGraph(3, 5)
         perm = random_permutation(g, seed=1)
         router = NaiveGridRouter()
-        sched, orient = route_both_orientations(router._route_oriented, g, perm)
+        sched, orient = route_both_orientations(
+            lambda t, p: router._route_oriented((5, 3) if t else (3, 5), p),
+            g.shape,
+            perm,
+        )
         sched.verify(g, perm)
         assert orient in ("primary", "transposed")
         # must not be worse than the primary orientation alone
-        assert sched.depth <= router._route_oriented(g, perm).depth
+        assert sched.depth <= router._route_oriented(g.shape, perm).depth
+
+    def test_tie_keeps_primary_schedule(self):
+        # Transposing the grid maps the rotation by 180 degrees to itself,
+        # so both orientations route the same instance to equal depths:
+        # the driver must return the primary schedule, not a relabelled
+        # transposed one.
+        g = GridGraph(5, 5)
+        perm = Permutation(np.arange(25)[::-1].copy())
+        to_t = np.arange(25).reshape(5, 5).T.ravel()
+        assert perm.relabel(to_t) == perm
+        router = LocalGridRouter()
+        primary, *_ = router._route_oriented(g.shape, perm)
+        calls = []
+
+        def oriented(transposed, p):
+            calls.append(transposed)
+            return router._route_oriented(g.shape, p)[0]
+
+        sched, orient = route_both_orientations(oriented, g.shape, perm)
+        assert calls == [False, True]
+        assert orient == "primary"
+        assert sched == primary and sched.depth > 0
+        assert sched.relabel(to_t) != primary
+        _, info = router.route_with_info(g, perm)
+        assert info.orientation == "primary"
+        assert info.depth_primary == info.depth_transposed == sched.depth
+
+    @pytest.mark.parametrize(
+        "router, graph",
+        [
+            (LocalGridRouter(), GridGraph(6, 4)),
+            (NaiveGridRouter(transpose_strategy=True), GridGraph(6, 4)),
+            (make_router("cartesian"), GridGraph(6, 4)),
+            (make_router("cartesian"), CartesianProduct(path_graph(4), cycle_graph(5))),
+        ],
+        ids=["local", "naive-transposed", "cartesian-grid", "cartesian-product"],
+    )
+    def test_routes_build_no_graph(self, monkeypatch, router, graph):
+        # Algorithm 1 transposes by a closed-form vertex map; no router
+        # builds a transposed (or any other) grid or product graph.
+        perm = random_permutation(graph, seed=4)
+        built = []
+        for cls in (GridGraph, CartesianProduct):
+            init = cls.__init__
+
+            def counting(self, *args, _init=init, _cls=cls, **kwargs):
+                built.append(_cls.__name__)
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+        sched = router.route(graph, perm)
+        monkeypatch.undo()
+        assert built == []
+        sched.verify(graph, perm)
 
     def test_local_router_uses_transpose_when_better(self):
         # A permutation that only permutes within columns: the transposed

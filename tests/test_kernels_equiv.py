@@ -182,12 +182,58 @@ class TestPrimitiveEquivalence:
         )
 
     @given(data=st.data())
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=40, deadline=None)
+    def test_peel_matching(self, data):
+        n = data.draw(st.integers(1, 5))
+        # Half the windows hold a permutation's worth of column pairs, so
+        # every column appears on both sides and the matching runs; extra
+        # pairs repeat columns, and without the permutation a column may
+        # be missing. Shuffling interleaves the pairs' first occurrences.
+        pairs = []
+        if data.draw(st.booleans()):
+            pairs += list(enumerate(data.draw(st.permutations(range(n)))))
+        col = st.integers(0, n - 1)
+        pairs += data.draw(st.lists(st.tuples(col, col), max_size=3 * n))
+        pairs = [pairs[i] for i in data.draw(st.permutations(range(len(pairs))))]
+        k = len(pairs)
+        tokens = np.array(
+            sorted(
+                data.draw(
+                    st.lists(st.integers(0, 99), min_size=k, max_size=k, unique=True)
+                )
+            ),
+            dtype=np.int64,
+        )
+        # Few distinct costs, so representatives often tie on cost and
+        # fall back to the token id.
+        cost = np.array(
+            data.draw(
+                st.lists(
+                    st.sampled_from([0.0, 0.5, 1.0, 2.5]), min_size=k, max_size=k
+                )
+            ),
+            dtype=float,
+        )
+        src = np.array([j for j, _ in pairs], dtype=np.int64)
+        dst = np.array([jp for _, jp in pairs], dtype=np.int64)
+        a = PY.peel_matching(tokens, src, dst, cost, n)
+        b = NP.peel_matching(tokens, src, dst, cost, n)
+        if a is None:
+            assert b is None
+        else:
+            assert b is not None and np.asarray(b).tolist() == list(a)
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
     def test_oet_swap_layers(self, data):
-        length = data.draw(st.integers(1, 6))
-        paths = data.draw(st.integers(1, 4))
+        length = data.draw(st.integers(1, 12))
+        paths = data.draw(st.integers(1, 6))
+        # Some columns start sorted (they never swap, but share rounds).
         cols = [
-            data.draw(st.permutations(range(length))) for _ in range(paths)
+            list(range(length))
+            if data.draw(st.booleans())
+            else data.draw(st.permutations(range(length)))
+            for _ in range(paths)
         ]
         dest = np.array(cols, dtype=np.int64).T.copy()
         parity = data.draw(st.integers(0, 1))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
@@ -133,6 +135,17 @@ class TestTransformations:
         assert s.compact().layers == (((0, 1), (5, n - 1)), ((0, 2), (1, 3)))
         with pytest.raises(ScheduleError, match="vertex reuse"):
             Schedule(n, [[(n - 1, 5), (5, 1)]])
+
+    def test_sparse_serial_schedule_builds_quickly(self):
+        # One swap per layer on 2**21 vertices: the (layer, vertex) flags
+        # outnumber the swaps 2**21 to 1, so the reuse check sorts the
+        # endpoints instead of walking 10**11 flags.
+        n, k = 1 << 21, 50_000
+        swaps = [(2 * i, 2 * i + 1) for i in range(k)]
+        t0 = time.perf_counter()
+        s = Schedule.from_serial_swaps(n, swaps)
+        assert time.perf_counter() - t0 < 2.0
+        assert s.depth == k and s.layers[-1] == ((2 * k - 2, 2 * k - 1),)
 
     def test_trimmed(self):
         s = Schedule(3, [[], [(0, 1)], []])
