@@ -60,6 +60,17 @@ def report(title: str, stats: dict) -> None:
         print(f"  {k:22s} {v:.4f}" if isinstance(v, float) else f"  {k:22s} {v}")
 
 
+def gate(requirement: str, ok: bool, ci: bool) -> str:
+    """The verdict suffix for one standalone gate, e.g. ``(>=2x required): PASS``.
+
+    ``--ci`` does not enforce timing gates, so under ``ci`` the ratio is
+    reported without a PASS/FAIL verdict.
+    """
+    if ci:
+        return "(CI: reported, not asserted)"
+    return f"({requirement} required): {'PASS' if ok else 'FAIL'}"
+
+
 def write_json(doc: dict, path: str | None) -> None:
     """Dump the collected numbers to ``path`` (no-op when ``None``)."""
     if not path:

@@ -29,7 +29,7 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 sys.path.insert(0, os.path.dirname(__file__))
 
-from _common import make_parser, report, write_json
+from _common import gate, make_parser, report, write_json
 from repro.service import http_request, wait_for_http
 
 #: Workload mix: grid sizes x workload families, seeds cycled so later
@@ -169,7 +169,7 @@ def main(argv: list[str] | None = None) -> int:
     ok = dvc["speedup"] >= 2.0
     print(
         f"\ndaemon speedup {dvc['speedup']:.1f}x over cold invocations "
-        f"(>=2x required): {'PASS' if ok else 'FAIL'}"
+        f"{gate('>=2x', ok, args.ci)}"
     )
     if args.ci:
         # The CI gate is "the benchmark runs and produces numbers";

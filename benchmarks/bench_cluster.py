@@ -43,7 +43,7 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 sys.path.insert(0, os.path.dirname(__file__))
 
-from _common import make_parser, report, write_json
+from _common import gate, make_parser, report, write_json
 from bench_async import _env_with_src
 from repro.cli import main as repro_main
 from repro.service import (
@@ -297,16 +297,16 @@ def main(argv: list[str] | None = None) -> int:
     warm_join_ok = stats["joined_warm_rate"] >= 0.5
     print(
         f"\nremote-cache hit rate {stats['remote_hit_rate']:.2f} "
-        f"(>=0.50 required): {'PASS' if hit_ok else 'FAIL'}"
+        f"{gate('>=0.50', hit_ok, args.ci)}"
     )
     print(
         f"warm cluster serve {stats['speedup_vs_cold']:.2f}x cold local "
-        f"compute (>=2x required): {'PASS' if speed_ok else 'FAIL'}"
+        f"compute {gate('>=2x', speed_ok, args.ci)}"
     )
     print(
         f"joined shard warm-hit rate {stats['joined_warm_rate']:.2f} on "
         f"{stats['joined_owned_keys']} owned keys after handoff "
-        f"(>=0.50 required): {'PASS' if warm_join_ok else 'FAIL'}"
+        f"{gate('>=0.50', warm_join_ok, args.ci)}"
     )
     print(
         f"join transition: {stats['transition_errors']} request errors "

@@ -37,7 +37,7 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 sys.path.insert(0, os.path.dirname(__file__))
 
-from _common import make_parser, poisson_arrivals, report, write_json
+from _common import gate, make_parser, poisson_arrivals, report, write_json
 from repro.service import (
     AsyncRoutingService,
     RequestPipeline,
@@ -345,11 +345,11 @@ def main(argv: list[str] | None = None) -> int:
     warm_ok = warm["throughput_ratio"] >= 0.95
     print(
         f"\nwell-behaved p99 under overload {ov['p99_ratio']:.2f}x "
-        f"uncontended (<=3x required): {'PASS' if p99_ok else 'FAIL'}"
+        f"uncontended {gate('<=3x', p99_ok, args.ci)}"
     )
     print(
         f"enforced warm throughput {warm['throughput_ratio']:.3f}x open "
-        f"(>=0.95x required): {'PASS' if warm_ok else 'FAIL'}"
+        f"{gate('>=0.95x', warm_ok, args.ci)}"
     )
     if args.ci:
         # The CI gate is "the benchmark runs and the structural

@@ -31,7 +31,7 @@ sys.path.insert(0, os.path.dirname(__file__))
 
 import pytest
 
-from _common import make_parser, report, write_json
+from _common import gate, make_parser, report, write_json
 
 from repro import GridGraph, route
 from repro.perm import make_workload
@@ -200,12 +200,12 @@ def main(argv: list[str] | None = None) -> int:
     )
 
     ok = warm["speedup"] >= 5.0
-    print(f"\nwarm-cache speedup {warm['speedup']:.1f}x (>=5x required): "
-          f"{'PASS' if ok else 'FAIL'}")
+    print(f"\nwarm-cache speedup {warm['speedup']:.1f}x "
+          f"{gate('>=5x', ok, args.ci)}")
     if _usable_cpus() > 1:
         par_ok = par["speedup"] > 1.0
-        print(f"parallel speedup {par['speedup']:.2f}x (>1x required): "
-              f"{'PASS' if par_ok else 'FAIL'}")
+        print(f"parallel speedup {par['speedup']:.2f}x "
+              f"{gate('>1x', par_ok, args.ci)}")
         ok = ok and par_ok
     else:
         print(f"parallel speedup {par['speedup']:.2f}x "

@@ -23,10 +23,8 @@ Commands
     (``--socket PATH``) or a TCP port (``--http HOST:PORT``), including
     Prometheus ``/metrics``; see :mod:`repro.service.http` for the
     endpoints. Repeatable ``--peer ADDR`` joins the daemon to a
-    cluster cache ring (:mod:`repro.service.cluster`);
-    ``--topology-file PATH`` instead watches a JSON membership file
-    (reloaded on mtime change or SIGHUP); ``repro batch --cluster
-    ADDR`` taps the same ring from a one-shot batch. ``--tenants
+    cluster cache ring (:mod:`repro.service.cluster`); ``repro batch
+    --cluster ADDR`` taps the same ring from a one-shot batch. ``--tenants
     FILE`` enforces multi-tenant API-key authentication with
     weighted-fair queueing, ``--max-queue-depth N`` sheds load with
     429 once that many requests are queued, and ``repro batch
@@ -295,13 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="cache replicas per key on the cluster ring",
     )
     p_serve.add_argument(
-        "--topology-file",
-        metavar="PATH",
-        help="watch this JSON membership file (mtime poll + SIGHUP) "
-        "instead of a static --peer list; the file lists every ring "
-        "member address including this daemon's own node id",
-    )
-    p_serve.add_argument(
         "--breaker-cooldown",
         type=float,
         default=30.0,
@@ -431,82 +422,6 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         metavar="ADDR",
         help="any current ring member to read the topology from",
-    )
-
-    p_auto = sub.add_parser(
-        "autoscale",
-        help="supervise a ring: scale up/down from live /metrics signals",
-    )
-    p_auto.add_argument(
-        "--contact",
-        action="append",
-        required=True,
-        metavar="ADDR",
-        help="repeatable: ring member address to read the topology from "
-        "(the first one that answers wins)",
-    )
-    p_auto.add_argument(
-        "--pool",
-        action="append",
-        metavar="ADDR",
-        help="repeatable: spare daemon address the autoscaler may add to "
-        "the ring (and the only kind it will ever remove); the daemon "
-        "must already be running",
-    )
-    p_auto.add_argument(
-        "--min-nodes", type=int, default=1, help="never shrink below this size"
-    )
-    p_auto.add_argument(
-        "--max-nodes", type=int, default=8, help="never grow above this size"
-    )
-    p_auto.add_argument(
-        "--queue-high",
-        type=float,
-        default=8.0,
-        help="scale up when the summed fair-queue depth exceeds this",
-    )
-    p_auto.add_argument(
-        "--queue-low",
-        type=float,
-        default=1.0,
-        help="scale down when the summed queue depth is at or below this",
-    )
-    p_auto.add_argument(
-        "--p99-high",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="scale up when any member's pipeline.execute p99 exceeds this",
-    )
-    p_auto.add_argument(
-        "--hit-rate-low",
-        type=float,
-        default=None,
-        metavar="RATE",
-        help="scale up when the mean schedule-cache hit rate drops below "
-        "this (0..1)",
-    )
-    p_auto.add_argument(
-        "--cooldown",
-        type=float,
-        default=30.0,
-        help="seconds between membership actions (anti-flapping)",
-    )
-    p_auto.add_argument(
-        "--interval",
-        type=float,
-        default=5.0,
-        help="seconds between evaluation steps",
-    )
-    p_auto.add_argument(
-        "--once",
-        action="store_true",
-        help="run exactly one observe/decide/act step and exit",
-    )
-    p_auto.add_argument(
-        "--json",
-        action="store_true",
-        help="with --once: print the observation and decision as JSON",
     )
 
     p_sweep = sub.add_parser("sweep", help="mini Figure 4/5 sweep")
@@ -797,9 +712,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from .service import (
         AsyncRoutingService,
-        ClusterTopology,
         HttpRoutingServer,
-        TopologyFileWatcher,
         configure_logging,
         get_logger,
     )
@@ -821,11 +734,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.breaker_cooldown <= 0:
         raise ReproError(
             f"--breaker-cooldown must be positive, got {args.breaker_cooldown}"
-        )
-    if args.topology_file and args.peer:
-        raise ReproError(
-            "--topology-file and --peer are mutually exclusive (the file "
-            "is the authoritative member list)"
         )
     if args.gossip_interval < 0:
         raise ReproError(
@@ -868,13 +776,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     # no peers.
     node_id = args.node_id if args.node_id is not None else address
 
-    topology = None
-    watcher = None
-    if args.topology_file:
-        topology = ClusterTopology([node_id] if node_id else [])
-        watcher = TopologyFileWatcher(topology, args.topology_file)
-        watcher.reload()  # a malformed file fails the start loudly
-
     tenants = None
     if args.tenants:
         from .service import load_tenants_file
@@ -900,7 +801,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         cluster_peers=tuple(args.peer or ()),
         cluster_node_id=node_id,
         cluster_replication=args.replication,
-        cluster_topology=topology,
         cluster_retry_interval=args.breaker_cooldown,
         trace_buffer=args.trace_buffer,
         trace_slow=args.trace_slow,
@@ -948,11 +848,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             extra={"interval": args.sweep_interval},
         )
 
-    on_reload = watcher.reload_now if watcher is not None else None
-    if watcher is not None:
-        watcher.start()
     try:
-        server = HttpRoutingServer(svc, on_reload=on_reload, **listen)
+        server = HttpRoutingServer(svc, **listen)
         log.info("repro daemon listening", extra={"address": address})
         asyncio.run(server.serve())
         log.info("repro daemon stopped", extra={"address": address})
@@ -964,8 +861,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             gossip_node.close()
         if gossip_transport is not None:
             gossip_transport.close()
-        if watcher is not None:
-            watcher.stop()
 
 
 def _merge_traces(trace_docs: list[dict]) -> dict[str, dict]:
@@ -1172,42 +1067,6 @@ def _cmd_topology(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_autoscale(args: argparse.Namespace) -> int:
-    """The ``autoscale`` supervisor: metrics-driven ring resizing."""
-    from .service import AutoscalePolicy, Autoscaler, configure_logging
-
-    configure_logging("info")
-    policy = AutoscalePolicy(
-        min_nodes=args.min_nodes,
-        max_nodes=args.max_nodes,
-        queue_high=args.queue_high,
-        queue_low=args.queue_low,
-        p99_high=args.p99_high,
-        hit_rate_low=args.hit_rate_low,
-        cooldown=args.cooldown,
-    )
-    scaler = Autoscaler(args.contact, pool=args.pool or (), policy=policy)
-    if args.once:
-        obs, decision = scaler.step()
-        if args.json:
-            print(
-                json.dumps(
-                    {"observation": obs.as_dict(), "decision": decision.as_dict()},
-                    indent=2,
-                )
-            )
-        else:
-            print(
-                f"epoch {obs.epoch}, {len(obs.members)} member(s), "
-                f"queued {obs.queued:.0f} -> {decision.action}"
-                + (f" {decision.node}" if decision.node else "")
-                + f" ({decision.reason})"
-            )
-        return 0
-    scaler.run(args.interval)
-    return 0
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
     routers = {name: make_router(name) for name in ("local", "naive", "ats")}
     sweep = run_sweep(
@@ -1238,7 +1097,6 @@ _COMMANDS = {
     "serve": _cmd_serve,
     "trace": _cmd_trace,
     "topology": _cmd_topology,
-    "autoscale": _cmd_autoscale,
     "sweep": _cmd_sweep,
     "info": _cmd_info,
 }

@@ -91,15 +91,6 @@ class CartesianProduct(Graph):
         self._check_vertex(v)
         return divmod(v, self._g2.n_vertices)
 
-    def swap_factors(self) -> "CartesianProduct":
-        """The product with factors exchanged (``G2 □ G1``)."""
-        return CartesianProduct(self._g2, self._g1)
-
-    def swap_factors_vertex(self, v: int) -> int:
-        """Image of ``v`` under the factor-exchange isomorphism."""
-        a, b = self.coord(v)
-        return b * self._g1.n_vertices + a
-
     def distance_matrix(self) -> np.ndarray:
         """Product metric ``d1 ⊕ d2`` built from the factor matrices."""
         if self._dist is None:

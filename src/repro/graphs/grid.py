@@ -116,28 +116,6 @@ class GridGraph(Graph):
         return np.asarray(vertices) % self._ncols
 
     # ------------------------------------------------------------------
-    # transposition
-    # ------------------------------------------------------------------
-    def transpose(self) -> "GridGraph":
-        """The transposed grid ``n x m`` (rows and columns exchanged)."""
-        return GridGraph(self._ncols, self._m)
-
-    def transpose_vertex(self, v: int) -> int:
-        """Image of vertex ``v`` under the transposition automorphism.
-
-        Maps the vertex at ``(i, j)`` of this grid to the vertex at
-        ``(j, i)`` of :meth:`transpose`.
-        """
-        i, j = self.coord(v)
-        return j * self._m + i
-
-    def transpose_vertices(self, vertices: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`transpose_vertex`."""
-        v = np.asarray(vertices)
-        i, j = np.divmod(v, self._ncols)
-        return j * self._m + i
-
-    # ------------------------------------------------------------------
     # distances (closed form)
     # ------------------------------------------------------------------
     def distance_matrix(self) -> np.ndarray:

@@ -27,15 +27,15 @@ cost-estimate of each request), and load shedding (429 +
 ``Retry-After`` once the queue-depth bound is crossed; ``repro serve
 --tenants FILE --max-queue-depth N``). :mod:`~repro.service.cluster`
 stretches the cache across daemons: an epoch-versioned
-:class:`ClusterTopology` (runtime join/leave via the
-``topology_get``/``topology_update`` ops, a watched ``--topology-file``
-or the ``repro topology`` admin CLI) owns the membership, a
-consistent-hash ring (:class:`HashRing`) assigns each fingerprint
-digest to shard owners, :class:`RemoteShardClient` speaks the
+:class:`ClusterTopology` (seeded by ``--peer``, changed at runtime only
+by the ``topology_update`` op behind ``repro topology join|leave`` and
+by gossip) owns the membership, a consistent-hash ring
+(:class:`HashRing`) assigns each fingerprint digest to shard owners,
+:class:`RemoteShardClient` speaks the
 ``cache_get``/``cache_put``/``cache_stats``/``topology_*`` endpoints
-over a keep-alive HTTP connection, and :class:`ClusterScheduleCache` ties them into a
-replicated, failure-isolated cache tier with key-space handoff to
-newly joined shards (``repro serve --peer``).
+over a keep-alive HTTP connection, and :class:`ClusterScheduleCache`
+ties them into a replicated, failure-isolated cache tier with
+key-space handoff to newly joined shards (``repro serve --peer``).
 
 The cluster manages itself from there: :mod:`~repro.service.gossip`
 runs a SWIM-style failure detector over the same HTTP endpoints
@@ -47,12 +47,9 @@ every survivor's topology with no admin involvement — plus an
 anti-entropy sweep (:meth:`ClusterScheduleCache.anti_entropy_sweep`,
 ``--sweep-interval``) repairing under-replicated keys in the
 background and handoff eviction re-homing keys off their old owner.
-The deterministic simulation harness (:class:`SimNetwork`, a virtual
-clock with per-link fault injection) makes every protocol path a
-reproducible unit test. :mod:`~repro.service.autoscale` closes the
-loop: an :class:`Autoscaler` supervisor (``repro autoscale``) watches
-queue depth, p99 latency and hit rate across the ring and drives
-``topology`` joins/leaves automatically.
+:class:`GossipNode` takes an injectable clock, RNG and
+:class:`GossipTransport`, so the test suite drives every protocol path
+on a deterministic in-memory simulator.
 
 Observability cuts across every layer: :mod:`~repro.service.tracing`
 (request-scoped spans with W3C ``traceparent`` propagation across
@@ -70,12 +67,6 @@ See ``docs/ARCHITECTURE.md`` for the layer diagram, ``docs/API.md``
 """
 
 from .aio import AsyncRoutingService
-from .autoscale import (
-    AutoscaleDecision,
-    AutoscalePolicy,
-    Autoscaler,
-    ClusterObservation,
-)
 from .cache import CacheStats, LRUCache, ScheduleCache
 from .cluster import (
     ClusterScheduleCache,
@@ -85,9 +76,7 @@ from .cluster import (
     InProcessShardClient,
     RemoteShardClient,
     ShardClient,
-    TopologyFileWatcher,
     TopologyView,
-    parse_topology_doc,
 )
 from .executor import BatchExecutor, RouteRequest, RouteResult
 from .gossip import (
@@ -97,8 +86,6 @@ from .gossip import (
     GossipTransport,
     MemberState,
     PeerGossipTransport,
-    SimNetwork,
-    SimTransport,
 )
 from .handler import (
     ERROR_CODES,
@@ -166,8 +153,6 @@ __all__ = [
     "HashRing",
     "ClusterTopology",
     "TopologyView",
-    "TopologyFileWatcher",
-    "parse_topology_doc",
     "ShardClient",
     "RemoteShardClient",
     "InProcessShardClient",
@@ -179,12 +164,6 @@ __all__ = [
     "GossipTransport",
     "MemberState",
     "PeerGossipTransport",
-    "SimNetwork",
-    "SimTransport",
-    "AutoscalePolicy",
-    "Autoscaler",
-    "AutoscaleDecision",
-    "ClusterObservation",
     "AsyncRoutingService",
     "RequestHandler",
     "ERROR_CODES",

@@ -14,10 +14,10 @@ Four pieces provide that agreement:
   swaps in a freshly built :class:`HashRing` and bumps a monotonic
   epoch under a compare-and-set guard, so concurrent administrators
   cannot split-brain a ring and observers can tell "the ring changed
-  under me" from "my probe missed". ``--peer`` flags, a watched
-  ``--topology-file`` (:class:`TopologyFileWatcher`, reloaded on mtime
-  change or SIGHUP) and the runtime ``topology_update`` op are all
-  just different writers of the same object.
+  under me" from "my probe missed". ``--peer`` flags seed it; after
+  that it changes only through :meth:`ClusterTopology.update`, called
+  by the runtime ``topology_update`` op (``repro topology join|leave``)
+  and by gossip (:mod:`repro.service.gossip`).
 * :class:`HashRing` — consistent hashing with virtual nodes over the
   request-fingerprint digest. Every daemon builds the same ring from
   the same node ids, so ownership is a pure function of the digest; on
@@ -70,7 +70,6 @@ import bisect
 import hashlib
 import http.client
 import json
-import os
 import threading
 import time
 import urllib.parse
@@ -88,8 +87,6 @@ __all__ = [
     "HashRing",
     "ClusterTopology",
     "TopologyView",
-    "TopologyFileWatcher",
-    "parse_topology_doc",
     "ShardClient",
     "RemoteShardClient",
     "InProcessShardClient",
@@ -116,9 +113,6 @@ DEFAULT_SHARD_TIMEOUT = 5.0
 #: never floods the ring with replication traffic, high enough that a
 #: few thousand hot entries migrate in seconds.
 DEFAULT_HANDOFF_RATE = 500.0
-
-#: Seconds between topology-file mtime polls.
-DEFAULT_WATCH_INTERVAL = 1.0
 
 
 class HashRing:
@@ -285,9 +279,9 @@ class ClusterTopology:
 
     The single source of truth for "who is on the ring right now".
     :class:`ClusterScheduleCache`, the request handler's
-    ``topology_get`` / ``topology_update`` ops, the ``--topology-file``
-    watcher and the ``repro topology`` admin CLI all observe or mutate
-    this one object instead of owning private peer lists.
+    ``topology_get`` / ``topology_update`` ops (the ``repro topology``
+    admin CLI) and gossip all observe or mutate this one object
+    instead of owning private peer lists.
 
     Every successful mutation swaps in a complete new
     :class:`TopologyView` (member set, per-node metadata, freshly built
@@ -407,8 +401,8 @@ class ClusterTopology:
         ``"replace"`` (with the full ``members`` list). A ``replace``
         that changes nothing — same member set, no explicit ``epoch``,
         no metadata — is a no-op and does **not** bump the epoch, so a
-        re-read topology file or a repeated admin push cannot abort an
-        in-flight handoff.
+        repeated admin push or gossip merge cannot abort an in-flight
+        handoff.
 
         Raises
         ------
@@ -538,188 +532,6 @@ class ClusterTopology:
         return (
             f"ClusterTopology(epoch={view.epoch}, members={sorted(view.members)})"
         )
-
-
-def parse_topology_doc(
-    doc: Any,
-) -> tuple[list[str], int | None, dict[str, dict[str, Any]]]:
-    """Parse a topology-file document into ``(members, epoch, metadata)``.
-
-    Accepted shapes: a bare JSON array of member addresses, or an
-    object ``{"members": [...], "epoch": N}`` where each member is an
-    address string or ``{"id": "...", "metadata": {...}}``. ``epoch``
-    is optional (``None`` means "bump on change").
-
-    Raises
-    ------
-    ReproError
-        On any other shape.
-    """
-    epoch: int | None = None
-    if isinstance(doc, Mapping):
-        raw_members = doc.get("members")
-        if "epoch" in doc:
-            try:
-                epoch = int(doc["epoch"])
-            except (TypeError, ValueError):
-                raise ReproError("topology 'epoch' must be an integer") from None
-            if epoch <= 0:
-                raise ReproError(f"topology 'epoch' must be positive, got {epoch}")
-    else:
-        raw_members = doc
-    if not isinstance(raw_members, list):
-        raise ReproError(
-            "topology document must be a JSON array of member addresses or "
-            'an object with a "members" array'
-        )
-    members: list[str] = []
-    metadata: dict[str, dict[str, Any]] = {}
-    for entry in raw_members:
-        if isinstance(entry, str) and entry:
-            members.append(entry)
-        elif isinstance(entry, Mapping):
-            node = entry.get("id")
-            if not isinstance(node, str) or not node:
-                raise ReproError("topology member objects need a non-empty 'id'")
-            members.append(node)
-            extra = entry.get("metadata")
-            if extra is not None:
-                if not isinstance(extra, Mapping):
-                    raise ReproError("topology member 'metadata' must be an object")
-                metadata[node] = dict(extra)
-        else:
-            raise ReproError(
-                "topology members must be address strings or {'id': ...} objects"
-            )
-    return members, epoch, metadata
-
-
-class TopologyFileWatcher:
-    """Reload a :class:`ClusterTopology` from a watched JSON file.
-
-    The runtime-reconfiguration path for deployments that manage
-    membership as configuration (one file pushed to every host):
-    ``repro serve --topology-file PATH`` starts this watcher, which
-    polls the file's mtime every ``interval`` seconds and re-applies it
-    on change; SIGHUP (wired by the CLI to :meth:`reload_now`) forces
-    an immediate re-read. File semantics follow
-    :func:`parse_topology_doc`: a file *with* an ``epoch`` is applied
-    only while that epoch is newer than the current one (a stale file
-    with a *different* member set records an error instead of silently
-    rewinding the ring — except on the very first load, where the
-    daemon's implicit single-member epoch 1 must not shadow a fleet's
-    natural ``"epoch": 1`` starting file); a file without one bumps
-    the epoch exactly when the member set actually changes.
-
-    The watcher never raises from its thread — parse or apply failures
-    land in :attr:`last_error` and the previous topology stays in
-    force. Call :meth:`reload` directly (e.g. at daemon start) when a
-    malformed file should fail loudly.
-    """
-
-    def __init__(
-        self,
-        topology: ClusterTopology,
-        path: str | os.PathLike,
-        interval: float = DEFAULT_WATCH_INTERVAL,
-    ) -> None:
-        if interval <= 0:
-            raise ValueError(f"interval must be positive, got {interval}")
-        self.topology = topology
-        self.path = os.fspath(path)
-        self.interval = float(interval)
-        self.reloads = 0
-        self.last_error: str | None = None
-        self._last_mtime: int | None = None
-        self._applied = False
-        self._wake = threading.Event()
-        self._stop = threading.Event()
-        self._thread: threading.Thread | None = None
-
-    def reload(self) -> bool:
-        """Read and apply the file now; ``True`` when the topology changed.
-
-        Raises
-        ------
-        ReproError
-            On an unreadable or malformed file, or a stale file epoch
-            that disagrees with the current member set.
-        """
-        try:
-            with open(self.path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except (OSError, ValueError) as exc:
-            raise ReproError(f"cannot read topology file {self.path}: {exc}") from exc
-        members, epoch, metadata = parse_topology_doc(doc)
-        before = self.topology.epoch
-        if epoch is not None and epoch <= before:
-            if frozenset(members) == self.topology.members:
-                self._applied = True
-                return False
-            if self._applied:
-                raise StaleEpochError(
-                    f"topology file {self.path} carries stale epoch {epoch} "
-                    f"(current {before}) but a different member set; bump the "
-                    "file's epoch to apply it"
-                )
-            # First load: the daemon's implicit single-member topology
-            # already sits at epoch 1, so a fleet's natural first file
-            # ("epoch": 1) must still apply — install it as a plain
-            # bump rather than refusing to start.
-            epoch = None
-        view = self.topology.replace(
-            members, epoch=epoch, metadata=metadata or None
-        )
-        changed = view.epoch != before
-        if changed:
-            self.reloads += 1
-        self._applied = True
-        return changed
-
-    def reload_now(self) -> None:
-        """Wake the watcher thread for an immediate re-read (signal-safe)."""
-        self._wake.set()
-
-    def start(self) -> None:
-        """Start the polling thread (idempotent)."""
-        if self._thread is not None and self._thread.is_alive():
-            return
-        self._stop.clear()
-        self._thread = threading.Thread(
-            target=self._run, name="repro-topology-watch", daemon=True
-        )
-        self._thread.start()
-
-    def stop(self) -> None:
-        """Stop the polling thread (idempotent; joins briefly)."""
-        self._stop.set()
-        self._wake.set()
-        thread = self._thread
-        if thread is not None:
-            thread.join(timeout=self.interval + 1.0)
-        self._thread = None
-
-    def _run(self) -> None:
-        while not self._stop.is_set():
-            self._wake.wait(self.interval)
-            forced = self._wake.is_set()
-            self._wake.clear()
-            if self._stop.is_set():
-                break
-            try:
-                mtime = os.stat(self.path).st_mtime_ns
-            except OSError as exc:
-                self.last_error = f"cannot stat {self.path}: {exc}"
-                continue
-            if not forced and mtime == self._last_mtime:
-                continue
-            self._last_mtime = mtime
-            try:
-                self.reload()
-            except ReproError as exc:
-                self.last_error = str(exc)
-            else:
-                self.last_error = None
 
 
 class ShardClient(Protocol):
@@ -999,8 +811,9 @@ class RemoteShardClient:
         """The daemon's full ``stats`` document (caches + telemetry).
 
         Unlike :meth:`cache_stats` this is the whole service snapshot —
-        queue-depth gauges, latency histograms, hit rates — which is
-        what the autoscaler reads its signals from.
+        queue-depth gauges, latency histograms, hit rates, and the
+        cluster section (epoch, ring nodes, handoff state) that an
+        operator polls for convergence.
 
         Raises
         ------

@@ -139,7 +139,8 @@ def request_from_doc(doc: Mapping[str, Any]) -> RouteRequest:
     Raises
     ------
     ReproError
-        On a malformed document (missing keys, bad grid, bad perm).
+        On a malformed document (missing keys, bad grid, bad perm, or a
+        ``perm`` whose size is not ``rows * cols``).
     """
     if not isinstance(doc, Mapping):
         raise ReproError("expected a JSON object")
@@ -147,7 +148,7 @@ def request_from_doc(doc: Mapping[str, Any]) -> RouteRequest:
         rows, cols = int(doc["rows"]), int(doc["cols"])
     except (KeyError, TypeError, ValueError):
         raise ReproError("'rows' and 'cols' integers required") from None
-    grid = GridGraph(rows, cols)
+    perm: Permutation | None = None
     if "perm" in doc:
         try:
             perm = Permutation(doc["perm"])
@@ -157,10 +158,18 @@ def request_from_doc(doc: Mapping[str, Any]) -> RouteRequest:
             # Bad element types surface as numpy coercion errors; keep
             # the validation contract (ReproError on malformed docs).
             raise ReproError(f"bad 'perm': {exc}") from None
-    elif "workload" in doc:
-        perm = make_workload(doc["workload"], grid, seed=doc.get("seed", 0))
-    else:
+        # Checked before the grid is built, so a short body cannot make
+        # the daemon allocate a grid of any size it names.
+        if len(perm) != rows * cols:
+            raise ReproError(
+                f"permutation size {len(perm)} does not match the "
+                f"{rows}x{cols} grid ({rows * cols} vertices)"
+            )
+    elif "workload" not in doc:
         raise ReproError("needs 'perm' or 'workload'")
+    grid = GridGraph(rows, cols)
+    if perm is None:
+        perm = make_workload(doc["workload"], grid, seed=doc.get("seed", 0))
     options = doc.get("options", {})
     if not isinstance(options, Mapping):
         raise ReproError("'options' must be a JSON object")
@@ -523,7 +532,7 @@ class RequestHandler:
         if topology is None:
             raise ReproError(
                 "this daemon has no cluster topology (start it with a "
-                "dialable address, --peer or --topology-file)"
+                "dialable address or --peer)"
             )
         return topology
 

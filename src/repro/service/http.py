@@ -143,29 +143,19 @@ _JSON = "application/json"
 
 
 def install_signal_handlers(
-    loop: "asyncio.AbstractEventLoop",
-    stop: Callable[[], None],
-    on_reload: Callable[[], None] | None = None,
+    loop: "asyncio.AbstractEventLoop", stop: Callable[[], None]
 ) -> list[signal.Signals]:
     """Install the serve-loop signal handlers; returns what was installed.
 
-    SIGTERM and SIGINT trigger ``stop`` (graceful drain); SIGHUP — when
-    the platform has it and ``on_reload`` is given — triggers the
-    reload hook (topology-file re-read). Signals that cannot be
-    installed (non-main thread, unsupported platform) are skipped
-    silently; pass the returned list to :func:`remove_signal_handlers`
-    on the way out.
+    SIGTERM and SIGINT trigger ``stop`` (graceful drain). Signals that
+    cannot be installed (non-main thread, unsupported platform) are
+    skipped silently; pass the returned list to
+    :func:`remove_signal_handlers` on the way out.
     """
-    handlers: list[tuple[signal.Signals, Callable[[], None]]] = [
-        (signal.SIGTERM, stop),
-        (signal.SIGINT, stop),
-    ]
-    if on_reload is not None and hasattr(signal, "SIGHUP"):
-        handlers.append((signal.SIGHUP, on_reload))
     installed: list[signal.Signals] = []
-    for sig, handler in handlers:
+    for sig in (signal.SIGTERM, signal.SIGINT):
         try:
-            loop.add_signal_handler(sig, handler)
+            loop.add_signal_handler(sig, stop)
             installed.append(sig)
         except (NotImplementedError, RuntimeError, ValueError):
             pass  # non-main thread or unsupported platform
@@ -307,10 +297,6 @@ class HttpRoutingServer:
         file is removed on exit.
     max_body_bytes:
         Per-request body-size limit (413 above it).
-    on_reload:
-        Optional zero-argument callback installed as the SIGHUP
-        handler while serving (the CLI wires it to the topology-file
-        watcher's ``reload_now``).
     """
 
     def __init__(
@@ -321,7 +307,6 @@ class HttpRoutingServer:
         *,
         socket_path: str | os.PathLike | None = None,
         max_body_bytes: int = MAX_BODY_BYTES,
-        on_reload: Callable[[], None] | None = None,
     ) -> None:
         if max_body_bytes <= 0:
             raise ValueError(f"max_body_bytes must be positive, got {max_body_bytes}")
@@ -331,7 +316,6 @@ class HttpRoutingServer:
         self.port = port
         self.socket_path = os.fspath(socket_path) if socket_path is not None else None
         self.max_body_bytes = max_body_bytes
-        self.on_reload = on_reload
         #: The actually bound TCP port, set once the server is listening
         #: (useful with ``port=0``); ``None`` before start, after stop
         #: and in socket mode.
@@ -383,7 +367,7 @@ class HttpRoutingServer:
                 server = await asyncio.start_unix_server(
                     self._handle_conn, path=self.socket_path, limit=MAX_HEADER_BYTES
                 )
-        installed = install_signal_handlers(self._loop, self._stop.set, self.on_reload)
+        installed = install_signal_handlers(self._loop, self._stop.set)
         try:
             await self._stop.wait()
         finally:

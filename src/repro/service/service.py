@@ -268,12 +268,6 @@ class RoutingService:
     cluster_replication:
         Owners per key on the ring (see
         :class:`~repro.service.cluster.ClusterScheduleCache`).
-    cluster_topology:
-        An explicit epoch-versioned
-        :class:`~repro.service.cluster.ClusterTopology` to observe
-        (e.g. one fed by a ``--topology-file`` watcher). Enables
-        cluster mode by itself; published on
-        :attr:`cluster_topology` either way.
     cluster_retry_interval:
         Seconds a failed peer's circuit breaker stays open
         (``repro serve --breaker-cooldown``).
@@ -328,7 +322,6 @@ class RoutingService:
         cluster_peers: Sequence[str] = (),
         cluster_node_id: str | None = None,
         cluster_replication: int = 2,
-        cluster_topology: "ClusterTopology | None" = None,
         cluster_retry_interval: float = DEFAULT_RETRY_INTERVAL,
         cluster_handoff_rate: float = DEFAULT_HANDOFF_RATE,
         trace_buffer: int = 512,
@@ -353,18 +346,16 @@ class RoutingService:
         )
         #: The epoch-versioned ring membership this service observes
         #: (``None`` when cluster mode is off). The handler's
-        #: ``topology_get`` / ``topology_update`` ops and the
-        #: ``--topology-file`` watcher mutate this object; the cluster
-        #: cache reacts without any restart.
+        #: ``topology_get`` / ``topology_update`` ops and gossip mutate
+        #: this object; the cluster cache reacts without any restart.
         self.cluster_topology: ClusterTopology | None = None
-        if cluster_topology is not None or cluster_peers or cluster_node_id is not None:
+        if cluster_peers or cluster_node_id is not None:
             cache = ClusterScheduleCache(
                 local=cache,
                 peers={addr: RemoteShardClient(addr) for addr in cluster_peers},
                 node_id=cluster_node_id,
                 replication=cluster_replication,
                 retry_interval=cluster_retry_interval,
-                topology=cluster_topology,
                 handoff_rate=cluster_handoff_rate,
             )
             self.cluster_topology = cache.topology

@@ -68,23 +68,6 @@ class TestDistances:
         assert (prod.distance_matrix() == generic.distance_matrix()).all()
 
 
-class TestFactorSwap:
-    def test_swap_factors_roundtrip(self):
-        prod = CartesianProduct(path_graph(3), cycle_graph(4))
-        swapped = prod.swap_factors()
-        for v in range(prod.n_vertices):
-            w = prod.swap_factors_vertex(v)
-            assert swapped.swap_factors_vertex(w) == v
-
-    def test_swap_preserves_adjacency(self):
-        prod = CartesianProduct(path_graph(3), cycle_graph(4))
-        swapped = prod.swap_factors()
-        for (u, v) in prod.edges:
-            assert swapped.has_edge(
-                prod.swap_factors_vertex(u), prod.swap_factors_vertex(v)
-            )
-
-
 class TestNamedProducts:
     def test_torus(self):
         t = torus_graph(3, 3)

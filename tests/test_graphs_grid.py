@@ -97,27 +97,3 @@ class TestDistances:
         g = GridGraph(5, 7)
         assert g.distance(g.index(0, 0), g.index(4, 6)) == 10
         assert g.diameter() == 10
-
-
-class TestTranspose:
-    def test_transpose_shape(self):
-        g = GridGraph(2, 5)
-        assert g.transpose().shape == (5, 2)
-
-    def test_transpose_vertex_roundtrip(self):
-        g = GridGraph(3, 4)
-        gt = g.transpose()
-        for v in range(12):
-            assert gt.transpose_vertex(g.transpose_vertex(v)) == v
-
-    def test_transpose_preserves_adjacency(self):
-        g = GridGraph(3, 4)
-        gt = g.transpose()
-        for (u, v) in g.edges:
-            assert gt.has_edge(g.transpose_vertex(u), g.transpose_vertex(v))
-
-    def test_transpose_vertices_vectorized(self):
-        g = GridGraph(3, 4)
-        v = np.arange(12)
-        expected = np.array([g.transpose_vertex(x) for x in range(12)])
-        assert (g.transpose_vertices(v) == expected).all()

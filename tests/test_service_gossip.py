@@ -1,11 +1,11 @@
 """Tests for SWIM gossip membership (repro.service.gossip).
 
-Everything runs on the deterministic :class:`SimNetwork` harness — a
-virtual clock, per-node seeded RNGs and per-link fault injection — so
-each protocol path (suspicion, indirect probes, refutation,
-false-positive recovery, partition heal) is a reproducible unit test,
-plus hypothesis properties pinning bounded convergence and incarnation
-monotonicity for arbitrary churn sequences. The handler/pipeline tests
+Everything runs on the deterministic :class:`SimNetwork` harness
+(``tests/gossip_sim.py``) — a virtual clock, per-node seeded RNGs and
+per-link fault injection — so each protocol path (suspicion, indirect
+probes, refutation, false-positive recovery, partition heal) is a
+reproducible unit test, plus hypothesis properties pinning bounded
+convergence and incarnation monotonicity for arbitrary churn sequences. The handler/pipeline tests
 at the end check the ``gossip`` op wiring without any real transport.
 """
 
@@ -15,6 +15,7 @@ import asyncio
 import time
 
 import pytest
+from gossip_sim import SimNetwork
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,7 +29,6 @@ from repro.service import (
     MemberState,
     PeerGossipTransport,
     RequestHandler,
-    SimNetwork,
 )
 
 #: Tight timings so sim tests need few rounds: one-second rounds, three

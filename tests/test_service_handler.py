@@ -13,10 +13,29 @@ from repro.service import (
     AsyncRoutingService,
     RequestHandler,
     render_prometheus,
+    request_from_doc,
     transpile_request_from_doc,
 )
 
 QASM = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[4];\ncx q[0],q[3];\n'
+
+
+class TestRequestFromDoc:
+    def test_mismatched_perm_is_refused_before_the_grid_is_built(
+        self, monkeypatch
+    ):
+        import repro.service.handler as handler_mod
+
+        built = []
+
+        def no_grid(*args):
+            built.append(args)
+            raise AssertionError("the grid must not be built")
+
+        monkeypatch.setattr(handler_mod, "GridGraph", no_grid)
+        with pytest.raises(ReproError, match="does not match"):
+            request_from_doc({"rows": 20000, "cols": 20000, "perm": [0]})
+        assert built == []
 
 
 class TestTranspileRequestFromDoc:
@@ -91,6 +110,11 @@ class TestDispatch:
                     "workload": "random", "options": {"router": "naive"},
                 })
                 assert not collision["ok"] and collision["code"] == "route_error"
+                # A perm that does not fit the grid is a malformed request.
+                mismatch = await handler.dispatch(
+                    {"op": "route", "rows": 300, "cols": 300, "perm": [0]}
+                )
+                assert not mismatch["ok"] and mismatch["code"] == "bad_request"
 
         asyncio.run(run())
 

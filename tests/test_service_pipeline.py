@@ -393,12 +393,7 @@ class TestProcessHttp:
         assert resp.payload["op"] == "route_batch"
 
     def test_stale_epoch_update_is_409(self):
-        from repro.service import ClusterTopology
-
-        topology = ClusterTopology(["node-a"])
-        pipeline, svc = _pipeline(
-            cluster_node_id="node-a", cluster_topology=topology
-        )
+        pipeline, svc = _pipeline(cluster_node_id="node-a")
         body = (
             b'{"action": "join", "node": "node-b", "expected_epoch": 99}'
         )

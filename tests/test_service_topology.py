@@ -1,10 +1,10 @@
 """Tests for epoch-versioned cluster topology (repro.service.cluster).
 
-Four layers: :class:`ClusterTopology` semantics (epoch CAS, join /
-leave / replace, hypothesis transition invariants),
-:class:`TopologyFileWatcher` reload semantics, runtime reconfiguration
-of a live :class:`ClusterScheduleCache` (client pruning + key-space
-handoff, including the abort-on-next-epoch rule), and the full wire
+Three layers: :class:`ClusterTopology` semantics (epoch CAS, join /
+leave / replace, hypothesis transition invariants), runtime
+reconfiguration of a live :class:`ClusterScheduleCache` (client
+pruning + key-space handoff, including the abort-on-next-epoch rule),
+and the full wire
 path: handler ``topology_get`` / ``topology_update`` ops, the ``repro
 topology`` admin CLI, and a live two-daemon join -> handoff -> warm-hit
 integration drill.
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import asyncio
 import hashlib
-import json
 import socket
 import threading
 import time
@@ -36,8 +35,6 @@ from repro.service import (
     RemoteShardClient,
     RequestHandler,
     ScheduleCache,
-    TopologyFileWatcher,
-    parse_topology_doc,
     render_prometheus,
     request_from_doc,
 )
@@ -71,7 +68,7 @@ class TestClusterTopology:
     def test_replace_with_same_members_is_a_noop(self):
         topo = ClusterTopology(["a", "b"])
         view = topo.replace(["b", "a"])
-        assert view.epoch == 1  # no change, no bump (SIGHUP re-reads are free)
+        assert view.epoch == 1  # no change, no bump (repeated pushes are free)
 
     def test_expected_epoch_cas(self):
         topo = ClusterTopology(["a"])
@@ -258,124 +255,6 @@ class TestTopologyTransitionInvariants:
         with pytest.raises(StaleEpochError):
             topo.apply_doc({"members": members + ["intruder"], "epoch": 10})
         assert topo.epoch == 10 and "intruder" not in topo.members
-
-
-# ----------------------------------------------------------------------
-# topology files
-# ----------------------------------------------------------------------
-class TestParseTopologyDoc:
-    def test_shapes(self):
-        assert parse_topology_doc(["a", "b"]) == (["a", "b"], None, {})
-        members, epoch, meta = parse_topology_doc(
-            {"members": ["a", {"id": "b", "metadata": {"zone": "z"}}], "epoch": 4}
-        )
-        assert members == ["a", "b"] and epoch == 4
-        assert meta == {"b": {"zone": "z"}}
-
-    @pytest.mark.parametrize("doc", [
-        "nope",
-        {"members": "nope"},
-        {"members": [1]},
-        {"members": [{"metadata": {}}]},
-        {"members": [{"id": "a", "metadata": 3}]},
-        {"members": ["a"], "epoch": "x"},
-        {"members": ["a"], "epoch": 0},
-    ])
-    def test_malformed(self, doc):
-        with pytest.raises(ReproError):
-            parse_topology_doc(doc)
-
-
-class TestTopologyFileWatcher:
-    def test_reload_applies_and_is_idempotent(self, tmp_path):
-        path = tmp_path / "topo.json"
-        path.write_text(json.dumps({"members": ["a", "b"]}))
-        topo = ClusterTopology(["a"])
-        watcher = TopologyFileWatcher(topo, path)
-        assert watcher.reload() is True
-        assert topo.members == frozenset({"a", "b"}) and topo.epoch == 2
-        assert watcher.reload() is False  # same members: no bump
-        assert topo.epoch == 2 and watcher.reloads == 1
-
-    def test_metadata_bearing_file_reload_does_not_churn_epochs(self, tmp_path):
-        path = tmp_path / "topo.json"
-        path.write_text(json.dumps({
-            "members": [{"id": "a", "metadata": {"zone": "z1"}}, "b"],
-        }))
-        topo = ClusterTopology(["a"])
-        watcher = TopologyFileWatcher(topo, path)
-        assert watcher.reload() is True and topo.epoch == 2
-        # Re-reading the identical file (mtime touch, SIGHUP) must not
-        # bump the epoch — a bump would abort in-flight handoffs.
-        assert watcher.reload() is False and topo.epoch == 2
-        assert topo.view().metadata["a"] == {"zone": "z1"}
-
-    def test_first_load_accepts_the_fleet_starting_epoch(self, tmp_path):
-        # A fresh daemon sits at an implicit epoch 1; the fleet's first
-        # shared file naturally says "epoch": 1 too and must apply.
-        path = tmp_path / "topo.json"
-        path.write_text(json.dumps({"members": ["a", "b"], "epoch": 1}))
-        topo = ClusterTopology(["a"])
-        watcher = TopologyFileWatcher(topo, path)
-        assert watcher.reload() is True
-        assert topo.members == frozenset({"a", "b"})
-        # After the first load the stale-epoch protection is strict.
-        path.write_text(json.dumps({"members": ["a"], "epoch": 1}))
-        with pytest.raises(StaleEpochError):
-            watcher.reload()
-
-    def test_file_epoch_semantics(self, tmp_path):
-        path = tmp_path / "topo.json"
-        topo = ClusterTopology(["a"], epoch=5)
-        watcher = TopologyFileWatcher(topo, path)
-        path.write_text(json.dumps({"members": ["a", "b"], "epoch": 7}))
-        assert watcher.reload() is True and topo.epoch == 7
-        # A stale epoch with the same members is silently ignored...
-        path.write_text(json.dumps({"members": ["a", "b"], "epoch": 3}))
-        assert watcher.reload() is False and topo.epoch == 7
-        # ...but a stale epoch with a *different* set is an error.
-        path.write_text(json.dumps({"members": ["a"], "epoch": 3}))
-        with pytest.raises(StaleEpochError):
-            watcher.reload()
-        assert topo.members == frozenset({"a", "b"})
-
-    def test_bad_file_raises_from_reload(self, tmp_path):
-        topo = ClusterTopology(["a"])
-        watcher = TopologyFileWatcher(topo, tmp_path / "missing.json")
-        with pytest.raises(ReproError):
-            watcher.reload()
-        bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        with pytest.raises(ReproError):
-            TopologyFileWatcher(topo, bad).reload()
-        with pytest.raises(ValueError):
-            TopologyFileWatcher(topo, bad, interval=0)
-
-    def test_watch_thread_picks_up_changes_and_sighup(self, tmp_path):
-        path = tmp_path / "topo.json"
-        path.write_text(json.dumps(["a"]))
-        topo = ClusterTopology(["a"])
-        watcher = TopologyFileWatcher(topo, path, interval=0.05)
-        watcher.reload()
-        watcher.start()
-        try:
-            time.sleep(0.12)  # ensure a distinct mtime even on coarse clocks
-            path.write_text(json.dumps(["a", "b"]))
-            deadline = time.monotonic() + JOIN_TIMEOUT
-            while topo.members != frozenset({"a", "b"}):
-                assert time.monotonic() < deadline, topo.as_dict()
-                time.sleep(0.02)
-            # A forced reload (the SIGHUP hook) applies without an
-            # mtime change and records errors instead of raising.
-            path.write_text("{broken")
-            watcher.reload_now()
-            deadline = time.monotonic() + JOIN_TIMEOUT
-            while watcher.last_error is None:
-                assert time.monotonic() < deadline
-                time.sleep(0.02)
-            assert topo.members == frozenset({"a", "b"})  # old view holds
-        finally:
-            watcher.stop()
 
 
 # ----------------------------------------------------------------------
